@@ -20,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .model import ParameterError, validate
 from . import theory, supersol, pde, scan as scan_mod
 
@@ -61,8 +59,6 @@ def _build_parser() -> _Parser:
                         help="flat key = value config file")
     common.add_argument("--output-dir", default=argparse.SUPPRESS,
                         help="directory for emitted files")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for any randomized sampling (default 0)")
     parser = _Parser(
         prog="wavespeed",
         description="Sign of the propagation speed of bistable competition fronts.",
@@ -168,9 +164,10 @@ def _output_dir(args, config: dict[str, str]) -> Path:
 
 
 def _verdict_lines(verdict: theory.SignVerdict) -> list[str]:
+    labels = {row.id: row.label for row in theory.CRITERIA}
     names = []
     for cid in verdict.fired:
-        label = theory.LABELS[cid]
+        label = labels[cid]
         if cid in verdict.fired_reflected:
             label += " (reflected)"
         names.append(label)
@@ -343,8 +340,6 @@ def main(argv=None) -> int:
         config_path = getattr(args, "config", None)
         if config_path:
             config = _load_config(config_path)
-        seed = getattr(args, "seed", None)
-        np.random.seed(seed if seed is not None else int(config.get("seed", 0)))
         handler = {
             "classify": cmd_classify,
             "speed": cmd_speed,

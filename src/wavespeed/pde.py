@@ -74,7 +74,6 @@ class SimConfig:
     t_end: float = 400.0
     front_level: float = 0.5
     fit_window: float = 0.5
-    scheme: str = "imex"
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= self.dt:
@@ -83,6 +82,10 @@ class SimConfig:
             raise ParameterError("front_level must be in (0, 1)")
         if not (0.0 < self.fit_window <= 1.0):
             raise ParameterError("fit_window must be in (0, 1]")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 def default_config(
@@ -178,6 +181,22 @@ def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
             )
 
 
+def _march(params: CompetitionParams, config: SimConfig,
+           u: np.ndarray, v: np.ndarray, every: int):
+    """Advance (u, v) in place to ``config.t_end``, checking every step.
+
+    Yields the time after every ``every``-th step and after the last one.
+    """
+    stepper = _Stepper(params, config, u, v)
+    n_steps = config.n_steps
+    for k in range(1, n_steps + 1):
+        stepper.advance(u, v)
+        t = k * config.dt
+        _check_fields(u, v, t)
+        if k % every == 0 or k == n_steps:
+            yield t
+
+
 def simulate(
     params: CompetitionParams,
     config: SimConfig,
@@ -198,19 +217,13 @@ def simulate(
     if min(u0.min(), v0.min()) < 0.0 or max(u0.max(), v0.max()) > 1.0:
         raise ParameterError("initial fields must lie in [0, 1]^2")
 
-    n_steps = int(round(config.t_end / config.dt))
     if record_every is None:
-        record_every = max(1, n_steps // 200)
+        record_every = max(1, config.n_steps // 200)
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
-    stepper = _Stepper(params, config, u, v)
     frames = [(0.0, u.copy(), v.copy())]
-    for k in range(1, n_steps + 1):
-        stepper.advance(u, v)
-        t = k * config.dt
-        _check_fields(u, v, t)
-        if k % record_every == 0 or k == n_steps:
-            frames.append((t, u.copy(), v.copy()))
+    for t in _march(params, config, u, v, record_every):
+        frames.append((t, u.copy(), v.copy()))
     return frames
 
 
@@ -258,18 +271,11 @@ def estimate_speed(
     grid = config.grid
     xs = grid.xs()
     u, v = step_profile(grid)
-    stepper = _Stepper(params, config, u, v)
-
-    n_steps = int(round(config.t_end / config.dt))
-    sample_every = max(1, n_steps // 4000)
+    sample_every = max(1, config.n_steps // 4000)
     ts, fronts = [0.0], [front_position(xs, u, config.front_level)]
-    for k in range(1, n_steps + 1):
-        stepper.advance(u, v)
-        t = k * config.dt
-        _check_fields(u, v, t)
-        if k % sample_every == 0 or k == n_steps:
-            ts.append(t)
-            fronts.append(front_position(xs, u, config.front_level))
+    for t in _march(params, config, u, v, sample_every):
+        ts.append(t)
+        fronts.append(front_position(xs, u, config.front_level))
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
 
     t_start = (1.0 - config.fit_window) * config.t_end

@@ -11,53 +11,15 @@ deterministic, so reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
 from .model import CompetitionParams, ParameterError
 from . import theory
-from .theory import CriterionId, Sign, SignVerdict
+from .theory import CriterionId, SignVerdict
 from . import pde
-
-
-_SYM_DIRECT = (
-    CriterionId.N1,
-    CriterionId.N2,
-    CriterionId.NEG3,
-    CriterionId.S1,
-    CriterionId.S2,
-    CriterionId.DEG_NEG,
-    CriterionId.POS1,
-    CriterionId.DEG_POS,
-    CriterionId.PRIOR_I,
-    CriterionId.PRIOR_II,
-    CriterionId.PRIOR_III,
-    CriterionId.PRIOR_VII,
-    CriterionId.PRIOR_VIII,
-)
-_SYM_REFLECTED = (
-    CriterionId.N1,
-    CriterionId.N2,
-    CriterionId.NEG3,
-    CriterionId.S1,
-    CriterionId.S2,
-    CriterionId.PRIOR_I,
-    CriterionId.PRIOR_II,
-    CriterionId.PRIOR_III,
-    CriterionId.PRIOR_VII,
-    CriterionId.PRIOR_VIII,
-)
-_K1D_DIRECT = (
-    CriterionId.N1,
-    CriterionId.N2,
-    CriterionId.NEG3,
-    CriterionId.DEG_NEG,
-    CriterionId.POS1,
-    CriterionId.DEG_POS,
-)
-_K1D_REFLECTED = (CriterionId.N1, CriterionId.N2, CriterionId.NEG3)
 
 
 @dataclass(frozen=True)
@@ -129,28 +91,24 @@ def _params_at(spec: ScanSpec, x: float, y: float) -> CompetitionParams:
     return CompetitionParams(y * spec.r, spec.r, x, spec.k2)
 
 
-def _evaluate_cell(spec: ScanSpec, x: float, y: float) -> RegionSample:
-    params = _params_at(spec, x, y)
-    direct_ids = _SYM_DIRECT if spec.plane == "sym" else _K1D_DIRECT
-    refl_ids = _SYM_REFLECTED if spec.plane == "sym" else _K1D_REFLECTED
+def _plane_columns(plane: str) -> tuple[tuple[CriterionId, ...], tuple[CriterionId, ...]]:
+    """Direct and reflected criterion columns: the table rows, minus the
+    symmetric-only rows on the k1d plane."""
+    rows = [row for row in theory.CRITERIA if plane == "sym" or not row.symmetric_only]
+    return tuple(row.id for row in rows), tuple(row.id for row in rows if row.reflectable)
 
-    neg = theory._negative_verdicts(params)
-    rneg = theory._negative_verdicts(theory.reflect(params))
-    verdicts = {}
-    for cid in direct_ids:
-        if cid is CriterionId.POS1:
-            verdicts[cid] = theory.criterion_pos1(params)
-        elif cid is CriterionId.DEG_POS:
-            verdicts[cid] = rneg.get(CriterionId.DEG_NEG, False)
-        else:
-            verdicts[cid] = neg.get(cid, False)
-    reflected = {cid: rneg.get(cid, False) for cid in refl_ids}
-    combined = theory.classify(params)
+
+_COLUMNS = {plane: _plane_columns(plane) for plane in ("sym", "k1d")}
+
+
+def _evaluate_cell(spec: ScanSpec, x: float, y: float) -> RegionSample:
+    hits = theory.evaluate_criteria(_params_at(spec, x, y))
+    direct, reflected = _COLUMNS[spec.plane]
     return RegionSample(
         x=float(x), y=float(y),
-        verdicts=verdicts,
-        reflected_verdicts=reflected,
-        combined=combined,
+        verdicts={cid: hits.direct[cid] for cid in direct},
+        reflected_verdicts={cid: hits.reflected[cid] for cid in reflected},
+        combined=hits.verdict(),
     )
 
 
@@ -176,13 +134,7 @@ def scan_plane(spec: ScanSpec) -> list[RegionSample]:
                     est = pde.SpeedEstimate(
                         float("nan"), float("inf"), np.empty((0, 2)), False
                     )
-                sample = RegionSample(
-                    x=sample.x, y=sample.y,
-                    verdicts=sample.verdicts,
-                    reflected_verdicts=sample.reflected_verdicts,
-                    combined=sample.combined,
-                    c_num=est,
-                )
+                sample = replace(sample, c_num=est)
             samples.append(sample)
     return samples
 

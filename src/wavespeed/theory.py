@@ -7,13 +7,13 @@ criteria certify c < 0; the exchange symmetry
     c(d, r, k1, k2) = -sqrt(d r) c(1/d, 1/r, k2, k1)
 
 turns every negative criterion into a positive one, so :func:`classify`
-evaluates the negative family both directly and on the reflected
+evaluates the reflectable criteria both directly and on the reflected
 parameters.  All inequalities are evaluated exactly as stated, preserving
 strict vs non-strict comparisons, with no tolerance padding: the criteria
 are sharp-edged sufficient conditions and padding would manufacture false
 positives.
 
-Criterion inventory (labels used in reports):
+The inventory is the single table :data:`CRITERIA`; its report labels:
 
 * N1, N2     -- the two general blocking conditions on (k1, k2, d/r)
 * neg3, pos1 -- explicit half-line bounds in k1 bracketing the threshold k*
@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import Callable
 
-from .model import CompetitionParams
+from .model import CompetitionParams, validate
 
 
 class PolarityConflictError(RuntimeError):
@@ -55,54 +55,9 @@ class CriterionId(Enum):
     PRIOR_VII = "PRIOR_VII"
     PRIOR_VIII = "PRIOR_VIII"
 
-
-# Polarity tag: -1 predicts c < 0, +1 predicts c > 0.
-POLARITY: dict[CriterionId, int] = {
-    CriterionId.N1: -1,
-    CriterionId.N2: -1,
-    CriterionId.NEG3: -1,
-    CriterionId.POS1: +1,
-    CriterionId.S1: -1,
-    CriterionId.S2: -1,
-    CriterionId.DEG_NEG: -1,
-    CriterionId.DEG_POS: +1,
-    CriterionId.PRIOR_I: -1,
-    CriterionId.PRIOR_II: -1,
-    CriterionId.PRIOR_III: -1,
-    CriterionId.PRIOR_VII: -1,
-    CriterionId.PRIOR_VIII: -1,
-}
-
-# Report labels.
-LABELS: dict[CriterionId, str] = {
-    CriterionId.N1: "N1",
-    CriterionId.N2: "N2",
-    CriterionId.NEG3: "neg3",
-    CriterionId.POS1: "pos1",
-    CriterionId.S1: "S1",
-    CriterionId.S2: "S2",
-    CriterionId.DEG_NEG: "degenerate",
-    CriterionId.DEG_POS: "degenerate (reflected)",
-    CriterionId.PRIOR_I: "(i)",
-    CriterionId.PRIOR_II: "(ii)",
-    CriterionId.PRIOR_III: "(iii)",
-    CriterionId.PRIOR_VII: "(vii)",
-    CriterionId.PRIOR_VIII: "(viii)",
-}
-
-# Negative criteria re-evaluated on reflected parameters by classify().
-_REFLECTABLE = (
-    CriterionId.N1,
-    CriterionId.N2,
-    CriterionId.NEG3,
-    CriterionId.S1,
-    CriterionId.S2,
-    CriterionId.PRIOR_I,
-    CriterionId.PRIOR_II,
-    CriterionId.PRIOR_III,
-    CriterionId.PRIOR_VII,
-    CriterionId.PRIOR_VIII,
-)
+    # Members are singletons compared by identity; hashing them the same way
+    # keeps the criterion dicts cheap (Enum hashes the name in Python code).
+    __hash__ = object.__hash__
 
 
 class Sign(Enum):
@@ -221,10 +176,25 @@ def criterion_s1_s2(d: float, k: float) -> tuple[bool, bool]:
     """
     if d <= 0.0 or k <= 1.0:
         raise ValueError("criterion_s1_s2 requires d > 0 and k > 1")
+    point = validate(d, 1.0, k, k)
+    return _s1(point), _s2(point)
+
+
+def _s1(params: CompetitionParams) -> bool:
+    d, k = params.d, params.k1
+    if k < 2.0:
+        return False
     m = m_of_k(k)
-    s1 = k >= 2.0 and d > 2.0 * k * m / (2.0 * k - m)
-    s2 = 1.0 < k < 2.0 and m * m / (k - 1.0) < d < m * (k - 1.0) / (m - k)
-    return s1, s2
+    return d > 2.0 * k * m / (2.0 * k - m)
+
+
+def _s2(params: CompetitionParams) -> bool:
+    d, k = params.d, params.k1
+    if not 1.0 < k < 2.0:
+        return False
+    m = m_of_k(k)
+    # m(k) > k on 1 < k < 2, but the rounded values meet at its ends.
+    return k < m and m * m / (k - 1.0) < d < m * (k - 1.0) / (m - k)
 
 
 def degenerate_ratio_bound(k1: float, k2: float) -> float:
@@ -256,11 +226,6 @@ def reflect(params: CompetitionParams) -> CompetitionParams:
     return CompetitionParams(1.0 / params.d, 1.0 / params.r, params.k2, params.k1)
 
 
-# Exact double-precision images of the single-point region (i).
-_PRIOR_I_D = 11.0 / 2.0
-_PRIOR_I_K = 11.0 / 6.0
-
-
 def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
     """Previously established negative-speed regions in the symmetric (d, k) plane.
 
@@ -269,7 +234,7 @@ def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
     (i)    the single point (11/2, 11/6), compared at double precision;
     (ii)   d = 4 and 5/4 <= k <= 4/3;
     (iii)  5/3 < k < 2 and 4 < d < 4/(k-1), excluding d = 2k/(k-1);
-    (vii)  a floor-function condition, see below;
+    (vii)  a floor-function condition, see :func:`_prior_vii`;
     (viii) 5/3 < k < 2 and 4 < d < 2/(2-k).
 
     The limiting regions (iv), (v), (vi) carry no quantitative data and are
@@ -277,73 +242,146 @@ def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
     """
     if d <= 0.0 or k <= 1.0:
         raise ValueError("prior_regions requires d > 0 and k > 1")
-    out = {
-        CriterionId.PRIOR_I: (d == _PRIOR_I_D and k == _PRIOR_I_K)
-        or (Fraction(d) == Fraction(11, 2) and Fraction(k) == Fraction(11, 6)),
-        CriterionId.PRIOR_II: d == 4.0 and 1.25 <= k <= 4.0 / 3.0,
-        CriterionId.PRIOR_III: (
-            5.0 / 3.0 < k < 2.0
-            and 4.0 < d < 4.0 / (k - 1.0)
-            and d * (k - 1.0) != 2.0 * k
-        ),
-        CriterionId.PRIOR_VIII: 5.0 / 3.0 < k < 2.0 and 4.0 < d < 2.0 / (2.0 - k),
+    point = validate(d, 1.0, k, k)
+    return {
+        row.id: row.predicate(point)
+        for row in CRITERIA
+        if row.id.name.startswith("PRIOR_")
     }
+
+
+def _prior_i(params: CompetitionParams) -> bool:
+    return params.d == 11.0 / 2.0 and params.k1 == 11.0 / 6.0
+
+
+def _prior_ii(params: CompetitionParams) -> bool:
+    return params.d == 4.0 and 1.25 <= params.k1 <= 4.0 / 3.0
+
+
+def _prior_iii(params: CompetitionParams) -> bool:
+    d, k = params.d, params.k1
+    return 5.0 / 3.0 < k < 2.0 and 4.0 < d < 4.0 / (k - 1.0) and d * (k - 1.0) != 2.0 * k
+
+
+def _prior_vii(params: CompetitionParams) -> bool:
+    d, k = params.d, params.k1
     q = 3.0 * k - 1.0
     term1 = k - d * (k - 1.0) / q
     term2 = 4.0 * d * (k - 1.0) / (q * q) + math.floor(
         2.0 * d * (k + 1.0) / (q * q) - k
     ) * math.floor(k * (5.0 - 3.0 * k) / 2.0)
-    out[CriterionId.PRIOR_VII] = max(term1, term2) < 1.0
-    return out
+    return max(term1, term2) < 1.0
 
 
-def _negative_verdicts(params: CompetitionParams) -> dict[CriterionId, bool]:
-    """All negative-polarity criteria evaluated directly at params."""
-    out = {
-        CriterionId.N1: criterion_n1(params),
-        CriterionId.N2: criterion_n2(params),
-        CriterionId.NEG3: criterion_neg3(params),
-        CriterionId.DEG_NEG: criterion_degenerate(params),
+def _prior_viii(params: CompetitionParams) -> bool:
+    d, k = params.d, params.k1
+    return 5.0 / 3.0 < k < 2.0 and 4.0 < d < 2.0 / (2.0 - k)
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One row of the criterion table.
+
+    ``polarity`` is the sign of c the row certifies at p when its predicate
+    holds: -1 for c < 0, +1 for c > 0.  The predicate is read at p, or at
+    ``reflect(p)`` when ``at_reflection`` is set.  ``symmetric_only`` rows
+    are defined on the symmetric plane (r = 1, k1 = k2) and read False
+    elsewhere.  ``reflectable`` rows (the default) are read a second time
+    at ``reflect(p)``, where a hit certifies the opposite polarity at p.
+    """
+
+    id: CriterionId
+    label: str
+    polarity: int
+    predicate: Callable[[CompetitionParams], bool]
+    symmetric_only: bool = False
+    reflectable: bool = True
+    at_reflection: bool = False
+
+
+# The criterion inventory, in report and CSV column order.
+CRITERIA: tuple[Criterion, ...] = (
+    Criterion(CriterionId.N1, "N1", -1, criterion_n1),
+    Criterion(CriterionId.N2, "N2", -1, criterion_n2),
+    Criterion(CriterionId.NEG3, "neg3", -1, criterion_neg3),
+    Criterion(CriterionId.S1, "S1", -1, _s1, symmetric_only=True),
+    Criterion(CriterionId.S2, "S2", -1, _s2, symmetric_only=True),
+    Criterion(CriterionId.DEG_NEG, "degenerate", -1, criterion_degenerate, reflectable=False),
+    Criterion(CriterionId.POS1, "pos1", +1, criterion_pos1, reflectable=False),
+    Criterion(CriterionId.DEG_POS, "degenerate (reflected)", +1, criterion_degenerate,
+              reflectable=False, at_reflection=True),
+    Criterion(CriterionId.PRIOR_I, "(i)", -1, _prior_i, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_II, "(ii)", -1, _prior_ii, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_III, "(iii)", -1, _prior_iii, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_VII, "(vii)", -1, _prior_vii, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_VIII, "(viii)", -1, _prior_viii, symmetric_only=True),
+)
+
+
+@dataclass(frozen=True)
+class CriterionHits:
+    """Every row of :data:`CRITERIA` evaluated at one point.
+
+    ``direct`` maps each row to its hit where the row is read (p, or
+    ``reflect(p)`` for ``at_reflection`` rows); ``reflected`` maps each
+    ``reflectable`` row to its hit at ``reflect(p)``.  Both follow table
+    order.
+    """
+
+    params: CompetitionParams
+    direct: dict[CriterionId, bool]
+    reflected: dict[CriterionId, bool]
+
+    def verdict(self) -> SignVerdict:
+        """Fold the hits into one sign verdict.
+
+        A reflected hit certifies the opposite of its row's polarity.  Hits
+        of both polarities at once are impossible for correct criteria, so
+        that case raises :class:`PolarityConflictError`.
+        """
+        direct = {-1: [], +1: []}
+        mirrored = {-1: [], +1: []}
+        for row in CRITERIA:
+            if self.direct[row.id]:
+                direct[row.polarity].append(row.id)
+            if self.reflected.get(row.id):
+                mirrored[-row.polarity].append(row.id)
+        negative = tuple(direct[-1] + mirrored[-1])
+        positive = tuple(direct[+1] + mirrored[+1])
+        if negative and positive:
+            raise PolarityConflictError(
+                f"criteria of both polarities fired at {self.params}: "
+                f"negative={negative}, positive={positive}"
+            )
+        if negative:
+            return SignVerdict(Sign.NEGATIVE, negative, tuple(mirrored[-1]))
+        if positive:
+            return SignVerdict(Sign.POSITIVE, positive, tuple(mirrored[+1]))
+        return SignVerdict(Sign.INCONCLUSIVE, ())
+
+
+def evaluate_criteria(params: CompetitionParams) -> CriterionHits:
+    """Evaluate the criterion table once at ``params`` and once at its reflection."""
+    mirror = reflect(params)
+    direct = {}
+    for row in CRITERIA:
+        point = mirror if row.at_reflection else params
+        direct[row.id] = (not row.symmetric_only or point.symmetric) and row.predicate(point)
+    reflected = {
+        row.id: (not row.symmetric_only or mirror.symmetric) and row.predicate(mirror)
+        for row in CRITERIA
+        if row.reflectable
     }
-    if params.symmetric:
-        s1, s2 = criterion_s1_s2(params.d, params.k1)
-        out[CriterionId.S1] = s1
-        out[CriterionId.S2] = s2
-        out.update(prior_regions(params.d, params.k1))
-    return out
+    return CriterionHits(params, direct, reflected)
 
 
 def classify(params: CompetitionParams) -> SignVerdict:
     """Combine every criterion into a single sign verdict.
 
-    Negative criteria are evaluated at ``params`` and again at
-    ``reflect(params)`` (where they certify c > 0); pos1 and the reflected
-    degenerate criterion are the explicitly positive members.  A conclusive
-    verdict of each polarity simultaneously is impossible for correct
-    criteria, so that case raises :class:`PolarityConflictError`.
+    Each row of :data:`CRITERIA` is read at ``params`` and, where
+    reflectable, at ``reflect(params)``; see :meth:`CriterionHits.verdict`.
     """
-    negative = _negative_verdicts(params)
-    neg_fired = tuple(cid for cid, hit in negative.items() if hit)
-
-    reflected = _negative_verdicts(reflect(params))
-    pos_direct = []
-    if criterion_pos1(params):
-        pos_direct.append(CriterionId.POS1)
-    if reflected.pop(CriterionId.DEG_NEG):
-        pos_direct.append(CriterionId.DEG_POS)
-    pos_reflected = tuple(cid for cid, hit in reflected.items() if hit)
-    pos_fired = tuple(pos_direct) + pos_reflected
-
-    if neg_fired and pos_fired:
-        raise PolarityConflictError(
-            f"criteria of both polarities fired at {params}: "
-            f"negative={neg_fired}, positive={pos_fired}"
-        )
-    if neg_fired:
-        return SignVerdict(Sign.NEGATIVE, neg_fired)
-    if pos_fired:
-        return SignVerdict(Sign.POSITIVE, pos_fired, pos_reflected)
-    return SignVerdict(Sign.INCONCLUSIVE, ())
+    return evaluate_criteria(params).verdict()
 
 
 def kstar_bounds(d: float, r: float, k2: float) -> ThresholdBounds:

@@ -42,6 +42,12 @@ class TestClassify:
         capsys.readouterr()
         assert exc.value.code == 64
 
+    def test_seed_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "11", "1", "3", "3", "--seed", "1"])
+        capsys.readouterr()
+        assert exc.value.code == 64
+
 
 class TestSpeed:
     def test_reports_speed_and_verdict(self, capsys):

@@ -224,3 +224,38 @@ class TestEmission:
             if el.tag.endswith("line")
         ]
         assert len(lines) >= 3
+
+
+SYM_HEADER = (
+    "x,y,N1,N2,NEG3,S1,S2,DEG_NEG,POS1,DEG_POS,"
+    "PRIOR_I,PRIOR_II,PRIOR_III,PRIOR_VII,PRIOR_VIII,"
+    "R_N1,R_N2,R_NEG3,R_S1,R_S2,"
+    "R_PRIOR_I,R_PRIOR_II,R_PRIOR_III,R_PRIOR_VII,R_PRIOR_VIII,"
+    "combined,c_num,stderr,converged"
+)
+K1D_HEADER = (
+    "x,y,N1,N2,NEG3,DEG_NEG,POS1,DEG_POS,R_N1,R_N2,R_NEG3,"
+    "combined,c_num,stderr,converged"
+)
+
+
+class TestCriterionColumns:
+    @pytest.mark.parametrize("spec, header", [
+        (ScanSpec(plane="sym", x_range=(1.0, 10.0), y_range=(1.0 + 1e-9, 4.0),
+                  nx=12, ny=9), SYM_HEADER),
+        # The grid holds the symmetric cell k1 = k2 = 2, d/r = 1 at r = 1.
+        (ScanSpec(plane="k1d", x_range=(1.5, 2.5), y_range=(0.5, 1.5),
+                  nx=3, ny=3, k2=2.0), K1D_HEADER),
+    ])
+    def test_combined_is_classify_and_header_is_fixed(self, tmp_path, spec, header):
+        samples = scan_plane(spec)
+        points = {(s.x, s.y) for s in samples}
+        if spec.plane == "k1d":
+            assert (2.0, 1.0) in points
+        for s in samples:
+            p = (validate(s.x, 1.0, s.y, s.y) if spec.plane == "sym"
+                 else validate(s.y * spec.r, spec.r, s.x, spec.k2))
+            assert s.combined == classify(p)
+        path = tmp_path / "scan.csv"
+        emit_csv(samples, path)
+        assert path.read_text().splitlines()[0] == header

@@ -117,6 +117,15 @@ class TestS1S2:
         s1, s2 = criterion_s1_s2(5.0, 1.5)
         assert s2 and not s1
 
+    def test_s2_where_rounded_m_meets_k(self):
+        # Just below k = 2 the rounded m(k) equals k and the strip's upper
+        # bound would divide by zero.
+        k = 1.9999999999999996
+        assert m_of_k(k) == k
+        assert criterion_s1_s2(5.0, k) == (False, False)
+        verdict = classify(validate(5.0, 1.0, k, k))
+        assert verdict.sign is Sign.NEGATIVE and CriterionId.N1 in verdict.fired
+
     def test_agrees_with_general_criteria_on_diagonal(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
