@@ -33,12 +33,19 @@ EXIT_USAGE = 64
 EXIT_IO = 74
 
 _CONFIG_HELP = """\
-config file: one "key = value" per line; keys are long option names with
-dashes replaced by underscores (e.g. "t_end = 200", "nx = 121"); '#' starts
-a comment.  Precedence: command-line flags > config file > defaults.
+config file: one "key = value" per line; '#' starts a comment.  Every long
+option of the chosen command is a key, its name with dashes replaced by
+underscores (e.g. "t_end = 200", "nx = 121", "output_dir = out"); keys that
+are not options of the command are ignored.  Switches take 1/true/yes/on
+for on, anything else for off.  A malformed value exits 64, as a malformed
+flag does.  Precedence: command-line flags > config file > defaults.
 Output directory: --output-dir > WAVESPEED_OUT environment variable >
 config file > current directory.
 """
+
+_TRUE = ("1", "true", "yes", "on")
+# Options of `speed` that are keywords of pde.default_config.
+_PDE_SETTINGS = ("L", "dx", "dt", "t_end", "front_level", "fit_window")
 
 
 def _fmt(x: float) -> str:
@@ -50,10 +57,20 @@ class _Parser(argparse.ArgumentParser):
     # leave through 64 instead of argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
+def _parse_range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = text.split(":")
+        return float(lo), float(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subparsers by command name.  An option whose default
+    the library holds defaults to None or SUPPRESS (absent unless given)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="flat key = value config file")
@@ -82,42 +99,43 @@ def _build_parser() -> _Parser:
 
     p_speed = add_parser("speed", help="measure the front speed from a PDE run")
     add_params(p_speed)
-    p_speed.add_argument("--L", type=float, default=None, help="domain half-length")
-    p_speed.add_argument("--dx", type=float, default=None)
-    p_speed.add_argument("--dt", type=float, default=None)
-    p_speed.add_argument("--t-end", type=float, default=None)
-    p_speed.add_argument("--front-level", type=float, default=None)
-    p_speed.add_argument("--fit-window", type=float, default=None)
-    p_speed.add_argument("--dump-trajectory", default=None, metavar="PATH",
+    p_speed.add_argument("--L", type=float, default=argparse.SUPPRESS,
+                         help="domain half-length")
+    p_speed.add_argument("--dx", type=float, default=argparse.SUPPRESS)
+    p_speed.add_argument("--dt", type=float, default=argparse.SUPPRESS)
+    p_speed.add_argument("--t-end", type=float, default=argparse.SUPPRESS)
+    p_speed.add_argument("--front-level", type=float, default=argparse.SUPPRESS)
+    p_speed.add_argument("--fit-window", type=float, default=argparse.SUPPRESS)
+    p_speed.add_argument("--dump-trajectory", metavar="PATH",
                          help="write sampled (t,x,u,v) rows (large output)")
 
     p_certify = add_parser("certify", help="build and certify a blocking profile")
     add_params(p_certify)
-    p_certify.add_argument("--p", type=float, default=None, help="profile exponent")
-    p_certify.add_argument("--a", type=float, default=None, help="spatial scaling")
-    p_certify.add_argument("--degenerate", action="store_const", const=True,
-                           default=None, help="use the piecewise small-d family")
-    p_certify.add_argument("--delta", type=float, default=None,
+    p_certify.add_argument("--p", type=float, help="profile exponent")
+    p_certify.add_argument("--a", type=float, help="spatial scaling")
+    p_certify.add_argument("--degenerate", action="store_true",
+                           help="use the piecewise small-d family")
+    p_certify.add_argument("--delta", type=float,
                            help="offset for the piecewise family")
-    p_certify.add_argument("--tol", type=float, default=None,
-                           help="certification tolerance (default 1e-8)")
-    p_certify.add_argument("--export", default=None, metavar="PREFIX",
+    p_certify.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                           help="certification tolerance")
+    p_certify.add_argument("--export", metavar="PREFIX",
                            help="write profile tables next to PREFIX")
 
     p_scan = add_parser("scan", help="sweep a parameter plane, emit CSV and SVG")
-    p_scan.add_argument("--plane", choices=("sym", "k1d"), default=None)
-    p_scan.add_argument("--xrange", default=None, metavar="LO:HI")
-    p_scan.add_argument("--yrange", default=None, metavar="LO:HI")
-    p_scan.add_argument("--nx", type=int, default=None)
-    p_scan.add_argument("--ny", type=int, default=None)
-    p_scan.add_argument("--log", action="store_const", const=True, default=None,
-                        help="log scale on both axes")
-    p_scan.add_argument("--with-pde", action="store_const", const=True, default=None,
+    p_scan.add_argument("--plane", choices=("sym", "k1d"), default="sym")
+    p_scan.add_argument("--xrange", type=_parse_range, metavar="LO:HI")
+    p_scan.add_argument("--yrange", type=_parse_range, metavar="LO:HI")
+    p_scan.add_argument("--nx", type=int)
+    p_scan.add_argument("--ny", type=int)
+    p_scan.add_argument("--log", action="store_const", const=True,
+                        help="log scale on both axes (default: the plane's)")
+    p_scan.add_argument("--with-pde", action="store_true",
                         help="run the speed oracle on a strided subsample")
-    p_scan.add_argument("--k2", type=float, default=None)
-    p_scan.add_argument("--r", type=float, default=None)
-    p_scan.add_argument("--out-prefix", default=None)
-    return parser
+    p_scan.add_argument("--k2", type=float)
+    p_scan.add_argument("--r", type=float)
+    p_scan.add_argument("--out-prefix", default="scan")
+    return parser, sub.choices
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -134,33 +152,19 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _setting(args, config: dict[str, str], key: str, default, cast=float):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+def _set_config_defaults(parser: _Parser, values: dict[str, str]) -> None:
+    """Make ``values`` the defaults of ``parser``'s long options.
 
-
-def _parse_range(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
-
-
-def _output_dir(args, config: dict[str, str]) -> Path:
-    explicit = getattr(args, "output_dir", None)
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get("WAVESPEED_OUT")
-    if env:
-        return Path(env)
-    if "output_dir" in config:
-        return Path(config["output_dir"])
-    return Path(".")
+    argparse converts a string default with the option's ``type`` when the
+    flag is absent, so config values are checked as flags are; switches
+    take no argument, so their text is read here.
+    """
+    defaults = {}
+    for action in parser._actions:  # argparse lists its actions nowhere public
+        if action.option_strings and action.dest in values:
+            text = values[action.dest]
+            defaults[action.dest] = text.lower() in _TRUE if action.nargs == 0 else text
+    parser.set_defaults(**defaults)
 
 
 def _verdict_lines(verdict: theory.SignVerdict) -> list[str]:
@@ -176,7 +180,7 @@ def _verdict_lines(verdict: theory.SignVerdict) -> list[str]:
     return lines
 
 
-def cmd_classify(args, config) -> int:
+def cmd_classify(args) -> int:
     params = validate(args.d, args.r, args.k1, args.k2)
     verdict = theory.classify(params)
     print(f"parameters: d={_fmt(params.d)} r={_fmt(params.r)} "
@@ -195,15 +199,10 @@ def cmd_classify(args, config) -> int:
     }[verdict.sign]
 
 
-def cmd_speed(args, config) -> int:
+def cmd_speed(args) -> int:
     params = validate(args.d, args.r, args.k1, args.k2)
     sim_config = pde.default_config(
-        L=_setting(args, config, "L", 200.0),
-        dx=_setting(args, config, "dx", 0.1),
-        dt=_setting(args, config, "dt", 0.02),
-        t_end=_setting(args, config, "t_end", 400.0),
-        front_level=_setting(args, config, "front_level", 0.5),
-        fit_window=_setting(args, config, "fit_window", 0.5),
+        **{key: getattr(args, key) for key in _PDE_SETTINGS if key in args}
     )
     estimate = pde.estimate_speed(params, sim_config)
     verdict = theory.classify(params)
@@ -239,17 +238,16 @@ def _print_report(report: supersol.ResidualReport) -> None:
           f"(tolerance {_fmt(report.tol)})")
 
 
-def cmd_certify(args, config) -> int:
+def cmd_certify(args) -> int:
     params = validate(args.d, args.r, args.k1, args.k2)
-    tol = _setting(args, config, "tol", 1e-8)
-    degenerate = bool(_setting(args, config, "degenerate", False, cast=bool))
+    given = {"tol": args.tol} if "tol" in args else {}
 
-    if degenerate:
+    if args.degenerate:
         ds = supersol.degenerate_build(params, args.delta)
         print(f"piecewise profile: delta={_fmt(ds.delta)} gamma={_fmt(ds.gamma_)} "
               f"beta={_fmt(ds.beta_)} xi={_fmt(ds.xi)} eta={_fmt(ds.eta)}")
         print(f"matching level m0 = {_fmt(ds.m0)}, minimizer fraction m* = {_fmt(ds.m_star)}")
-        report = supersol.degenerate_residuals(ds, params, tol=tol)
+        report = supersol.degenerate_residuals(ds, params, **given)
         _print_report(report)
         return 0 if report.certified else EXIT_NOT_CERTIFIED
 
@@ -275,7 +273,7 @@ def cmd_certify(args, config) -> int:
     print("conditions (a)(b)(c)(d): " + " ".join(str(c) for c in conds))
     profile = supersol.sigma_profile(cand.p)
     table = supersol.build_supersolution(cand, profile)
-    report = supersol.residuals_IJ(table, params, tol=tol)
+    report = supersol.residuals_IJ(table, params, **given)
     _print_report(report)
     if args.export:
         table.save_tables(args.export)
@@ -283,42 +281,32 @@ def cmd_certify(args, config) -> int:
     return 0 if report.certified else EXIT_NOT_CERTIFIED
 
 
-def cmd_scan(args, config) -> int:
-    plane = _setting(args, config, "plane", "sym", cast=str)
-    log = bool(_setting(args, config, "log", plane == "k1d", cast=bool))
-    if plane == "sym":
-        default_x, default_y = (1.0, 10.0), (1.0 + 1e-9, 4.0)
-        default_nx, default_ny = 91, 31
-    else:
-        default_x, default_y = (1.02, 100.0), (1e-3, 1e3)
-        default_nx, default_ny = 121, 61
-    xrange = args.xrange or config.get("xrange")
-    yrange = args.yrange or config.get("yrange")
-    spec = scan_mod.ScanSpec(
-        plane=plane,
-        x_range=_parse_range(xrange) if xrange else default_x,
-        y_range=_parse_range(yrange) if yrange else default_y,
-        nx=int(_setting(args, config, "nx", default_nx, cast=int)),
-        ny=int(_setting(args, config, "ny", default_ny, cast=int)),
-        x_scale="log" if log else "linear",
-        y_scale="log" if log else "linear",
-        with_pde=bool(_setting(args, config, "with_pde", False, cast=bool)),
-        k2=_setting(args, config, "k2", 2.0),
-        r=_setting(args, config, "r", 1.0),
+def cmd_scan(args) -> int:
+    scale = None if args.log is None else ("log" if args.log else "linear")
+    spec = scan_mod.plane_spec(
+        args.plane,
+        x_range=args.xrange,
+        y_range=args.yrange,
+        nx=args.nx,
+        ny=args.ny,
+        x_scale=scale,
+        y_scale=scale,
+        with_pde=args.with_pde,
+        k2=args.k2,
+        r=args.r,
     )
     style = {"x_scale": spec.x_scale, "y_scale": spec.y_scale}
-    if plane == "k1d":
+    if spec.plane == "k1d":
         dataset = scan_mod.figure2_dataset(spec.k2, spec.r, spec)
         samples = dataset.samples
         style["reference_x"] = dataset.reference_k1
     else:
         samples = scan_mod.scan_plane(spec)
 
-    out_dir = _output_dir(args, config)
+    out_dir = Path(getattr(args, "output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = _setting(args, config, "out_prefix", "scan", cast=str)
-    csv_path = out_dir / f"{prefix}.csv"
-    svg_path = out_dir / f"{prefix}.svg"
+    csv_path = out_dir / f"{args.out_prefix}.csv"
+    svg_path = out_dir / f"{args.out_prefix}.svg"
     try:
         scan_mod.emit_csv(samples, csv_path)
         scan_mod.emit_svg(samples, svg_path, style)
@@ -333,20 +321,26 @@ def cmd_scan(args, config) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    config = {}
     try:
-        config_path = getattr(args, "config", None)
-        if config_path:
-            config = _load_config(config_path)
+        values = _load_config(args.config) if "config" in args else {}
+        if os.environ.get("WAVESPEED_OUT"):
+            values["output_dir"] = os.environ["WAVESPEED_OUT"]
+        if "output_dir" in args:
+            # The flag beats both.  As a subparser default the value would
+            # overwrite a flag given before the command.
+            values.pop("output_dir", None)
+        if values:
+            _set_config_defaults(commands[args.command], values)
+            args = parser.parse_args(argv)
         handler = {
             "classify": cmd_classify,
             "speed": cmd_speed,
             "certify": cmd_certify,
             "scan": cmd_scan,
         }[args.command]
-        return handler(args, config)
+        return handler(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

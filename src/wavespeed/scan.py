@@ -67,6 +67,24 @@ class ScanSpec:
         return _axis(self.y_range, self.ny, self.y_scale)
 
 
+# The default grid of each plane, as ScanSpec fields.
+PLANE_DEFAULTS = {
+    "sym": {"x_range": (1.0, 10.0), "y_range": (1.0 + 1e-9, 4.0), "nx": 91, "ny": 31,
+            "x_scale": "linear", "y_scale": "linear"},
+    "k1d": {"x_range": (1.02, 100.0), "y_range": (1e-3, 1e3), "nx": 121, "ny": 61,
+            "x_scale": "log", "y_scale": "log"},
+}
+
+
+def plane_spec(plane: str, **fields) -> ScanSpec:
+    """A ScanSpec on ``plane``: fields not given, or given as None, take the
+    plane's default grid from ``PLANE_DEFAULTS`` and then ScanSpec's defaults."""
+    if plane not in PLANE_DEFAULTS:
+        raise ParameterError(f"unknown plane {plane!r}")
+    given = {key: value for key, value in fields.items() if value is not None}
+    return ScanSpec(plane=plane, **{**PLANE_DEFAULTS[plane], **given})
+
+
 def _axis(rng: tuple[float, float], n: int, scale: str) -> np.ndarray:
     if scale == "log":
         return np.geomspace(rng[0], rng[1], n)
@@ -156,17 +174,7 @@ def figure2_dataset(k2: float, r: float = 1.0, spec: ScanSpec | None = None) -> 
     all-ratio negative threshold.
     """
     if spec is None:
-        spec = ScanSpec(
-            plane="k1d",
-            x_range=(1.02, 100.0),
-            y_range=(1e-3, 1e3),
-            nx=121,
-            ny=61,
-            x_scale="log",
-            y_scale="log",
-            k2=k2,
-            r=r,
-        )
+        spec = plane_spec("k1d", k2=k2, r=r)
     samples = scan_plane(spec)
     return Fig2Dataset(
         samples=samples,
@@ -179,41 +187,42 @@ def figure2_dataset(k2: float, r: float = 1.0, spec: ScanSpec | None = None) -> 
     )
 
 
+# CSV column key of each criterion, read directly and at the reflection.
+_DIRECT_KEY = {row.id: row.id.value for row in theory.CRITERIA}
+_REFLECTED_KEY = {row.id: f"R_{row.id.value}" for row in theory.CRITERIA}
+
+
+def _criterion_columns(sample: RegionSample):
+    """(CSV column key, hit) for each criterion column of ``sample``, in column order."""
+    for cid, hit in sample.verdicts.items():
+        yield _DIRECT_KEY[cid], hit
+    for cid, hit in sample.reflected_verdicts.items():
+        yield _REFLECTED_KEY[cid], hit
+
+
 def mask_counts(samples: list[RegionSample]) -> dict[str, int]:
     """Number of cells on which each criterion (and each reflection) fired."""
     counts: dict[str, int] = {}
     for sample in samples:
-        for cid, hit in sample.verdicts.items():
-            counts[cid.value] = counts.get(cid.value, 0) + int(hit)
-        for cid, hit in sample.reflected_verdicts.items():
-            key = f"R_{cid.value}"
+        for key, hit in _criterion_columns(sample):
             counts[key] = counts.get(key, 0) + int(hit)
     return counts
-
-
-def _columns(samples: list[RegionSample]) -> tuple[list[str], list[CriterionId], list[CriterionId]]:
-    direct = list(samples[0].verdicts.keys())
-    reflected = list(samples[0].reflected_verdicts.keys())
-    header = (
-        ["x", "y"]
-        + [cid.value for cid in direct]
-        + [f"R_{cid.value}" for cid in reflected]
-        + ["combined", "c_num", "stderr", "converged"]
-    )
-    return header, direct, reflected
 
 
 def emit_csv(samples: list[RegionSample], path) -> None:
     """Write samples as CSV: x, y, one 0/1 column per criterion, verdict, speed."""
     if not samples:
         raise ParameterError("emit_csv requires a nonempty sample list")
-    header, direct, reflected = _columns(samples)
+    header = (
+        ["x", "y"]
+        + [key for key, _ in _criterion_columns(samples[0])]
+        + ["combined", "c_num", "stderr", "converged"]
+    )
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for s in samples:
             row = [f"{s.x:.12g}", f"{s.y:.12g}"]
-            row += [str(int(s.verdicts[cid])) for cid in direct]
-            row += [str(int(s.reflected_verdicts[cid])) for cid in reflected]
+            row += [str(int(hit)) for _, hit in _criterion_columns(s)]
             row.append(s.combined.sign.value)
             if s.c_num is None:
                 row += ["", "", ""]
@@ -309,12 +318,9 @@ def emit_svg(
 
     masks: dict[str, list[RegionSample]] = {}
     for s in samples:
-        for cid, hit in s.verdicts.items():
+        for key, hit in _criterion_columns(s):
             if hit:
-                masks.setdefault(cid.value, []).append(s)
-        for cid, hit in s.reflected_verdicts.items():
-            if hit:
-                masks.setdefault(f"R_{cid.value}", []).append(s)
+                masks.setdefault(key, []).append(s)
 
     drawn = []
     for key in _SVG_ORDER:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -444,22 +443,14 @@ def matching_mismatch(k1, k2):
 
     M(k1, k2) = [(k1-1) k2^-2 - (2/3)(k1 k2 - 1) k2^-3]
               - [-k2^-2 + (2/3) k2^-3 + 1/3]
+              = (k1 - k2^2) / (3 k2^2)
 
     measures (left slope)^2 - (right slope)^2 at the matching level 1/k2.
     M is strictly increasing in k1 with its unique root at k1 = k2^2, the
     level at which a zero-diffusion standing wave exists.  Exact when called
     with Fractions.
     """
-    if isinstance(k1, Fraction) or isinstance(k2, Fraction):
-        k1, k2 = Fraction(k1), Fraction(k2)
-        third = Fraction(1, 3)
-        two_thirds = Fraction(2, 3)
-    else:
-        third = 1.0 / 3.0
-        two_thirds = 2.0 / 3.0
-    left = (k1 - 1) / k2**2 - two_thirds * (k1 * k2 - 1) / k2**3
-    right = -1 / k2**2 + two_thirds / k2**3 + third
-    return left - right
+    return (k1 - k2 * k2) / (3 * k2 * k2)
 
 
 @dataclass(frozen=True)

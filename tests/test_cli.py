@@ -1,7 +1,7 @@
-import os
-
+import numpy as np
 import pytest
 
+from wavespeed import cli
 from wavespeed.cli import main
 
 
@@ -39,8 +39,9 @@ class TestClassify:
     def test_usage_error_exit_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "1", "1", "2"])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert exc.value.code == 64
+        assert "wavespeed classify: error: the following arguments are required: k2" in err
 
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -81,6 +82,27 @@ class TestSpeed:
         assert path.read_text().startswith("t,x,u,v")
 
 
+    def test_config_settings_reach_the_pde(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_estimate(params, config):
+            seen.append(config)
+            return cli.pde.SpeedEstimate(-0.1, 0.001, np.empty((0, 2)), True)
+
+        monkeypatch.setattr(cli.pde, "estimate_speed", fake_estimate)
+        cfg = tmp_path / "speed.cfg"
+        cfg.write_text("L = 60\nt_end = 120\n")
+        code, out, _ = run(capsys, "speed", "7", "1", "1.8", "2", "--config", str(cfg))
+        assert code == 0
+        (config,) = seen
+        library = cli.pde.default_config()
+        assert config.grid.half_length == 60.0
+        assert config.t_end == 120.0
+        assert config.dt == library.dt
+        assert config.front_level == library.front_level
+        assert config.fit_window == library.fit_window
+
+
 class TestCertify:
     def test_certifies_blocking_point(self, capsys):
         code, out, _ = run(capsys, "certify", "11", "1", "3", "3")
@@ -111,6 +133,22 @@ class TestCertify:
             "--p", "2.7720018754307674", "--a", "0.5222329678670935",
         )
         assert code == 0
+
+    def test_config_candidate(self, capsys, tmp_path):
+        cfg = tmp_path / "certify.cfg"
+        cfg.write_text("p = 2.5\na = 0.5\n")
+        code, out, _ = run(capsys, "certify", "11", "1", "3", "3", "--config", str(cfg))
+        assert "candidate: p = 2.5, a = 0.5 " in out
+        assert code == 5
+
+    def test_config_delta(self, capsys, tmp_path):
+        cfg = tmp_path / "certify.cfg"
+        cfg.write_text("delta = 0.01\n")
+        code, out, _ = run(
+            capsys, "certify", "--degenerate", "0.05", "1", "8", "2", "--config", str(cfg)
+        )
+        assert "piecewise profile: delta=0.01 " in out
+        assert code == 5
 
     def test_export_tables(self, capsys, tmp_path):
         prefix = tmp_path / "prof"
@@ -172,3 +210,47 @@ class TestScan:
         csv_path = tmp_path / "from_config" / "scan.csv"
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 1 + 5 * 3  # nx from config, ny from flag
+
+    def test_config_log_false_gives_linear_axes(self, capsys, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("log = false\n")
+        code, _, _ = run(
+            capsys, "--config", str(cfg), "scan", "--plane", "k1d",
+            "--nx", "5", "--ny", "3", "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "scan.csv").read_text().splitlines()[1:]]
+        xs = sorted({float(row[0]) for row in rows})
+        assert np.allclose(np.diff(xs), xs[1] - xs[0])
+
+    def test_output_dir_precedence(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(
+            "xrange = 1:4\nyrange = 1.5:2.5\nnx = 4\nny = 3\n"
+            f"output_dir = {tmp_path / 'from_config'}\n"
+        )
+        monkeypatch.setenv("WAVESPEED_OUT", str(tmp_path / "from_env"))
+        assert run(capsys, "--config", str(cfg), "scan")[0] == 0
+        assert (tmp_path / "from_env" / "scan.csv").exists()
+        for argv in (
+            ["--output-dir", str(tmp_path / "flag_first"), "--config", str(cfg), "scan"],
+            ["--config", str(cfg), "scan", "--output-dir", str(tmp_path / "flag_last")],
+        ):
+            assert run(capsys, *argv)[0] == 0
+        assert (tmp_path / "flag_first" / "scan.csv").exists()
+        assert (tmp_path / "flag_last" / "scan.csv").exists()
+        assert not (tmp_path / "from_config").exists()
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ("nx = abc\n", [], "argument --nx: invalid int value: 'abc'"),
+        ("", ["--xrange", "5"], "argument --xrange: expected LO:HI, got '5'"),
+    ])
+    def test_malformed_value_exit_64(self, capsys, tmp_path, config, flags, message):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(config)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "scan", *flags, "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 64
+        assert f"wavespeed scan: error: {message}" in err
+        assert not (tmp_path / "scan.csv").exists()
