@@ -75,6 +75,15 @@ from .pde import (
     refine_check,
     simulate,
 )
-from .scan import Fig2Dataset, RegionSample, ScanSpec, emit_csv, emit_svg, figure2_dataset, scan_plane
+from .scan import (
+    Fig2Dataset,
+    Plane,
+    RegionSample,
+    ScanSpec,
+    emit_csv,
+    emit_svg,
+    figure2_dataset,
+    scan_plane,
+)
 
 __version__ = "0.1.0"

@@ -35,8 +35,9 @@ EXIT_IO = 74
 _CONFIG_HELP = """\
 config file: one "key = value" per line; '#' starts a comment.  Every long
 option of the chosen command is a key, its name with dashes replaced by
-underscores (e.g. "t_end = 200", "nx = 121", "output_dir = out"); keys that
-are not options of the command are ignored.  Switches take 1/true/yes/on
+underscores (e.g. "t_end = 200", "nx = 121", "output_dir = out").  Keys of
+another command's options are ignored, so one file can serve all four; a
+key that is no command's option exits 64.  Switches take 1/true/yes/on
 for on, anything else for off.  A malformed value exits 64, as a malformed
 flag does.  Precedence: command-line flags > config file > defaults.
 Output directory: --output-dir > WAVESPEED_OUT environment variable >
@@ -150,6 +151,13 @@ def _load_config(path: str) -> dict[str, str]:
             key, val = line.split("=", 1)
             values[key.strip()] = val.strip()
     return values
+
+
+def _config_keys(parsers) -> set[str]:
+    """The keys a config file may hold: every long option of any parser."""
+    return {action.dest for p in parsers
+            for action in p._actions  # argparse lists its actions nowhere public
+            if action.option_strings}
 
 
 def _set_config_defaults(parser: _Parser, values: dict[str, str]) -> None:
@@ -297,25 +305,25 @@ def cmd_scan(args) -> int:
     )
     style = {"x_scale": spec.x_scale, "y_scale": spec.y_scale}
     if spec.plane == "k1d":
-        dataset = scan_mod.figure2_dataset(spec.k2, spec.r, spec)
-        samples = dataset.samples
+        dataset = scan_mod.figure2_dataset(spec)
+        plane = dataset.samples
         style["reference_x"] = dataset.reference_k1
     else:
-        samples = scan_mod.scan_plane(spec)
+        plane = scan_mod.scan_plane(spec)
 
     out_dir = Path(getattr(args, "output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.out_prefix}.csv"
     svg_path = out_dir / f"{args.out_prefix}.svg"
     try:
-        scan_mod.emit_csv(samples, csv_path)
-        scan_mod.emit_svg(samples, svg_path, style)
+        scan_mod.emit_csv(plane, csv_path)
+        scan_mod.emit_svg(plane, svg_path, style)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {csv_path} ({len(samples)} samples) and {svg_path}")
+    print(f"wrote {csv_path} ({len(plane)} samples) and {svg_path}")
     print("cells fired per criterion:")
-    for key, count in scan_mod.mask_counts(samples).items():
+    for key, count in scan_mod.mask_counts(plane).items():
         print(f"  {key}: {count}")
     return 0
 
@@ -325,6 +333,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         values = _load_config(args.config) if "config" in args else {}
+        known = _config_keys([parser, *commands.values()])
+        for key in values:
+            if key not in known:
+                parser.error(f"unknown config key {key!r}")
         if os.environ.get("WAVESPEED_OUT"):
             values["output_dir"] = os.environ["WAVESPEED_OUT"]
         if "output_dir" in args:

@@ -6,13 +6,26 @@ criteria fired, the combined verdict, and optionally a PDE speed estimate
 on a strided subsample (the oracle costs seconds per point, the criteria
 microseconds).  Output ordering is row-major over (y, x) and fully
 deterministic, so reruns are byte-identical.
+
+A sweep is columnar.  :func:`scan_plane` hands the whole grid to
+``theory.evaluate_criteria_arrays`` once, as arrays that broadcast over
+(y, x), and returns a :class:`Plane`: one bool array per criterion row,
+a sign code per cell and the oracle estimates.  :func:`emit_csv`,
+:func:`emit_svg` and :func:`mask_counts` write from those arrays.  The
+array path gives the same hits as ``theory.classify`` cell by cell: sqrt,
+the four arithmetic operations, floor, min/max and comparisons are
+correctly rounded in numpy as in Python, while numpy's power is not
+bit-identical to Python's ``**``, so the two bounds that raise to a power
+(N1's and the degenerate criterion's) are evaluated by their scalar
+functions, once per distinct (k1, k2) of the plane.
 """
 
 from __future__ import annotations
 
+import html
 import math
-from dataclasses import dataclass, replace
-from xml.etree import ElementTree as ET
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,130 +122,171 @@ def _params_at(spec: ScanSpec, x: float, y: float) -> CompetitionParams:
     return CompetitionParams(y * spec.r, spec.r, x, spec.k2)
 
 
-def _plane_columns(plane: str) -> tuple[tuple[CriterionId, ...], tuple[CriterionId, ...]]:
-    """Direct and reflected criterion columns: the table rows, minus the
-    symmetric-only rows on the k1d plane."""
+def _plane_params(spec: ScanSpec, xs: np.ndarray, ys: np.ndarray) -> theory.ParamArrays:
+    """:func:`_params_at` on every cell at once, as arrays over (y, x) that
+    broadcast (d = y r, so that d / r is computed as there)."""
+    if spec.plane == "sym":
+        k = ys[:, None]
+        return theory.ParamArrays(xs[None, :], 1.0, k, k)
+    return theory.ParamArrays(ys[:, None] * spec.r, spec.r, xs[None, :], spec.k2)
+
+
+def _plane_columns(plane: str) -> tuple[tuple[str, CriterionId, bool], ...]:
+    """(CSV key, row, read at the reflection) of each criterion column: the
+    table rows, minus the symmetric-only rows on the k1d plane, then the
+    reflections of the reflectable ones."""
     rows = [row for row in theory.CRITERIA if plane == "sym" or not row.symmetric_only]
-    return tuple(row.id for row in rows), tuple(row.id for row in rows if row.reflectable)
+    return (tuple((row.id.value, row.id, False) for row in rows)
+            + tuple((f"R_{row.id.value}", row.id, True) for row in rows if row.reflectable))
 
 
-_COLUMNS = {plane: _plane_columns(plane) for plane in ("sym", "k1d")}
+_COLUMNS = {plane: _plane_columns(plane) for plane in PLANE_DEFAULTS}
 
 
-def _evaluate_cell(spec: ScanSpec, x: float, y: float) -> RegionSample:
-    hits = theory.evaluate_criteria(_params_at(spec, x, y))
-    direct, reflected = _COLUMNS[spec.plane]
-    return RegionSample(
-        x=float(x), y=float(y),
-        verdicts={cid: hits.direct[cid] for cid in direct},
-        reflected_verdicts={cid: hits.reflected[cid] for cid in reflected},
-        combined=hits.verdict(),
-    )
+@dataclass(frozen=True, eq=False)
+class Plane(Sequence):
+    """A swept plane, held by column.
+
+    ``hits`` has one (ny, nx) bool array per criterion row, read directly
+    and at the reflection; ``signs`` the verdict of each cell as a code of
+    ``theory.SIGN_OF_CODE``; ``c_num`` the oracle estimates by row-major cell
+    index.  On the k1d plane ``hits`` keeps the symmetric-only rows too,
+    since they count in the verdict on the diagonal, though they are no
+    CSV column.  As a sequence the plane holds one :class:`RegionSample`
+    per cell, row-major over (y, x), built on access.
+    """
+
+    spec: ScanSpec
+    xs: np.ndarray
+    ys: np.ndarray
+    hits: theory.CriterionArrays
+    signs: np.ndarray
+    c_num: dict[int, "pde.SpeedEstimate"]
+
+    def __len__(self) -> int:
+        return self.xs.size * self.ys.size
+
+    def __getitem__(self, index: int) -> RegionSample:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("plane cell index out of range")
+        iy, ix = divmod(index, self.xs.size)
+        x, y = float(self.xs[ix]), float(self.ys[iy])
+        cell = theory.CriterionHits(
+            _params_at(self.spec, x, y),
+            {cid: bool(hit[iy, ix]) for cid, hit in self.hits.direct.items()},
+            {cid: bool(hit[iy, ix]) for cid, hit in self.hits.reflected.items()},
+        )
+        columns = _COLUMNS[self.spec.plane]
+        return RegionSample(
+            x, y,
+            verdicts={cid: cell.direct[cid] for _, cid, mirrored in columns if not mirrored},
+            reflected_verdicts={cid: cell.reflected[cid] for _, cid, mirrored in columns
+                                if mirrored},
+            combined=cell.verdict(),
+            c_num=self.c_num.get(index),
+        )
+
+    def masks(self) -> list[tuple[str, np.ndarray]]:
+        """(CSV key, (ny, nx) hits) of each criterion column, in column order."""
+        return [
+            (key, (self.hits.reflected if mirrored else self.hits.direct)[cid])
+            for key, cid, mirrored in _COLUMNS[self.spec.plane]
+        ]
 
 
-def scan_plane(spec: ScanSpec) -> list[RegionSample]:
+def scan_plane(spec: ScanSpec) -> Plane:
     """Evaluate all criteria on the grid; rows over y, columns over x.
 
-    With ``with_pde`` set, the speed oracle runs on the strided subsample;
-    a failed or unstable run is recorded as a non-converged estimate, never
-    a fatal error.
+    The criterion table is read once for the whole plane, on arrays.  With
+    ``with_pde`` set, the speed oracle runs on the strided subsample; a
+    failed or unstable run is recorded as a non-converged estimate, never a
+    fatal error.
     """
     xs = spec.x_values()
     ys = spec.y_values()
-    samples = []
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            sample = _evaluate_cell(spec, float(x), float(y))
-            if spec.with_pde and ix % spec.pde_stride == 0 and iy % spec.pde_stride == 0:
+    hits = theory.evaluate_criteria_arrays(_plane_params(spec, xs, ys))
+    signs = hits.signs()
+    c_num = {}
+    if spec.with_pde:
+        for iy in range(0, ys.size, spec.pde_stride):
+            for ix in range(0, xs.size, spec.pde_stride):
                 try:
                     est = pde.estimate_speed(
-                        _params_at(spec, float(x), float(y)), spec.pde_config
+                        _params_at(spec, float(xs[ix]), float(ys[iy])), spec.pde_config
                     )
                 except pde.SimulationError:
                     est = pde.SpeedEstimate(
                         float("nan"), float("inf"), np.empty((0, 2)), False
                     )
-                sample = replace(sample, c_num=est)
-            samples.append(sample)
-    return samples
+                c_num[iy * xs.size + ix] = est
+    return Plane(spec, xs, ys, hits, signs, c_num)
 
 
 @dataclass(frozen=True)
 class Fig2Dataset:
     """The (k1, d/r) sweep at fixed k2 plus the reference competition levels."""
 
-    samples: list[RegionSample]
+    samples: Plane
     reference_k1: dict[str, float]
     spec: ScanSpec
 
 
-def figure2_dataset(k2: float, r: float = 1.0, spec: ScanSpec | None = None) -> Fig2Dataset:
+def figure2_dataset(spec: ScanSpec) -> Fig2Dataset:
     """Double-logarithmic (k1, d/r) sweep with the reference verticals.
 
-    The verticals k1 = sqrt(k2), k1 = k2 and k1 = k2^2 mark the conjectured
-    all-ratio positive threshold, the symmetric point, and the conjectured
-    all-ratio negative threshold.
+    The verticals k1 = sqrt(k2), k1 = k2 and k1 = k2^2, at the k2 of the
+    k1d plane ``spec``, mark the conjectured all-ratio positive threshold,
+    the symmetric point, and the conjectured all-ratio negative threshold.
     """
-    if spec is None:
-        spec = plane_spec("k1d", k2=k2, r=r)
-    samples = scan_plane(spec)
+    if spec.plane != "k1d":
+        raise ParameterError("figure2_dataset requires a k1d plane")
+    k2 = float(spec.k2)
     return Fig2Dataset(
-        samples=samples,
-        reference_k1={
-            "sqrt_k2": math.sqrt(k2),
-            "k2": float(k2),
-            "k2_squared": float(k2) ** 2,
-        },
+        samples=scan_plane(spec),
+        reference_k1={"sqrt_k2": math.sqrt(k2), "k2": k2, "k2_squared": k2 ** 2},
         spec=spec,
     )
 
 
-# CSV column key of each criterion, read directly and at the reflection.
-_DIRECT_KEY = {row.id: row.id.value for row in theory.CRITERIA}
-_REFLECTED_KEY = {row.id: f"R_{row.id.value}" for row in theory.CRITERIA}
-
-
-def _criterion_columns(sample: RegionSample):
-    """(CSV column key, hit) for each criterion column of ``sample``, in column order."""
-    for cid, hit in sample.verdicts.items():
-        yield _DIRECT_KEY[cid], hit
-    for cid, hit in sample.reflected_verdicts.items():
-        yield _REFLECTED_KEY[cid], hit
-
-
-def mask_counts(samples: list[RegionSample]) -> dict[str, int]:
+def mask_counts(plane: Plane) -> dict[str, int]:
     """Number of cells on which each criterion (and each reflection) fired."""
-    counts: dict[str, int] = {}
-    for sample in samples:
-        for key, hit in _criterion_columns(sample):
-            counts[key] = counts.get(key, 0) + int(hit)
-    return counts
+    return {key: int(np.count_nonzero(hits)) for key, hits in plane.masks()}
 
 
-def emit_csv(samples: list[RegionSample], path) -> None:
-    """Write samples as CSV: x, y, one 0/1 column per criterion, verdict, speed."""
-    if not samples:
-        raise ParameterError("emit_csv requires a nonempty sample list")
-    header = (
-        ["x", "y"]
-        + [key for key, _ in _criterion_columns(samples[0])]
-        + ["combined", "c_num", "stderr", "converged"]
-    )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for s in samples:
-            row = [f"{s.x:.12g}", f"{s.y:.12g}"]
-            row += [str(int(hit)) for _, hit in _criterion_columns(s)]
-            row.append(s.combined.sign.value)
-            if s.c_num is None:
-                row += ["", "", ""]
+_SIGN_TEXT = {code: sign.value for code, sign in theory.SIGN_OF_CODE.items()}
+
+
+def emit_csv(plane: Plane, path) -> None:
+    """Write the plane as CSV: x, y, one 0/1 column per criterion, verdict, speed."""
+    if not plane:
+        raise ParameterError("emit_csv requires a nonempty plane")
+    keys, hits = zip(*plane.masks())
+    header = ["x", "y", *keys, "combined", "c_num", "stderr", "converged"]
+    # Each cell's criterion columns as one "0,1,..." string, cut from a
+    # single byte buffer of digits and commas.
+    width = 2 * len(hits) - 1
+    chars = np.full((len(plane), width), ord(","), dtype=np.uint8)
+    chars[:, ::2] = ord("0") + np.stack(hits, axis=-1).reshape(len(plane), -1)
+    text = chars.tobytes().decode("ascii")
+    flags = [text[i:i + width] for i in range(0, len(text), width)]
+    signs = [_SIGN_TEXT[code] for code in plane.signs.ravel().tolist()]
+    xs = [f"{x:.12g}" for x in plane.xs.tolist()]
+    lines = [",".join(header)]
+    index = 0
+    for y in plane.ys.tolist():
+        y = f"{y:.12g}"
+        for x in xs:
+            est = plane.c_num.get(index)
+            if est is None:
+                speed = ",,"
             else:
-                row += [
-                    f"{s.c_num.c_hat:.12g}",
-                    f"{s.c_num.stderr:.12g}",
-                    str(int(s.c_num.converged)),
-                ]
-            fh.write(",".join(row) + "\n")
+                speed = f"{est.c_hat:.12g},{est.stderr:.12g},{int(est.converged)}"
+            lines.append(f"{x},{y},{flags[index]},{signs[index]},{speed}")
+            index += 1
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_csv(path) -> list[dict]:
@@ -246,42 +300,35 @@ def load_csv(path) -> list[dict]:
     return rows
 
 
-# One fixed color per criterion; priors render below the new criteria.
-_SVG_COLORS = {
-    "PRIOR_I": "#b0b0b0",
-    "PRIOR_II": "#999999",
-    "PRIOR_III": "#8a8a8a",
-    "PRIOR_VII": "#7b7b7b",
-    "PRIOR_VIII": "#6c6c6c",
-    "DEG_NEG": "#4477cc",
-    "N1": "#9955cc",
-    "N2": "#cc55aa",
-    "S1": "#7744bb",
-    "S2": "#bb4499",
-    "NEG3": "#5599dd",
-    "POS1": "#dd6644",
-    "DEG_POS": "#dd8855",
-    "R_N1": "#e09966",
-    "R_N2": "#e0aa77",
-    "R_NEG3": "#e0bb88",
-    "R_S1": "#eab388",
-    "R_S2": "#eac499",
-    "R_PRIOR_I": "#d9c2a8",
-    "R_PRIOR_II": "#d9c2a8",
-    "R_PRIOR_III": "#d9c2a8",
-    "R_PRIOR_VII": "#d9c2a8",
-    "R_PRIOR_VIII": "#d9c2a8",
+# Layer rank (lower draws first) and colour of each criterion's mask, then of
+# its reflected mask (None for rows with no reflection).  Priors render below
+# the new criteria.
+_SVG_STYLE = {
+    CriterionId.PRIOR_I: ((0, "#b0b0b0"), (5, "#d9c2a8")),
+    CriterionId.PRIOR_II: ((1, "#999999"), (6, "#d9c2a8")),
+    CriterionId.PRIOR_III: ((2, "#8a8a8a"), (7, "#d9c2a8")),
+    CriterionId.PRIOR_VII: ((3, "#7b7b7b"), (8, "#d9c2a8")),
+    CriterionId.PRIOR_VIII: ((4, "#6c6c6c"), (9, "#d9c2a8")),
+    CriterionId.DEG_NEG: ((10, "#4477cc"), None),
+    CriterionId.DEG_POS: ((11, "#dd8855"), None),
+    CriterionId.NEG3: ((12, "#5599dd"), (14, "#e0bb88")),
+    CriterionId.POS1: ((13, "#dd6644"), None),
+    CriterionId.N1: ((15, "#9955cc"), (19, "#e09966")),
+    CriterionId.N2: ((16, "#cc55aa"), (20, "#e0aa77")),
+    CriterionId.S1: ((17, "#7744bb"), (21, "#eab388")),
+    CriterionId.S2: ((18, "#bb4499"), (22, "#eac499")),
 }
-_SVG_ORDER = [
-    "PRIOR_I", "PRIOR_II", "PRIOR_III", "PRIOR_VII", "PRIOR_VIII",
-    "R_PRIOR_I", "R_PRIOR_II", "R_PRIOR_III", "R_PRIOR_VII", "R_PRIOR_VIII",
-    "DEG_NEG", "DEG_POS", "NEG3", "POS1", "R_NEG3",
-    "N1", "N2", "S1", "S2", "R_N1", "R_N2", "R_S1", "R_S2",
-]
+
+
+def _group(attributes: str, children: list[str]) -> str:
+    """An SVG group element; one with no children closes itself."""
+    if not children:
+        return f"<g {attributes} />"
+    return f"<g {attributes}>{''.join(children)}</g>"
 
 
 def emit_svg(
-    samples: list[RegionSample],
+    plane: Plane,
     path,
     style: dict | None = None,
 ) -> None:
@@ -290,11 +337,10 @@ def emit_svg(
     ``style`` may carry ``reference_x``: a mapping of label -> x value drawn
     as dashed verticals (used for the k1-plane reference levels).
     """
-    if not samples:
-        raise ParameterError("emit_svg requires a nonempty sample list")
+    if not plane:
+        raise ParameterError("emit_svg requires a nonempty plane")
     style = style or {}
-    xs = sorted({s.x for s in samples})
-    ys = sorted({s.y for s in samples})
+    xs, ys = plane.xs.tolist(), plane.ys.tolist()
     nx, ny = len(xs), len(ys)
     x_log = style.get("x_scale", "linear") == "log"
     y_log = style.get("y_scale", "linear") == "log"
@@ -303,78 +349,73 @@ def emit_svg(
     ml, mr, mt, mb = 60, 170, 20, 50
     pw, ph = width - ml - mr, height - mt - mb
     cw, ch = pw / nx, ph / ny
-    x_index = {x: i for i, x in enumerate(xs)}
-    y_index = {y: i for i, y in enumerate(ys)}
+    cell_x = [f"{ml + ix * cw:.2f}" for ix in range(nx)]
+    cell_y = [f"{mt + (ny - 1 - iy) * ch:.2f}" for iy in range(ny)]
+    cell_size = f'width="{cw:.2f}" height="{ch:.2f}"'
 
-    svg = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=str(width),
-        height=str(height),
-        viewBox=f"0 0 {width} {height}",
-    )
-    ET.SubElement(svg, "rect", x="0", y="0", width=str(width), height=str(height),
-                  fill="white")
+    layers = []
+    for (key, hits), (_, cid, mirrored) in zip(plane.masks(), _COLUMNS[plane.spec.plane]):
+        rank, colour = _SVG_STYLE[cid][mirrored]
+        layers.append((rank, key, colour, hits))
+    layers.sort(key=lambda layer: layer[0])
 
-    masks: dict[str, list[RegionSample]] = {}
-    for s in samples:
-        for key, hit in _criterion_columns(s):
-            if hit:
-                masks.setdefault(key, []).append(s)
-
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white" />',
+    ]
     drawn = []
-    for key in _SVG_ORDER:
-        cells = masks.get(key)
-        if not cells:
+    for _, key, colour, hits in layers:
+        rows, cols = np.nonzero(hits)  # row-major, the order of the cells
+        if not rows.size:
             continue
-        group = ET.SubElement(svg, "g", id=f"criterion-{key}",
-                              fill=_SVG_COLORS.get(key, "#444444"),
-                              attrib={"fill-opacity": "0.55"})
-        for s in cells:
-            px = ml + x_index[s.x] * cw
-            py = mt + (ny - 1 - y_index[s.y]) * ch
-            ET.SubElement(group, "rect", x=f"{px:.2f}", y=f"{py:.2f}",
-                          width=f"{cw:.2f}", height=f"{ch:.2f}")
-        drawn.append(key)
+        parts.append(_group(
+            f'fill-opacity="0.55" id="criterion-{key}" fill="{colour}"',
+            [f'<rect x="{cell_x[ix]}" y="{cell_y[iy]}" {cell_size} />'
+             for iy, ix in zip(rows.tolist(), cols.tolist())],
+        ))
+        drawn.append((key, colour))
 
     # Frame and tick labels.
-    axes = ET.SubElement(svg, "g", id="axes", stroke="black", fill="none")
-    ET.SubElement(axes, "rect", x=str(ml), y=str(mt), width=str(pw), height=str(ph))
-    labels = ET.SubElement(svg, "g", id="labels", attrib={"font-size": "11"})
+    parts.append(_group('id="axes" stroke="black" fill="none"',
+                        [f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" />']))
+    labels = []
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = _axis_value(xs[0], xs[-1], frac, x_log)
         yv = _axis_value(ys[0], ys[-1], frac, y_log)
         tx = ml + frac * pw
         ty = mt + (1.0 - frac) * ph
-        ET.SubElement(labels, "text", x=f"{tx:.1f}", y=str(height - mb + 16),
-                      attrib={"text-anchor": "middle"}).text = f"{xv:.4g}"
-        ET.SubElement(labels, "text", x=str(ml - 6), y=f"{ty + 4:.1f}",
-                      attrib={"text-anchor": "end"}).text = f"{yv:.4g}"
+        labels.append(f'<text text-anchor="middle" x="{tx:.1f}" y="{height - mb + 16}">'
+                      f'{xv:.4g}</text>')
+        labels.append(f'<text text-anchor="end" x="{ml - 6}" y="{ty + 4:.1f}">{yv:.4g}</text>')
 
     refs = style.get("reference_x") or {}
+    lines = []
+    for name, xv in refs.items():
+        frac = _axis_fraction(xs[0], xs[-1], xv, x_log)
+        if not (0.0 <= frac <= 1.0):
+            continue
+        px = ml + frac * pw
+        lines.append(f'<line x1="{px:.2f}" x2="{px:.2f}" y1="{mt}" y2="{mt + ph}" />')
+        labels.append(f'<text text-anchor="middle" x="{px:.1f}" y="{mt - 6}">'
+                      f'{html.escape(name, quote=False)}</text>')
+    parts.append(_group('font-size="11" id="labels"', labels))
     if refs:
-        ref_group = ET.SubElement(svg, "g", id="reference-lines", stroke="#222222",
-                                  attrib={"stroke-dasharray": "4 3"})
-        for name, xv in refs.items():
-            frac = _axis_fraction(xs[0], xs[-1], xv, x_log)
-            if not (0.0 <= frac <= 1.0):
-                continue
-            px = ml + frac * pw
-            ET.SubElement(ref_group, "line", x1=f"{px:.2f}", x2=f"{px:.2f}",
-                          y1=str(mt), y2=str(mt + ph))
-            ET.SubElement(labels, "text", x=f"{px:.1f}", y=str(mt - 6),
-                          attrib={"text-anchor": "middle"}).text = name
+        parts.append(_group('stroke-dasharray="4 3" id="reference-lines" stroke="#222222"',
+                            lines))
 
-    legend = ET.SubElement(svg, "g", id="legend", attrib={"font-size": "11"})
-    for i, key in enumerate(drawn):
+    legend = []
+    for i, (key, colour) in enumerate(drawn):
         ly = mt + 14 + 18 * i
-        ET.SubElement(legend, "rect", x=str(ml + pw + 12), y=str(ly - 10),
-                      width="12", height="12",
-                      fill=_SVG_COLORS.get(key, "#444444"),
-                      attrib={"fill-opacity": "0.55"})
-        ET.SubElement(legend, "text", x=str(ml + pw + 30), y=str(ly)).text = key
+        legend.append(f'<rect fill-opacity="0.55" x="{ml + pw + 12}" y="{ly - 10}" '
+                      f'width="12" height="12" fill="{colour}" />')
+        legend.append(f'<text x="{ml + pw + 30}" y="{ly}">{key}</text>')
+    parts.append(_group('font-size="11" id="legend"', legend))
+    parts.append("</svg>")
 
-    ET.ElementTree(svg).write(path, xml_declaration=True, encoding="unicode")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("<?xml version='1.0' encoding='utf-8'?>\n")
+        fh.write("".join(parts))
 
 
 def _axis_value(lo: float, hi: float, frac: float, log: bool) -> float:

@@ -20,6 +20,11 @@ The inventory is the single table :data:`CRITERIA`; its report labels:
 * S1, S2     -- the symmetric-case (r = 1, k1 = k2) specializations
 * degenerate -- the small-d/r condition active for k1 > k2^2
 * (i)..(viii)-- previously established symmetric-case regions
+
+Each row carries its predicate in two forms: on one point, read by
+:func:`classify`, and on broadcast arrays, read by
+:func:`evaluate_criteria_arrays` for plane sweeps.  The two give the same
+hits bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
+
+import numpy as np
 
 from .model import CompetitionParams, validate
 
@@ -105,6 +112,56 @@ def m_of_k(k: float) -> float:
     return (math.sqrt(24.0 * k + 1.0) - 3.0) / 2.0
 
 
+@dataclass(frozen=True)
+class ParamArrays:
+    """(d, r, k1, k2) as arrays that broadcast together: many points at once.
+
+    The array form of :class:`CompetitionParams`, read by the table's array
+    predicates.  It is not validated; callers pass d, r > 0 and k1, k2 > 1.
+    Fields are stored as float arrays, so that a division by zero in a
+    branch a mask discards gives inf or nan, where Python floats raise.
+    """
+
+    d: np.ndarray
+    r: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+
+    def __post_init__(self):
+        for name in ("d", "r", "k1", "k2"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return self.d / self.r
+
+    @property
+    def symmetric(self) -> np.ndarray:
+        return (self.r == 1.0) & (self.k1 == self.k2)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(*(np.shape(v) for v in (self.d, self.r, self.k1, self.k2)))
+
+
+def _m_of_k_array(k: np.ndarray) -> np.ndarray:
+    """:func:`m_of_k` on an array (sqrt is correctly rounded in both)."""
+    return (np.sqrt(24.0 * k + 1.0) - 3.0) / 2.0
+
+
+def _pairwise(bound: Callable[[float, float], float], k1, k2) -> np.ndarray:
+    """The scalar ``bound(k1, k2)`` at every (k1, k2) of the broadcast shape.
+
+    The bounds that raise to a power stay scalar: numpy's power differs from
+    Python's ``**`` in the last bit on some inputs, which can flip a cell on
+    the bound.  On a plane (k1, k2) varies along one axis only, so this is
+    one call per column or row.
+    """
+    k1s, k2s = np.broadcast_arrays(k1, k2)
+    values = [bound(a, b) for a, b in zip(k1s.ravel().tolist(), k2s.ravel().tolist())]
+    return np.array(values, dtype=float).reshape(k1s.shape)
+
+
 def _n1_ratio_bound(k1: float, k2: float) -> float:
     """Lower bound on d/r in criterion N1 (assumes k1 >= m(k2))."""
     if k1 < 2.0:
@@ -115,11 +172,20 @@ def _n1_ratio_bound(k1: float, k2: float) -> float:
     return 2.0 * k2 * m / (2.0 * k1 - m)
 
 
+def _n1_threshold(k1: float, k2: float) -> float:
+    """The d/r threshold of N1: its ratio bound, or inf where k1 < m(k2)."""
+    if k1 < m_of_k(k2):
+        return math.inf
+    return _n1_ratio_bound(k1, k2)
+
+
 def criterion_n1(params: CompetitionParams) -> bool:
     """c < 0 when k1 >= m(k2) and d/r exceeds the branch-dependent bound."""
-    if params.k1 < m_of_k(params.k2):
-        return False
-    return params.ratio > _n1_ratio_bound(params.k1, params.k2)
+    return params.ratio > _n1_threshold(params.k1, params.k2)
+
+
+def _n1_array(p: ParamArrays) -> np.ndarray:
+    return p.ratio > _pairwise(_n1_threshold, p.k1, p.k2)
 
 
 def criterion_n2(params: CompetitionParams) -> bool:
@@ -143,9 +209,29 @@ def criterion_n2(params: CompetitionParams) -> bool:
     return lower < params.ratio < upper
 
 
+def _n2_array(p: ParamArrays) -> np.ndarray:
+    k1, k2, ratio = p.k1, p.k2, p.ratio
+    m = _m_of_k_array(k2)
+    small = k2 <= 2.0
+    lower = np.where(small, m * m / (k1 - 1.0), 2.0 * k2 * m / (2.0 * k1 - m))
+    upper = m * (k2 - 1.0) / (m - k1)
+    return ((1.0 < k1) & (k1 < m) & (small | (2.0 * k1 > m))
+            & (lower < ratio) & (ratio < upper))
+
+
 def criterion_neg3(params: CompetitionParams) -> bool:
     """c < 0 for k1 above an explicit threshold in (k2, r/d)."""
     return params.k1 > neg3_threshold(params.d, params.r, params.k2)
+
+
+def _neg3_array(p: ParamArrays) -> np.ndarray:
+    r_d, k2 = p.r / p.d, p.k2
+    threshold = np.where(
+        k2 <= 2.0,
+        np.maximum(2.0, 1.0 + 4.0 * r_d * (k2 - 1.0)),
+        _m_of_k_array(k2) * np.maximum(1.0, 0.5 + r_d * k2),
+    )
+    return p.k1 > threshold
 
 
 def neg3_threshold(d: float, r: float, k2: float) -> float:
@@ -159,6 +245,17 @@ def criterion_pos1(params: CompetitionParams) -> bool:
     """c > 0 for k1 - 1 below an explicit threshold in (k2, r/d)."""
     excess = params.k1 - 1.0
     return 0.0 < excess < pos1_margin(params.d, params.r, params.k2)
+
+
+def _pos1_array(p: ParamArrays) -> np.ndarray:
+    d, r, k2 = p.d, p.r, p.k2
+    margin = np.where(
+        k2 <= 2.0,
+        (k2 - 1.0) * (k2 + 4.0) / 6.0 * np.minimum(1.0, (r / d) * (k2 - 1.0) / (k2 * k2)),
+        (k2 - 1.0) * np.minimum((k2 + 4.0) / 6.0, r / (4.0 * d)),
+    )
+    excess = p.k1 - 1.0
+    return (0.0 < excess) & (excess < margin)
 
 
 def pos1_margin(d: float, r: float, k2: float) -> float:
@@ -188,6 +285,12 @@ def _s1(params: CompetitionParams) -> bool:
     return d > 2.0 * k * m / (2.0 * k - m)
 
 
+def _s1_array(p: ParamArrays) -> np.ndarray:
+    d, k = p.d, p.k1
+    m = _m_of_k_array(k)
+    return (k >= 2.0) & (d > 2.0 * k * m / (2.0 * k - m))
+
+
 def _s2(params: CompetitionParams) -> bool:
     d, k = params.d, params.k1
     if not 1.0 < k < 2.0:
@@ -195,6 +298,13 @@ def _s2(params: CompetitionParams) -> bool:
     m = m_of_k(k)
     # m(k) > k on 1 < k < 2, but the rounded values meet at its ends.
     return k < m and m * m / (k - 1.0) < d < m * (k - 1.0) / (m - k)
+
+
+def _s2_array(p: ParamArrays) -> np.ndarray:
+    d, k = p.d, p.k1
+    m = _m_of_k_array(k)
+    return ((1.0 < k) & (k < 2.0) & (k < m)
+            & (m * m / (k - 1.0) < d) & (d < m * (k - 1.0) / (m - k)))
 
 
 def degenerate_ratio_bound(k1: float, k2: float) -> float:
@@ -217,13 +327,17 @@ def criterion_degenerate(params: CompetitionParams) -> bool:
     return params.ratio < degenerate_ratio_bound(params.k1, params.k2)
 
 
+def _degenerate_array(p: ParamArrays) -> np.ndarray:
+    return (p.k1 > p.k2 * p.k2) & (p.ratio < _pairwise(degenerate_ratio_bound, p.k1, p.k2))
+
+
 def reflect(params: CompetitionParams) -> CompetitionParams:
     """Exchange the two species' roles: (d, r, k1, k2) -> (1/d, 1/r, k2, k1).
 
     Involutive.  A negative-speed criterion holding at the reflected
     parameters certifies c > 0 at the original ones.
     """
-    return CompetitionParams(1.0 / params.d, 1.0 / params.r, params.k2, params.k1)
+    return type(params)(1.0 / params.d, 1.0 / params.r, params.k2, params.k1)
 
 
 def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
@@ -254,13 +368,27 @@ def _prior_i(params: CompetitionParams) -> bool:
     return params.d == 11.0 / 2.0 and params.k1 == 11.0 / 6.0
 
 
+def _prior_i_array(p: ParamArrays) -> np.ndarray:
+    return (p.d == 11.0 / 2.0) & (p.k1 == 11.0 / 6.0)
+
+
 def _prior_ii(params: CompetitionParams) -> bool:
     return params.d == 4.0 and 1.25 <= params.k1 <= 4.0 / 3.0
+
+
+def _prior_ii_array(p: ParamArrays) -> np.ndarray:
+    return (p.d == 4.0) & (1.25 <= p.k1) & (p.k1 <= 4.0 / 3.0)
 
 
 def _prior_iii(params: CompetitionParams) -> bool:
     d, k = params.d, params.k1
     return 5.0 / 3.0 < k < 2.0 and 4.0 < d < 4.0 / (k - 1.0) and d * (k - 1.0) != 2.0 * k
+
+
+def _prior_iii_array(p: ParamArrays) -> np.ndarray:
+    d, k = p.d, p.k1
+    return ((5.0 / 3.0 < k) & (k < 2.0) & (4.0 < d) & (d < 4.0 / (k - 1.0))
+            & (d * (k - 1.0) != 2.0 * k))
 
 
 def _prior_vii(params: CompetitionParams) -> bool:
@@ -273,9 +401,26 @@ def _prior_vii(params: CompetitionParams) -> bool:
     return max(term1, term2) < 1.0
 
 
+def _prior_vii_array(p: ParamArrays) -> np.ndarray:
+    # The floors are integers, so their product is the exact product that
+    # Python's int arithmetic forms, rounded once, as in the scalar form.
+    d, k = p.d, p.k1
+    q = 3.0 * k - 1.0
+    term1 = k - d * (k - 1.0) / q
+    term2 = 4.0 * d * (k - 1.0) / (q * q) + np.floor(
+        2.0 * d * (k + 1.0) / (q * q) - k
+    ) * np.floor(k * (5.0 - 3.0 * k) / 2.0)
+    return np.maximum(term1, term2) < 1.0
+
+
 def _prior_viii(params: CompetitionParams) -> bool:
     d, k = params.d, params.k1
     return 5.0 / 3.0 < k < 2.0 and 4.0 < d < 2.0 / (2.0 - k)
+
+
+def _prior_viii_array(p: ParamArrays) -> np.ndarray:
+    d, k = p.d, p.k1
+    return (5.0 / 3.0 < k) & (k < 2.0) & (4.0 < d) & (d < 2.0 / (2.0 - k))
 
 
 @dataclass(frozen=True)
@@ -283,7 +428,9 @@ class Criterion:
     """One row of the criterion table.
 
     ``polarity`` is the sign of c the row certifies at p when its predicate
-    holds: -1 for c < 0, +1 for c > 0.  The predicate is read at p, or at
+    holds: -1 for c < 0, +1 for c > 0.  ``predicate`` reads one point;
+    ``array_predicate`` reads a :class:`ParamArrays` and returns the same
+    hits as a bool array.  The predicate is read at p, or at
     ``reflect(p)`` when ``at_reflection`` is set.  ``symmetric_only`` rows
     are defined on the symmetric plane (r = 1, k1 = k2) and read False
     elsewhere.  ``reflectable`` rows (the default) are read a second time
@@ -294,6 +441,7 @@ class Criterion:
     label: str
     polarity: int
     predicate: Callable[[CompetitionParams], bool]
+    array_predicate: Callable[[ParamArrays], np.ndarray]
     symmetric_only: bool = False
     reflectable: bool = True
     at_reflection: bool = False
@@ -301,20 +449,24 @@ class Criterion:
 
 # The criterion inventory, in report and CSV column order.
 CRITERIA: tuple[Criterion, ...] = (
-    Criterion(CriterionId.N1, "N1", -1, criterion_n1),
-    Criterion(CriterionId.N2, "N2", -1, criterion_n2),
-    Criterion(CriterionId.NEG3, "neg3", -1, criterion_neg3),
-    Criterion(CriterionId.S1, "S1", -1, _s1, symmetric_only=True),
-    Criterion(CriterionId.S2, "S2", -1, _s2, symmetric_only=True),
-    Criterion(CriterionId.DEG_NEG, "degenerate", -1, criterion_degenerate, reflectable=False),
-    Criterion(CriterionId.POS1, "pos1", +1, criterion_pos1, reflectable=False),
+    Criterion(CriterionId.N1, "N1", -1, criterion_n1, _n1_array),
+    Criterion(CriterionId.N2, "N2", -1, criterion_n2, _n2_array),
+    Criterion(CriterionId.NEG3, "neg3", -1, criterion_neg3, _neg3_array),
+    Criterion(CriterionId.S1, "S1", -1, _s1, _s1_array, symmetric_only=True),
+    Criterion(CriterionId.S2, "S2", -1, _s2, _s2_array, symmetric_only=True),
+    Criterion(CriterionId.DEG_NEG, "degenerate", -1, criterion_degenerate, _degenerate_array,
+              reflectable=False),
+    Criterion(CriterionId.POS1, "pos1", +1, criterion_pos1, _pos1_array, reflectable=False),
     Criterion(CriterionId.DEG_POS, "degenerate (reflected)", +1, criterion_degenerate,
-              reflectable=False, at_reflection=True),
-    Criterion(CriterionId.PRIOR_I, "(i)", -1, _prior_i, symmetric_only=True),
-    Criterion(CriterionId.PRIOR_II, "(ii)", -1, _prior_ii, symmetric_only=True),
-    Criterion(CriterionId.PRIOR_III, "(iii)", -1, _prior_iii, symmetric_only=True),
-    Criterion(CriterionId.PRIOR_VII, "(vii)", -1, _prior_vii, symmetric_only=True),
-    Criterion(CriterionId.PRIOR_VIII, "(viii)", -1, _prior_viii, symmetric_only=True),
+              _degenerate_array, reflectable=False, at_reflection=True),
+    Criterion(CriterionId.PRIOR_I, "(i)", -1, _prior_i, _prior_i_array, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_II, "(ii)", -1, _prior_ii, _prior_ii_array, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_III, "(iii)", -1, _prior_iii, _prior_iii_array,
+              symmetric_only=True),
+    Criterion(CriterionId.PRIOR_VII, "(vii)", -1, _prior_vii, _prior_vii_array,
+              symmetric_only=True),
+    Criterion(CriterionId.PRIOR_VIII, "(viii)", -1, _prior_viii, _prior_viii_array,
+              symmetric_only=True),
 )
 
 
@@ -373,6 +525,65 @@ def evaluate_criteria(params: CompetitionParams) -> CriterionHits:
         if row.reflectable
     }
     return CriterionHits(params, direct, reflected)
+
+
+# The sign codes of the array path.
+SIGN_OF_CODE = {-1: Sign.NEGATIVE, 0: Sign.INCONCLUSIVE, +1: Sign.POSITIVE}
+
+
+@dataclass(frozen=True)
+class CriterionArrays:
+    """Every row of :data:`CRITERIA` evaluated on the points of a :class:`ParamArrays`.
+
+    The array form of :class:`CriterionHits`: ``direct`` and ``reflected``
+    hold one bool array per row, each of the points' broadcast shape.
+    """
+
+    params: ParamArrays
+    direct: dict[CriterionId, np.ndarray]
+    reflected: dict[CriterionId, np.ndarray]
+
+    def signs(self) -> np.ndarray:
+        """The verdict's sign at every point, as codes of :data:`SIGN_OF_CODE`.
+
+        Folds the hits as :meth:`CriterionHits.verdict` does, and raises
+        :class:`PolarityConflictError` where it would.
+        """
+        votes = {-1: np.zeros(self.params.shape, bool), +1: np.zeros(self.params.shape, bool)}
+        for row in CRITERIA:
+            votes[row.polarity] |= self.direct[row.id]
+            if row.id in self.reflected:
+                votes[-row.polarity] |= self.reflected[row.id]
+        negative, positive = votes[-1], votes[+1]
+        conflict = negative & positive
+        if conflict.any():
+            at = np.unravel_index(np.argmax(conflict), conflict.shape)
+            fields = (self.params.d, self.params.r, self.params.k1, self.params.k2)
+            point = [float(np.broadcast_to(v, conflict.shape)[at]) for v in fields]
+            raise PolarityConflictError(
+                f"criteria of both polarities fired at (d, r, k1, k2) = {point}"
+            )
+        return positive.astype(np.int8) - negative.astype(np.int8)
+
+
+def evaluate_criteria_arrays(params: ParamArrays) -> CriterionArrays:
+    """:func:`evaluate_criteria` on many points at once, one array per row."""
+    mirror = reflect(params)
+    shape = params.shape
+
+    def read(row: Criterion, point: ParamArrays) -> np.ndarray:
+        hit = row.array_predicate(point)
+        if row.symmetric_only:
+            hit = hit & point.symmetric
+        return np.broadcast_to(hit, shape)
+
+    # Branches a mask discards may divide by zero; those values are never read.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = {
+            row.id: read(row, mirror if row.at_reflection else params) for row in CRITERIA
+        }
+        reflected = {row.id: read(row, mirror) for row in CRITERIA if row.reflectable}
+    return CriterionArrays(params, direct, reflected)
 
 
 def classify(params: CompetitionParams) -> SignVerdict:

@@ -254,3 +254,21 @@ class TestScan:
         assert exc.value.code == 64
         assert f"wavespeed scan: error: {message}" in err
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("key", ["nxx", "t-end"])
+    def test_unknown_config_key_exit_64(self, capsys, tmp_path, key):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"{key} = 5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "scan", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 64
+        assert f"wavespeed: error: unknown config key '{key}'" in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_config_key_of_another_command_is_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("L = 60\nnx = 4\nny = 3\n")
+        code, _, _ = run(capsys, "--config", str(cfg), "scan", "--output-dir", str(tmp_path))
+        assert code == 0
+        assert len((tmp_path / "scan.csv").read_text().splitlines()) == 1 + 4 * 3

@@ -1,17 +1,22 @@
 """The criterion table against a fold over the public predicates."""
 
 import math
+from dataclasses import replace
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+import numpy as np
 import pytest
 
-from wavespeed.model import validate
+from wavespeed.model import ParameterError, validate
 from wavespeed.theory import (
     CRITERIA,
+    SIGN_OF_CODE,
     CriterionId as C,
+    ParamArrays,
     PolarityConflictError,
     Sign,
     SignVerdict,
+    _n1_ratio_bound,
     classify,
     criterion_degenerate,
     criterion_n1,
@@ -19,7 +24,12 @@ from wavespeed.theory import (
     criterion_neg3,
     criterion_pos1,
     criterion_s1_s2,
+    degenerate_ratio_bound,
     evaluate_criteria,
+    evaluate_criteria_arrays,
+    m_of_k,
+    neg3_threshold,
+    pos1_margin,
     prior_regions,
     reflect,
 )
@@ -128,3 +138,124 @@ class TestTable:
     def test_vii_reported_before_viii(self):
         fired = classify(validate(6.0, 1.0, 1.7, 1.7)).fired
         assert fired.index(C.PRIOR_VII) < fired.index(C.PRIOR_VIII)
+
+
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` (-1, 0 or +1) units in the last place."""
+    return x if ulps == 0 else float(np.nextafter(x, ulps * math.inf))
+
+
+def n2_bounds(k1, k2):
+    """The d/r strip of N2, in the order of operations of ``criterion_n2``."""
+    m = m_of_k(k2)
+    lower = m * m / (k1 - 1.0) if k2 <= 2.0 else 2.0 * k2 * m / (2.0 * k1 - m)
+    return lower, m * (k2 - 1.0) / (m - k1)
+
+
+@st.composite
+def bound_points(draw):
+    """A point on a criterion bound, or one ulp either side of it.
+
+    r is a power of two, so d/r equals the placed ratio exactly.
+    """
+    k1, k2, ratio = draw(competitions), draw(competitions), draw(ratios)
+    r = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    ulps = draw(st.sampled_from((-1, 0, 1)))
+    which = draw(st.sampled_from(
+        ("n1", "m", "n2_lower", "n2_upper", "neg3", "pos1", "degenerate", "k2_squared")
+    ))
+    m = m_of_k(k2)
+    if which == "n1":
+        k1 = max(k1, m)
+        ratio = nudge(_n1_ratio_bound(k1, k2), ulps)
+    elif which == "m":
+        k1 = nudge(m, ulps)
+    elif which in ("n2_lower", "n2_upper"):
+        k1 = 1.0 + draw(st.floats(0.5, 0.999)) * (m - 1.0)
+        assume(k2 <= 2.0 or 2.0 * k1 > m)
+        lower, upper = n2_bounds(k1, k2)
+        ratio = nudge(lower if which == "n2_lower" else upper, ulps)
+    elif which == "neg3":
+        k1 = nudge(neg3_threshold(ratio * r, r, k2), ulps)
+    elif which == "pos1":
+        k1 = nudge(1.0 + pos1_margin(ratio * r, r, k2), ulps)
+    elif which == "degenerate":
+        k1 = k2 * k2 * (1.0 + draw(st.floats(1e-6, 10.0)))
+        ratio = nudge(degenerate_ratio_bound(k1, k2), ulps)
+    else:
+        k1 = nudge(k2 * k2, ulps)
+    try:
+        return validate(ratio * r, r, k1, k2)
+    except ParameterError:
+        assume(False)
+
+
+@st.composite
+def symmetric_bound_points(draw):
+    """A symmetric point on an S1 or S2 bound, or one ulp either side."""
+    ulps = draw(st.sampled_from((-1, 0, 1)))
+    if draw(st.booleans()):
+        k = draw(st.floats(2.0, 50.0))
+        m = m_of_k(k)
+        d = 2.0 * k * m / (2.0 * k - m)
+    else:
+        k = draw(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+        m = m_of_k(k)
+        assume(k < m)
+        d = m * m / (k - 1.0) if draw(st.booleans()) else m * (k - 1.0) / (m - k)
+    return validate(nudge(d, ulps), 1.0, k, k)
+
+
+def arrays_of(points):
+    return ParamArrays(*(np.array([getattr(p, f) for p in points]) for f in ("d", "r", "k1", "k2")))
+
+
+class TestArrayPathMatchesScalar:
+    """``evaluate_criteria_arrays`` equals ``evaluate_criteria`` point by point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(general_points, symmetric_points, prior_window,
+                  bound_points(), symmetric_bound_points()),
+        min_size=1, max_size=12,
+    ))
+    @example([validate(5.5, 1.0, 11 / 6, 11 / 6), validate(4.0, 1.0, 1.3, 1.3),
+              validate(1 / 11, 1.0, 3.0, 3.0), validate(6.0, 1.0, 1.7, 1.7),
+              validate(5.0, 1.0, 1.9999999999999996, 1.9999999999999996),
+              validate(1.0, 1.0, 2.0, 2.0), validate(0.5, 1.0, 3.0, 2.0)])
+    # The edges of the prior regions: (ii) at both ends, the (iii) exclusion
+    # d (k - 1) = 2 k, the upper ends of (iii) and (viii), and d of (i) off its k.
+    @example([validate(4.0, 1.0, 1.25, 1.25), validate(4.0, 1.0, 4 / 3, 4 / 3),
+              validate(3.5 / 0.75, 1.0, 1.75, 1.75), validate(4 / 0.75, 1.0, 1.75, 1.75),
+              validate(8.0, 1.0, 1.75, 1.75), validate(4.0, 1.0, 1.8, 1.8),
+              validate(5.5, 1.0, 1.9, 1.9)])
+    def test_every_hit_and_the_sign(self, points):
+        try:
+            scalar = [evaluate_criteria(p) for p in points]
+            verdicts = [hits.verdict() for hits in scalar]
+        except PolarityConflictError:
+            with pytest.raises(PolarityConflictError):
+                evaluate_criteria_arrays(arrays_of(points)).signs()
+            return
+        arrays = evaluate_criteria_arrays(arrays_of(points))
+        signs = arrays.signs()
+        assert list(arrays.direct) == [row.id for row in CRITERIA]
+        assert list(arrays.reflected) == [row.id for row in CRITERIA if row.reflectable]
+        for i, (hits, verdict) in enumerate(zip(scalar, verdicts)):
+            assert {cid: bool(hit[i]) for cid, hit in arrays.direct.items()} == hits.direct
+            assert {cid: bool(hit[i]) for cid, hit in arrays.reflected.items()} == hits.reflected
+            assert SIGN_OF_CODE[int(signs[i])] is verdict.sign
+
+    def test_conflicting_point_raises(self, monkeypatch):
+        # pos1 forced on where N1 holds gives both polarities at one point.
+        from wavespeed import theory
+
+        rows = tuple(
+            replace(row, array_predicate=lambda p: np.ones(p.shape, bool))
+            if row.id is C.POS1 else row
+            for row in CRITERIA
+        )
+        monkeypatch.setattr(theory, "CRITERIA", rows)
+        hits = evaluate_criteria_arrays(arrays_of([validate(11, 1, 3, 3)]))
+        with pytest.raises(PolarityConflictError, match="11.0"):
+            hits.signs()

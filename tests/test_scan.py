@@ -1,19 +1,23 @@
+import hashlib
 import math
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
+from wavespeed import cli
 from wavespeed.model import ParameterError, validate
 from wavespeed.pde import default_config
-from wavespeed.theory import CriterionId, Sign, classify, degenerate_ratio_bound
+from wavespeed.theory import CRITERIA, CriterionId, Sign, classify, degenerate_ratio_bound
 from wavespeed.scan import (
+    _SVG_STYLE,
     ScanSpec,
     emit_csv,
     emit_svg,
     figure2_dataset,
     load_csv,
     mask_counts,
+    plane_spec,
     scan_plane,
 )
 
@@ -129,7 +133,7 @@ def dataset():
         plane="k1d", x_range=(1.05, 60.0), y_range=(1e-3, 1e2),
         nx=41, ny=31, x_scale="log", y_scale="log", k2=2.0,
     )
-    return figure2_dataset(2.0, 1.0, spec)
+    return figure2_dataset(spec)
 
 
 class TestFigure2:
@@ -137,6 +141,16 @@ class TestFigure2:
         assert dataset.reference_k1["sqrt_k2"] == pytest.approx(math.sqrt(2.0))
         assert dataset.reference_k1["k2"] == 2.0
         assert dataset.reference_k1["k2_squared"] == 4.0
+
+    def test_reference_lines_follow_the_spec(self):
+        spec = plane_spec("k1d", k2=2.0, nx=3, ny=2)
+        reference = figure2_dataset(spec).reference_k1
+        assert reference["k2_squared"] == spec.k2 ** 2
+        assert reference["sqrt_k2"] == math.sqrt(spec.k2)
+
+    def test_requires_the_k1d_plane(self):
+        with pytest.raises(ParameterError):
+            figure2_dataset(plane_spec("sym", nx=3, ny=2))
 
     def test_degenerate_mask_needs_k1_above_k2_squared(self, dataset):
         fired = [s for s in dataset.samples if s.verdicts[CriterionId.DEG_NEG]]
@@ -163,7 +177,7 @@ class TestFigure2:
             plane="k1d", x_range=(2.0, 4.0), y_range=(1.0, 2.0), nx=2, ny=2,
             k2=2.0,
         )
-        samples = figure2_dataset(2.0, 1.0, spec).samples
+        samples = figure2_dataset(spec).samples
         corner = [s for s in samples if s.x == 2.0 and s.y == 1.0]
         assert corner[0].combined.sign is Sign.INCONCLUSIVE
 
@@ -186,6 +200,8 @@ class TestEmission:
     def test_csv_requires_samples(self, tmp_path):
         with pytest.raises(ParameterError):
             emit_csv([], tmp_path / "empty.csv")
+        with pytest.raises(ParameterError):
+            emit_svg([], tmp_path / "empty.svg")
 
     def test_csv_deterministic_bytes(self, tmp_path, sym_spec):
         p1 = tmp_path / "a.csv"
@@ -207,12 +223,20 @@ class TestEmission:
         fired = {k for k, v in mask_counts(sym_samples).items() if v > 0}
         assert {g.get("id")[len("criterion-"):] for g in groups} == fired
 
+    def test_every_criterion_column_is_styled(self):
+        for row in CRITERIA:
+            direct, reflected = _SVG_STYLE[row.id]
+            assert direct is not None
+            assert (reflected is not None) == row.reflectable
+        ranks = [layer[0] for style in _SVG_STYLE.values() for layer in style if layer]
+        assert sorted(ranks) == list(range(len(ranks)))
+
     def test_svg_reference_lines(self, tmp_path):
         spec = ScanSpec(
             plane="k1d", x_range=(1.05, 60.0), y_range=(1e-2, 1e2),
             nx=11, ny=11, x_scale="log", y_scale="log", k2=2.0,
         )
-        ds = figure2_dataset(2.0, 1.0, spec)
+        ds = figure2_dataset(spec)
         path = tmp_path / "fig2.svg"
         emit_svg(
             ds.samples, path,
@@ -259,3 +283,49 @@ class TestCriterionColumns:
         path = tmp_path / "scan.csv"
         emit_csv(samples, path)
         assert path.read_text().splitlines()[0] == header
+
+
+class TestPlaneSequence:
+    def test_negative_index_and_bounds(self, sym_samples):
+        assert sym_samples[-1] == sym_samples[len(sym_samples) - 1]
+        with pytest.raises(IndexError):
+            sym_samples[len(sym_samples)]
+
+    def test_oracle_estimate_on_its_cell_only(self):
+        spec = ScanSpec(
+            plane="k1d", x_range=(4.0, 6.0), y_range=(0.8, 1.2), nx=3, ny=3,
+            k2=2.0, with_pde=True, pde_stride=2,
+            pde_config=default_config(L=10.0, dx=0.5, dt=0.1, t_end=2.0),
+        )
+        plane = scan_plane(spec)
+        holding = [(s.x, s.y) for s in plane if s.c_num is not None]
+        xs, ys = spec.x_values(), spec.y_values()
+        assert holding == [(xs[ix], ys[iy]) for iy in (0, 2) for ix in (0, 2)]
+
+
+# sha256 of `wavespeed scan` output as the per-cell ElementTree writer
+# produced it (numpy 2.4.6, x86-64).  The --with-pde plane holds a cell whose
+# oracle run fails, written as nan,inf,0.
+GOLDEN = [
+    ([], "fb69ab1635bbf0806904bded3055215580bc9427e972bef128c70c9bd67bb826",
+     "14f199f63ca435bcb86560b49712302077a15d355e0146fbe9ab136e2f344954"),
+    (["--plane", "k1d", "--k2", "2", "--r", "1"],
+     "c079d438e102d4c8fc0e4dd5290a321ce4a7ac0a9970218de64b9f41174fa539",
+     "3aadc53467762839007db9e4df9332053716b01c12f6949fa84053ca5a420b59"),
+    (["--plane", "k1d", "--k2", "3", "--r", "40"],
+     "d4189fb6fe871702e965377995fa243f5fc14a555c6befc42b13baede52a1c61",
+     "05304f29f3df41dcb389c61a86d1158c20c09ef52f6dbbe8fdd29d24681395d3"),
+    (["--plane", "k1d", "--k2", "3", "--r", "40", "--nx", "4", "--ny", "3", "--with-pde"],
+     "48853d2401a92653f2adcc20664c72a2605991f9557d1566b7d4ade15a3b0a8d",
+     "72d2825b7eaf172fbdde2a0df9fef3f8d6820e5e9faebd1561331796947a6356"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("flags, csv_sha, svg_sha", GOLDEN,
+                             ids=["sym", "k1d-2-1", "k1d-3-40", "k1d-3-40-pde"])
+    def test_scan_bytes(self, capsys, tmp_path, flags, csv_sha, svg_sha):
+        assert cli.main(["scan", *flags, "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256((tmp_path / "scan.svg").read_bytes()).hexdigest() == svg_sha
