@@ -303,13 +303,11 @@ def cmd_scan(args) -> int:
         k2=args.k2,
         r=args.r,
     )
-    style = {"x_scale": spec.x_scale, "y_scale": spec.y_scale}
     if spec.plane == "k1d":
         dataset = scan_mod.figure2_dataset(spec)
-        plane = dataset.samples
-        style["reference_x"] = dataset.reference_k1
+        plane, style = dataset.samples, {"reference_x": dataset.reference_k1}
     else:
-        plane = scan_mod.scan_plane(spec)
+        plane, style = scan_mod.scan_plane(spec), None
 
     out_dir = Path(getattr(args, "output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,16 +8,12 @@ microseconds).  Output ordering is row-major over (y, x) and fully
 deterministic, so reruns are byte-identical.
 
 A sweep is columnar.  :func:`scan_plane` hands the whole grid to
-``theory.evaluate_criteria_arrays`` once, as arrays that broadcast over
-(y, x), and returns a :class:`Plane`: one bool array per criterion row,
-a sign code per cell and the oracle estimates.  :func:`emit_csv`,
-:func:`emit_svg` and :func:`mask_counts` write from those arrays.  The
-array path gives the same hits as ``theory.classify`` cell by cell: sqrt,
-the four arithmetic operations, floor, min/max and comparisons are
-correctly rounded in numpy as in Python, while numpy's power is not
-bit-identical to Python's ``**``, so the two bounds that raise to a power
-(N1's and the degenerate criterion's) are evaluated by their scalar
-functions, once per distinct (k1, k2) of the plane.
+``theory.evaluate_criteria`` once, as arrays that broadcast over (y, x),
+and returns a :class:`Plane`: one bool array per criterion row, a sign code
+per cell and the oracle estimates.  :func:`emit_csv`, :func:`emit_svg` and
+:func:`mask_counts` write from those arrays.  ``theory.classify`` reads the
+same table through the same evaluator at one point, so a cell's verdict is
+the verdict at its parameters.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompetitionParams, ParameterError
+from .model import ParameterError
 from . import theory
 from .theory import CriterionId, SignVerdict
 from . import pde
@@ -116,15 +112,10 @@ class RegionSample:
     c_num: "pde.SpeedEstimate | None" = None
 
 
-def _params_at(spec: ScanSpec, x: float, y: float) -> CompetitionParams:
-    if spec.plane == "sym":
-        return CompetitionParams(x, 1.0, y, y)
-    return CompetitionParams(y * spec.r, spec.r, x, spec.k2)
-
-
 def _plane_params(spec: ScanSpec, xs: np.ndarray, ys: np.ndarray) -> theory.ParamArrays:
-    """:func:`_params_at` on every cell at once, as arrays over (y, x) that
-    broadcast (d = y r, so that d / r is computed as there)."""
+    """The parameters of every cell, as arrays over (y, x) that broadcast:
+    (d, 1, k, k) at (x, y) = (d, k) on the sym plane, (y r, r, k1, k2) at
+    (x, y) = (k1, d/r) on the k1d plane."""
     if spec.plane == "sym":
         k = ys[:, None]
         return theory.ParamArrays(xs[None, :], 1.0, k, k)
@@ -159,7 +150,7 @@ class Plane(Sequence):
     spec: ScanSpec
     xs: np.ndarray
     ys: np.ndarray
-    hits: theory.CriterionArrays
+    hits: theory.CriterionHits
     signs: np.ndarray
     c_num: dict[int, "pde.SpeedEstimate"]
 
@@ -172,19 +163,14 @@ class Plane(Sequence):
         if not 0 <= index < len(self):
             raise IndexError("plane cell index out of range")
         iy, ix = divmod(index, self.xs.size)
-        x, y = float(self.xs[ix]), float(self.ys[iy])
-        cell = theory.CriterionHits(
-            _params_at(self.spec, x, y),
-            {cid: bool(hit[iy, ix]) for cid, hit in self.hits.direct.items()},
-            {cid: bool(hit[iy, ix]) for cid, hit in self.hits.reflected.items()},
-        )
         columns = _COLUMNS[self.spec.plane]
         return RegionSample(
-            x, y,
-            verdicts={cid: cell.direct[cid] for _, cid, mirrored in columns if not mirrored},
-            reflected_verdicts={cid: cell.reflected[cid] for _, cid, mirrored in columns
-                                if mirrored},
-            combined=cell.verdict(),
+            float(self.xs[ix]), float(self.ys[iy]),
+            verdicts={cid: bool(self.hits.direct[cid][iy, ix])
+                      for _, cid, mirrored in columns if not mirrored},
+            reflected_verdicts={cid: bool(self.hits.reflected[cid][iy, ix])
+                                for _, cid, mirrored in columns if mirrored},
+            combined=self.hits.verdict((iy, ix)),
             c_num=self.c_num.get(index),
         )
 
@@ -206,20 +192,17 @@ def scan_plane(spec: ScanSpec) -> Plane:
     """
     xs = spec.x_values()
     ys = spec.y_values()
-    hits = theory.evaluate_criteria_arrays(_plane_params(spec, xs, ys))
+    params = _plane_params(spec, xs, ys)
+    hits = theory.evaluate_criteria(params)
     signs = hits.signs()
     c_num = {}
     if spec.with_pde:
         for iy in range(0, ys.size, spec.pde_stride):
             for ix in range(0, xs.size, spec.pde_stride):
                 try:
-                    est = pde.estimate_speed(
-                        _params_at(spec, float(xs[ix]), float(ys[iy])), spec.pde_config
-                    )
+                    est = pde.estimate_speed(params.at((iy, ix)), spec.pde_config)
                 except pde.SimulationError:
-                    est = pde.SpeedEstimate(
-                        float("nan"), float("inf"), np.empty((0, 2)), False
-                    )
+                    est = pde.SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False)
                 c_num[iy * xs.size + ix] = est
     return Plane(spec, xs, ys, hits, signs, c_num)
 
@@ -334,16 +317,17 @@ def emit_svg(
 ) -> None:
     """Render the criterion masks as layered colored cells with axes and a legend.
 
-    ``style`` may carry ``reference_x``: a mapping of label -> x value drawn
-    as dashed verticals (used for the k1-plane reference levels).
+    The tick labels follow the scales of ``plane.spec``.  ``style`` may
+    carry ``reference_x``: a mapping of label -> x value drawn as dashed
+    verticals (used for the k1-plane reference levels).
     """
     if not plane:
         raise ParameterError("emit_svg requires a nonempty plane")
     style = style or {}
     xs, ys = plane.xs.tolist(), plane.ys.tolist()
     nx, ny = len(xs), len(ys)
-    x_log = style.get("x_scale", "linear") == "log"
-    y_log = style.get("y_scale", "linear") == "log"
+    x_log = plane.spec.x_scale == "log"
+    y_log = plane.spec.y_scale == "log"
 
     width, height = 720, 520
     ml, mr, mt, mb = 60, 170, 20, 50

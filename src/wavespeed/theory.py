@@ -21,16 +21,16 @@ The inventory is the single table :data:`CRITERIA`; its report labels:
 * degenerate -- the small-d/r condition active for k1 > k2^2
 * (i)..(viii)-- previously established symmetric-case regions
 
-Each row carries its predicate in two forms: on one point, read by
-:func:`classify`, and on broadcast arrays, read by
-:func:`evaluate_criteria_arrays` for plane sweeps.  The two give the same
-hits bit for bit.
+Each row holds its predicate once, on numpy values: :func:`evaluate_criteria`
+reads the table at one point or on broadcast arrays (a :class:`ParamArrays`),
+so :func:`classify` and the plane sweeps of ``scan`` run the same code.  The
+two bounds that raise to a power stay scalar; see :func:`_pairwise`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -109,57 +109,64 @@ def m_of_k(k: float) -> float:
     """
     if k < 1.0:
         raise ValueError(f"m(k) requires k >= 1, got {k!r}")
-    return (math.sqrt(24.0 * k + 1.0) - 3.0) / 2.0
+    return float(_m(k))
+
+
+def _m(k):
+    """m(k) on numbers or arrays, unchecked (sqrt is correctly rounded)."""
+    return (np.sqrt(24.0 * k + 1.0) - 3.0) / 2.0
 
 
 @dataclass(frozen=True)
 class ParamArrays:
-    """(d, r, k1, k2) as arrays that broadcast together: many points at once.
+    """(d, r, k1, k2) as numpy values that broadcast together: one point or many.
 
-    The array form of :class:`CompetitionParams`, read by the table's array
-    predicates.  It is not validated; callers pass d, r > 0 and k1, k2 > 1.
-    Fields are stored as float arrays, so that a division by zero in a
-    branch a mask discards gives inf or nan, where Python floats raise.
+    The form the table's predicates read.  Each field is stored as
+    ``np.asarray(value, float)[()]``: a numpy float for a number, a float
+    array otherwise, so a division by zero in a branch a mask discards gives
+    inf or nan where Python floats raise.  Not validated: pass d, r > 0 and
+    k1, k2 > 1.
     """
 
     d: np.ndarray
     r: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
+    ratio: np.ndarray = field(init=False, repr=False, compare=False)
+    symmetric: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        fields = vars(self)  # written directly: the dataclass is frozen
         for name in ("d", "r", "k1", "k2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    @property
-    def ratio(self) -> np.ndarray:
-        return self.d / self.r
-
-    @property
-    def symmetric(self) -> np.ndarray:
-        return (self.r == 1.0) & (self.k1 == self.k2)
+            fields[name] = np.asarray(fields[name], dtype=float)[()]
+        fields["ratio"] = self.d / self.r
+        fields["symmetric"] = (self.r == 1.0) & (self.k1 == self.k2)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return np.broadcast_shapes(*(np.shape(v) for v in (self.d, self.r, self.k1, self.k2)))
+        return np.broadcast(self.d, self.r, self.k1, self.k2).shape
+
+    def at(self, index: tuple[int, ...] = ()) -> CompetitionParams:
+        """The point at ``index`` of the broadcast shape."""
+        shape = self.shape
+        values = (self.d, self.r, self.k1, self.k2)
+        return CompetitionParams(*(float(np.broadcast_to(v, shape)[index]) for v in values))
 
 
-def _m_of_k_array(k: np.ndarray) -> np.ndarray:
-    """:func:`m_of_k` on an array (sqrt is correctly rounded in both)."""
-    return (np.sqrt(24.0 * k + 1.0) - 3.0) / 2.0
+def _masked():
+    """Branches a mask discards may divide by zero; those values are never read."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _pairwise(bound: Callable[[float, float], float], k1, k2) -> np.ndarray:
-    """The scalar ``bound(k1, k2)`` at every (k1, k2) of the broadcast shape.
+def _pairwise(bound: Callable[[float, float], float]) -> Callable:
+    """The scalar ``bound(k1, k2)`` applied at every (k1, k2) of the broadcast shape.
 
-    The bounds that raise to a power stay scalar: numpy's power differs from
-    Python's ``**`` in the last bit on some inputs, which can flip a cell on
-    the bound.  On a plane (k1, k2) varies along one axis only, so this is
-    one call per column or row.
+    frompyfunc hands ``bound`` Python floats, so its ``**`` is Python's,
+    which numpy's power does not match in the last bit on some inputs.  On a
+    plane (k1, k2) varies along one axis only: one call per column or row.
     """
-    k1s, k2s = np.broadcast_arrays(k1, k2)
-    values = [bound(a, b) for a, b in zip(k1s.ravel().tolist(), k2s.ravel().tolist())]
-    return np.array(values, dtype=float).reshape(k1s.shape)
+    ufunc = np.frompyfunc(bound, 2, 1)
+    return lambda k1, k2: np.asarray(ufunc(k1, k2), dtype=float)[()]
 
 
 def _n1_ratio_bound(k1: float, k2: float) -> float:
@@ -179,132 +186,7 @@ def _n1_threshold(k1: float, k2: float) -> float:
     return _n1_ratio_bound(k1, k2)
 
 
-def criterion_n1(params: CompetitionParams) -> bool:
-    """c < 0 when k1 >= m(k2) and d/r exceeds the branch-dependent bound."""
-    return params.ratio > _n1_threshold(params.k1, params.k2)
-
-
-def _n1_array(p: ParamArrays) -> np.ndarray:
-    return p.ratio > _pairwise(_n1_threshold, p.k1, p.k2)
-
-
-def criterion_n2(params: CompetitionParams) -> bool:
-    """c < 0 on a d/r strip when 1 < k1 < m(k2).
-
-    For k2 > 2 the strip exists only when 2 k1 > m(k2); that requirement is
-    what keeps the lower end of the strip positive and the criterion
-    consistent with the positive-speed criterion pos1.
-    """
-    k1, k2 = params.k1, params.k2
-    m = m_of_k(k2)
-    if not (1.0 < k1 < m):
-        return False
-    if k2 <= 2.0:
-        lower = m * m / (k1 - 1.0)
-    else:
-        if 2.0 * k1 <= m:
-            return False
-        lower = 2.0 * k2 * m / (2.0 * k1 - m)
-    upper = m * (k2 - 1.0) / (m - k1)
-    return lower < params.ratio < upper
-
-
-def _n2_array(p: ParamArrays) -> np.ndarray:
-    k1, k2, ratio = p.k1, p.k2, p.ratio
-    m = _m_of_k_array(k2)
-    small = k2 <= 2.0
-    lower = np.where(small, m * m / (k1 - 1.0), 2.0 * k2 * m / (2.0 * k1 - m))
-    upper = m * (k2 - 1.0) / (m - k1)
-    return ((1.0 < k1) & (k1 < m) & (small | (2.0 * k1 > m))
-            & (lower < ratio) & (ratio < upper))
-
-
-def criterion_neg3(params: CompetitionParams) -> bool:
-    """c < 0 for k1 above an explicit threshold in (k2, r/d)."""
-    return params.k1 > neg3_threshold(params.d, params.r, params.k2)
-
-
-def _neg3_array(p: ParamArrays) -> np.ndarray:
-    r_d, k2 = p.r / p.d, p.k2
-    threshold = np.where(
-        k2 <= 2.0,
-        np.maximum(2.0, 1.0 + 4.0 * r_d * (k2 - 1.0)),
-        _m_of_k_array(k2) * np.maximum(1.0, 0.5 + r_d * k2),
-    )
-    return p.k1 > threshold
-
-
-def neg3_threshold(d: float, r: float, k2: float) -> float:
-    """The k1 half-line endpoint of criterion neg3."""
-    if k2 <= 2.0:
-        return max(2.0, 1.0 + 4.0 * (r / d) * (k2 - 1.0))
-    return m_of_k(k2) * max(1.0, 0.5 + (r / d) * k2)
-
-
-def criterion_pos1(params: CompetitionParams) -> bool:
-    """c > 0 for k1 - 1 below an explicit threshold in (k2, r/d)."""
-    excess = params.k1 - 1.0
-    return 0.0 < excess < pos1_margin(params.d, params.r, params.k2)
-
-
-def _pos1_array(p: ParamArrays) -> np.ndarray:
-    d, r, k2 = p.d, p.r, p.k2
-    margin = np.where(
-        k2 <= 2.0,
-        (k2 - 1.0) * (k2 + 4.0) / 6.0 * np.minimum(1.0, (r / d) * (k2 - 1.0) / (k2 * k2)),
-        (k2 - 1.0) * np.minimum((k2 + 4.0) / 6.0, r / (4.0 * d)),
-    )
-    excess = p.k1 - 1.0
-    return (0.0 < excess) & (excess < margin)
-
-
-def pos1_margin(d: float, r: float, k2: float) -> float:
-    """The k1 - 1 half-line endpoint of criterion pos1."""
-    if k2 <= 2.0:
-        return (k2 - 1.0) * (k2 + 4.0) / 6.0 * min(1.0, (r / d) * (k2 - 1.0) / (k2 * k2))
-    return (k2 - 1.0) * min((k2 + 4.0) / 6.0, r / (4.0 * d))
-
-
-def criterion_s1_s2(d: float, k: float) -> tuple[bool, bool]:
-    """Symmetric-case criteria (r = 1, k1 = k2 = k), evaluated standalone.
-
-    S1: k >= 2 and d > 2 k m(k) / (2 k - m(k)).
-    S2: 1 < k < 2 and m(k)^2/(k-1) < d < m(k)(k-1)/(m(k)-k).
-    """
-    if d <= 0.0 or k <= 1.0:
-        raise ValueError("criterion_s1_s2 requires d > 0 and k > 1")
-    point = validate(d, 1.0, k, k)
-    return _s1(point), _s2(point)
-
-
-def _s1(params: CompetitionParams) -> bool:
-    d, k = params.d, params.k1
-    if k < 2.0:
-        return False
-    m = m_of_k(k)
-    return d > 2.0 * k * m / (2.0 * k - m)
-
-
-def _s1_array(p: ParamArrays) -> np.ndarray:
-    d, k = p.d, p.k1
-    m = _m_of_k_array(k)
-    return (k >= 2.0) & (d > 2.0 * k * m / (2.0 * k - m))
-
-
-def _s2(params: CompetitionParams) -> bool:
-    d, k = params.d, params.k1
-    if not 1.0 < k < 2.0:
-        return False
-    m = m_of_k(k)
-    # m(k) > k on 1 < k < 2, but the rounded values meet at its ends.
-    return k < m and m * m / (k - 1.0) < d < m * (k - 1.0) / (m - k)
-
-
-def _s2_array(p: ParamArrays) -> np.ndarray:
-    d, k = p.d, p.k1
-    m = _m_of_k_array(k)
-    return ((1.0 < k) & (k < 2.0) & (k < m)
-            & (m * m / (k - 1.0) < d) & (d < m * (k - 1.0) / (m - k)))
+_n1_thresholds = _pairwise(_n1_threshold)
 
 
 def degenerate_ratio_bound(k1: float, k2: float) -> float:
@@ -320,90 +202,106 @@ def degenerate_ratio_bound(k1: float, k2: float) -> float:
     )
 
 
-def criterion_degenerate(params: CompetitionParams) -> bool:
+_degenerate_ratio_bounds = _pairwise(degenerate_ratio_bound)
+
+
+def neg3_threshold(d, r, k2):
+    """The k1 half-line endpoint of criterion neg3, on numbers or arrays."""
+    r_d = r / d
+    return np.where(
+        k2 <= 2.0,
+        np.maximum(2.0, 1.0 + 4.0 * r_d * (k2 - 1.0)),
+        _m(k2) * np.maximum(1.0, 0.5 + r_d * k2),
+    )[()]
+
+
+def pos1_margin(d, r, k2):
+    """The k1 - 1 half-line endpoint of criterion pos1, on numbers or arrays."""
+    return np.where(
+        k2 <= 2.0,
+        (k2 - 1.0) * (k2 + 4.0) / 6.0 * np.minimum(1.0, (r / d) * (k2 - 1.0) / (k2 * k2)),
+        (k2 - 1.0) * np.minimum((k2 + 4.0) / 6.0, r / (4.0 * d)),
+    )[()]
+
+
+# The predicates of the table: each reads a ParamArrays and returns its hits.
+
+def _in_n1(p: ParamArrays):
+    """N1: c < 0 when k1 >= m(k2) and d/r exceeds the branch-dependent bound."""
+    return p.ratio > _n1_thresholds(p.k1, p.k2)
+
+
+def _in_n2(p: ParamArrays):
+    """N2: c < 0 on a d/r strip when 1 < k1 < m(k2).
+
+    For k2 > 2 the strip exists only when 2 k1 > m(k2); that requirement is
+    what keeps the lower end of the strip positive and the criterion
+    consistent with the positive-speed criterion pos1.
+    """
+    k1, k2, ratio = p.k1, p.k2, p.ratio
+    m = _m(k2)
+    small = k2 <= 2.0
+    above_lower = ((small & (m * m / (k1 - 1.0) < ratio))
+                   | (~small & (2.0 * k1 > m) & (2.0 * k2 * m / (2.0 * k1 - m) < ratio)))
+    return (1.0 < k1) & (k1 < m) & above_lower & (ratio < m * (k2 - 1.0) / (m - k1))
+
+
+def _in_neg3(p: ParamArrays):
+    """neg3: c < 0 for k1 above an explicit threshold in (k2, r/d)."""
+    return p.k1 > neg3_threshold(p.d, p.r, p.k2)
+
+
+def _in_pos1(p: ParamArrays):
+    """pos1: c > 0 for k1 - 1 below an explicit threshold in (k2, r/d)."""
+    excess = p.k1 - 1.0
+    return (0.0 < excess) & (excess < pos1_margin(p.d, p.r, p.k2))
+
+
+def _in_s1(p: ParamArrays):
+    """S1 (r = 1, k1 = k2 = k): k >= 2 and d > 2 k m(k) / (2 k - m(k))."""
+    d, k = p.d, p.k1
+    m = _m(k)
+    return (k >= 2.0) & (d > 2.0 * k * m / (2.0 * k - m))
+
+
+def _in_s2(p: ParamArrays):
+    """S2 (r = 1, k1 = k2 = k): 1 < k < 2 and m(k)^2/(k-1) < d < m(k)(k-1)/(m(k)-k).
+
+    m(k) > k on 1 < k < 2, but the rounded values meet at its ends, so
+    k < m is required in floating point too.
+    """
+    d, k = p.d, p.k1
+    m = _m(k)
+    return ((1.0 < k) & (k < 2.0) & (k < m)
+            & (m * m / (k - 1.0) < d) & (d < m * (k - 1.0) / (m - k)))
+
+
+def _in_degenerate(p: ParamArrays):
     """c < 0 when k1 > k2^2 and d/r is below the blocking bound for small diffusion."""
-    if params.k1 <= params.k2 * params.k2:
-        return False
-    return params.ratio < degenerate_ratio_bound(params.k1, params.k2)
+    return (p.k1 > p.k2 * p.k2) & (p.ratio < _degenerate_ratio_bounds(p.k1, p.k2))
 
 
-def _degenerate_array(p: ParamArrays) -> np.ndarray:
-    return (p.k1 > p.k2 * p.k2) & (p.ratio < _pairwise(degenerate_ratio_bound, p.k1, p.k2))
-
-
-def reflect(params: CompetitionParams) -> CompetitionParams:
-    """Exchange the two species' roles: (d, r, k1, k2) -> (1/d, 1/r, k2, k1).
-
-    Involutive.  A negative-speed criterion holding at the reflected
-    parameters certifies c > 0 at the original ones.
-    """
-    return type(params)(1.0 / params.d, 1.0 / params.r, params.k2, params.k1)
-
-
-def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
-    """Previously established negative-speed regions in the symmetric (d, k) plane.
-
-    Membership follows the published formulas exactly:
-
-    (i)    the single point (11/2, 11/6), compared at double precision;
-    (ii)   d = 4 and 5/4 <= k <= 4/3;
-    (iii)  5/3 < k < 2 and 4 < d < 4/(k-1), excluding d = 2k/(k-1);
-    (vii)  a floor-function condition, see :func:`_prior_vii`;
-    (viii) 5/3 < k < 2 and 4 < d < 2/(2-k).
-
-    The limiting regions (iv), (v), (vi) carry no quantitative data and are
-    not evaluated.
-    """
-    if d <= 0.0 or k <= 1.0:
-        raise ValueError("prior_regions requires d > 0 and k > 1")
-    point = validate(d, 1.0, k, k)
-    return {
-        row.id: row.predicate(point)
-        for row in CRITERIA
-        if row.id.name.startswith("PRIOR_")
-    }
-
-
-def _prior_i(params: CompetitionParams) -> bool:
-    return params.d == 11.0 / 2.0 and params.k1 == 11.0 / 6.0
-
-
-def _prior_i_array(p: ParamArrays) -> np.ndarray:
+def _in_prior_i(p: ParamArrays):
+    """(i): the single point (11/2, 11/6), compared at double precision."""
     return (p.d == 11.0 / 2.0) & (p.k1 == 11.0 / 6.0)
 
 
-def _prior_ii(params: CompetitionParams) -> bool:
-    return params.d == 4.0 and 1.25 <= params.k1 <= 4.0 / 3.0
-
-
-def _prior_ii_array(p: ParamArrays) -> np.ndarray:
+def _in_prior_ii(p: ParamArrays):
+    """(ii): d = 4 and 5/4 <= k <= 4/3."""
     return (p.d == 4.0) & (1.25 <= p.k1) & (p.k1 <= 4.0 / 3.0)
 
 
-def _prior_iii(params: CompetitionParams) -> bool:
-    d, k = params.d, params.k1
-    return 5.0 / 3.0 < k < 2.0 and 4.0 < d < 4.0 / (k - 1.0) and d * (k - 1.0) != 2.0 * k
-
-
-def _prior_iii_array(p: ParamArrays) -> np.ndarray:
+def _in_prior_iii(p: ParamArrays):
+    """(iii): 5/3 < k < 2 and 4 < d < 4/(k-1), excluding d = 2k/(k-1)."""
     d, k = p.d, p.k1
     return ((5.0 / 3.0 < k) & (k < 2.0) & (4.0 < d) & (d < 4.0 / (k - 1.0))
             & (d * (k - 1.0) != 2.0 * k))
 
 
-def _prior_vii(params: CompetitionParams) -> bool:
-    d, k = params.d, params.k1
-    q = 3.0 * k - 1.0
-    term1 = k - d * (k - 1.0) / q
-    term2 = 4.0 * d * (k - 1.0) / (q * q) + math.floor(
-        2.0 * d * (k + 1.0) / (q * q) - k
-    ) * math.floor(k * (5.0 - 3.0 * k) / 2.0)
-    return max(term1, term2) < 1.0
-
-
-def _prior_vii_array(p: ParamArrays) -> np.ndarray:
-    # The floors are integers, so their product is the exact product that
-    # Python's int arithmetic forms, rounded once, as in the scalar form.
+def _in_prior_vii(p: ParamArrays):
+    """(vii): a floor-function condition in (d, k), with q = 3k - 1."""
+    # The floors are integers, so their product is exact before it is
+    # rounded once, as Python's int product would be.
     d, k = p.d, p.k1
     q = 3.0 * k - 1.0
     term1 = k - d * (k - 1.0) / q
@@ -413,14 +311,63 @@ def _prior_vii_array(p: ParamArrays) -> np.ndarray:
     return np.maximum(term1, term2) < 1.0
 
 
-def _prior_viii(params: CompetitionParams) -> bool:
-    d, k = params.d, params.k1
-    return 5.0 / 3.0 < k < 2.0 and 4.0 < d < 2.0 / (2.0 - k)
-
-
-def _prior_viii_array(p: ParamArrays) -> np.ndarray:
+def _in_prior_viii(p: ParamArrays):
+    """(viii): 5/3 < k < 2 and 4 < d < 2/(2-k)."""
     d, k = p.d, p.k1
     return (5.0 / 3.0 < k) & (k < 2.0) & (4.0 < d) & (d < 2.0 / (2.0 - k))
+
+
+def _one_point(predicate: Callable[[ParamArrays], np.ndarray]) -> Callable:
+    """``predicate`` read at one :class:`CompetitionParams`, as a bool."""
+    def read(params: CompetitionParams) -> bool:
+        with _masked():
+            return bool(predicate(ParamArrays(params.d, params.r, params.k1, params.k2)))
+    read.__doc__ = predicate.__doc__
+    return read
+
+
+# Single-point readers of the rows.
+criterion_n1 = _one_point(_in_n1)
+criterion_n2 = _one_point(_in_n2)
+criterion_neg3 = _one_point(_in_neg3)
+criterion_pos1 = _one_point(_in_pos1)
+criterion_degenerate = _one_point(_in_degenerate)
+
+
+def criterion_s1_s2(d: float, k: float) -> tuple[bool, bool]:
+    """Rows S1 and S2 at the symmetric point (r = 1, k1 = k2 = k)."""
+    if d <= 0.0 or k <= 1.0:
+        raise ValueError("criterion_s1_s2 requires d > 0 and k > 1")
+    point = validate(d, 1.0, k, k)
+    return _one_point(_in_s1)(point), _one_point(_in_s2)(point)
+
+
+def reflect(params):
+    """Exchange the two species' roles: (d, r, k1, k2) -> (1/d, 1/r, k2, k1).
+
+    Involutive, on a :class:`CompetitionParams` or a :class:`ParamArrays`.
+    A negative-speed criterion holding at the reflected parameters
+    certifies c > 0 at the original ones.
+    """
+    return type(params)(1.0 / params.d, 1.0 / params.r, params.k2, params.k1)
+
+
+def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
+    """Previously established negative-speed regions in the symmetric (d, k) plane.
+
+    Membership follows the published formulas exactly, as the PRIOR rows of
+    :data:`CRITERIA` state them: (i), (ii), (iii), (vii) and (viii).  The
+    limiting regions (iv), (v), (vi) carry no quantitative data and are not
+    evaluated.
+    """
+    if d <= 0.0 or k <= 1.0:
+        raise ValueError("prior_regions requires d > 0 and k > 1")
+    point = validate(d, 1.0, k, k)
+    return {
+        row.id: _one_point(row.predicate)(point)
+        for row in CRITERIA
+        if row.id.name.startswith("PRIOR_")
+    }
 
 
 @dataclass(frozen=True)
@@ -428,20 +375,19 @@ class Criterion:
     """One row of the criterion table.
 
     ``polarity`` is the sign of c the row certifies at p when its predicate
-    holds: -1 for c < 0, +1 for c > 0.  ``predicate`` reads one point;
-    ``array_predicate`` reads a :class:`ParamArrays` and returns the same
-    hits as a bool array.  The predicate is read at p, or at
-    ``reflect(p)`` when ``at_reflection`` is set.  ``symmetric_only`` rows
-    are defined on the symmetric plane (r = 1, k1 = k2) and read False
-    elsewhere.  ``reflectable`` rows (the default) are read a second time
-    at ``reflect(p)``, where a hit certifies the opposite polarity at p.
+    holds: -1 for c < 0, +1 for c > 0.  ``predicate`` reads a
+    :class:`ParamArrays` and returns its hits, a numpy bool or bool array.
+    The predicate is read at p, or at ``reflect(p)`` when ``at_reflection``
+    is set.  ``symmetric_only`` rows are defined on the symmetric plane
+    (r = 1, k1 = k2) and read False elsewhere.  ``reflectable`` rows (the
+    default) are read a second time at ``reflect(p)``, where a hit certifies
+    the opposite polarity at p.
     """
 
     id: CriterionId
     label: str
     polarity: int
-    predicate: Callable[[CompetitionParams], bool]
-    array_predicate: Callable[[ParamArrays], np.ndarray]
+    predicate: Callable[[ParamArrays], np.ndarray]
     symmetric_only: bool = False
     reflectable: bool = True
     at_reflection: bool = False
@@ -449,94 +395,36 @@ class Criterion:
 
 # The criterion inventory, in report and CSV column order.
 CRITERIA: tuple[Criterion, ...] = (
-    Criterion(CriterionId.N1, "N1", -1, criterion_n1, _n1_array),
-    Criterion(CriterionId.N2, "N2", -1, criterion_n2, _n2_array),
-    Criterion(CriterionId.NEG3, "neg3", -1, criterion_neg3, _neg3_array),
-    Criterion(CriterionId.S1, "S1", -1, _s1, _s1_array, symmetric_only=True),
-    Criterion(CriterionId.S2, "S2", -1, _s2, _s2_array, symmetric_only=True),
-    Criterion(CriterionId.DEG_NEG, "degenerate", -1, criterion_degenerate, _degenerate_array,
-              reflectable=False),
-    Criterion(CriterionId.POS1, "pos1", +1, criterion_pos1, _pos1_array, reflectable=False),
-    Criterion(CriterionId.DEG_POS, "degenerate (reflected)", +1, criterion_degenerate,
-              _degenerate_array, reflectable=False, at_reflection=True),
-    Criterion(CriterionId.PRIOR_I, "(i)", -1, _prior_i, _prior_i_array, symmetric_only=True),
-    Criterion(CriterionId.PRIOR_II, "(ii)", -1, _prior_ii, _prior_ii_array, symmetric_only=True),
-    Criterion(CriterionId.PRIOR_III, "(iii)", -1, _prior_iii, _prior_iii_array,
-              symmetric_only=True),
-    Criterion(CriterionId.PRIOR_VII, "(vii)", -1, _prior_vii, _prior_vii_array,
-              symmetric_only=True),
-    Criterion(CriterionId.PRIOR_VIII, "(viii)", -1, _prior_viii, _prior_viii_array,
-              symmetric_only=True),
+    Criterion(CriterionId.N1, "N1", -1, _in_n1),
+    Criterion(CriterionId.N2, "N2", -1, _in_n2),
+    Criterion(CriterionId.NEG3, "neg3", -1, _in_neg3),
+    Criterion(CriterionId.S1, "S1", -1, _in_s1, symmetric_only=True),
+    Criterion(CriterionId.S2, "S2", -1, _in_s2, symmetric_only=True),
+    Criterion(CriterionId.DEG_NEG, "degenerate", -1, _in_degenerate, reflectable=False),
+    Criterion(CriterionId.POS1, "pos1", +1, _in_pos1, reflectable=False),
+    Criterion(CriterionId.DEG_POS, "degenerate (reflected)", +1, _in_degenerate,
+              reflectable=False, at_reflection=True),
+    Criterion(CriterionId.PRIOR_I, "(i)", -1, _in_prior_i, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_II, "(ii)", -1, _in_prior_ii, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_III, "(iii)", -1, _in_prior_iii, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_VII, "(vii)", -1, _in_prior_vii, symmetric_only=True),
+    Criterion(CriterionId.PRIOR_VIII, "(viii)", -1, _in_prior_viii, symmetric_only=True),
 )
 
 
-@dataclass(frozen=True)
-class CriterionHits:
-    """Every row of :data:`CRITERIA` evaluated at one point.
-
-    ``direct`` maps each row to its hit where the row is read (p, or
-    ``reflect(p)`` for ``at_reflection`` rows); ``reflected`` maps each
-    ``reflectable`` row to its hit at ``reflect(p)``.  Both follow table
-    order.
-    """
-
-    params: CompetitionParams
-    direct: dict[CriterionId, bool]
-    reflected: dict[CriterionId, bool]
-
-    def verdict(self) -> SignVerdict:
-        """Fold the hits into one sign verdict.
-
-        A reflected hit certifies the opposite of its row's polarity.  Hits
-        of both polarities at once are impossible for correct criteria, so
-        that case raises :class:`PolarityConflictError`.
-        """
-        direct = {-1: [], +1: []}
-        mirrored = {-1: [], +1: []}
-        for row in CRITERIA:
-            if self.direct[row.id]:
-                direct[row.polarity].append(row.id)
-            if self.reflected.get(row.id):
-                mirrored[-row.polarity].append(row.id)
-        negative = tuple(direct[-1] + mirrored[-1])
-        positive = tuple(direct[+1] + mirrored[+1])
-        if negative and positive:
-            raise PolarityConflictError(
-                f"criteria of both polarities fired at {self.params}: "
-                f"negative={negative}, positive={positive}"
-            )
-        if negative:
-            return SignVerdict(Sign.NEGATIVE, negative, tuple(mirrored[-1]))
-        if positive:
-            return SignVerdict(Sign.POSITIVE, positive, tuple(mirrored[+1]))
-        return SignVerdict(Sign.INCONCLUSIVE, ())
-
-
-def evaluate_criteria(params: CompetitionParams) -> CriterionHits:
-    """Evaluate the criterion table once at ``params`` and once at its reflection."""
-    mirror = reflect(params)
-    direct = {}
-    for row in CRITERIA:
-        point = mirror if row.at_reflection else params
-        direct[row.id] = (not row.symmetric_only or point.symmetric) and row.predicate(point)
-    reflected = {
-        row.id: (not row.symmetric_only or mirror.symmetric) and row.predicate(mirror)
-        for row in CRITERIA
-        if row.reflectable
-    }
-    return CriterionHits(params, direct, reflected)
-
-
-# The sign codes of the array path.
+# The sign codes of :meth:`CriterionHits.signs`.
 SIGN_OF_CODE = {-1: Sign.NEGATIVE, 0: Sign.INCONCLUSIVE, +1: Sign.POSITIVE}
 
 
 @dataclass(frozen=True)
-class CriterionArrays:
+class CriterionHits:
     """Every row of :data:`CRITERIA` evaluated on the points of a :class:`ParamArrays`.
 
-    The array form of :class:`CriterionHits`: ``direct`` and ``reflected``
-    hold one bool array per row, each of the points' broadcast shape.
+    ``direct`` maps each row to its hits where the row is read (p, or
+    ``reflect(p)`` for ``at_reflection`` rows); ``reflected`` maps each
+    ``reflectable`` row to its hits at ``reflect(p)``.  Both follow table
+    order, and each hit has the points' broadcast shape: a numpy bool for
+    one point, a bool array for many.
     """
 
     params: ParamArrays
@@ -546,7 +434,7 @@ class CriterionArrays:
     def signs(self) -> np.ndarray:
         """The verdict's sign at every point, as codes of :data:`SIGN_OF_CODE`.
 
-        Folds the hits as :meth:`CriterionHits.verdict` does, and raises
+        Folds the hits as :meth:`verdict` does, and raises
         :class:`PolarityConflictError` where it would.
         """
         votes = {-1: np.zeros(self.params.shape, bool), +1: np.zeros(self.params.shape, bool)}
@@ -557,33 +445,63 @@ class CriterionArrays:
         negative, positive = votes[-1], votes[+1]
         conflict = negative & positive
         if conflict.any():
-            at = np.unravel_index(np.argmax(conflict), conflict.shape)
-            fields = (self.params.d, self.params.r, self.params.k1, self.params.k2)
-            point = [float(np.broadcast_to(v, conflict.shape)[at]) for v in fields]
-            raise PolarityConflictError(
-                f"criteria of both polarities fired at (d, r, k1, k2) = {point}"
-            )
+            raise self._conflict(np.unravel_index(np.argmax(conflict), conflict.shape))
         return positive.astype(np.int8) - negative.astype(np.int8)
 
+    def verdict(self, index: tuple[int, ...] = ()) -> SignVerdict:
+        """Fold the hits at one point into a sign verdict.
 
-def evaluate_criteria_arrays(params: ParamArrays) -> CriterionArrays:
-    """:func:`evaluate_criteria` on many points at once, one array per row."""
+        ``index`` picks the point in the points' shape; the default () is
+        the point of a single-point evaluation.  A reflected hit certifies
+        the opposite of its row's polarity.  Hits of both polarities at once
+        are impossible for correct criteria, so that case raises
+        :class:`PolarityConflictError`.
+        """
+        direct = {-1: [], +1: []}
+        mirrored = {-1: [], +1: []}
+        for row in CRITERIA:
+            if self.direct[row.id][index]:
+                direct[row.polarity].append(row.id)
+            if row.id in self.reflected and self.reflected[row.id][index]:
+                mirrored[-row.polarity].append(row.id)
+        negative = tuple(direct[-1] + mirrored[-1])
+        positive = tuple(direct[+1] + mirrored[+1])
+        if negative and positive:
+            raise self._conflict(index, f": negative={negative}, positive={positive}")
+        if negative:
+            return SignVerdict(Sign.NEGATIVE, negative, tuple(mirrored[-1]))
+        if positive:
+            return SignVerdict(Sign.POSITIVE, positive, tuple(mirrored[+1]))
+        return SignVerdict(Sign.INCONCLUSIVE, ())
+
+    def _conflict(self, index: tuple[int, ...], detail: str = "") -> PolarityConflictError:
+        return PolarityConflictError(
+            f"criteria of both polarities fired at {self.params.at(index)}{detail}"
+        )
+
+
+def evaluate_criteria(params: CompetitionParams | ParamArrays) -> CriterionHits:
+    """Read every row of the table at ``params`` and, where reflectable, at its reflection.
+
+    ``params`` is one point (a :class:`CompetitionParams`) or many (a
+    :class:`ParamArrays`); either is read as a ParamArrays.
+    """
+    params = ParamArrays(params.d, params.r, params.k1, params.k2)
     mirror = reflect(params)
     shape = params.shape
 
     def read(row: Criterion, point: ParamArrays) -> np.ndarray:
-        hit = row.array_predicate(point)
+        hit = row.predicate(point)
         if row.symmetric_only:
             hit = hit & point.symmetric
-        return np.broadcast_to(hit, shape)
+        return hit if hit.shape == shape else np.broadcast_to(hit, shape)
 
-    # Branches a mask discards may divide by zero; those values are never read.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _masked():
         direct = {
             row.id: read(row, mirror if row.at_reflection else params) for row in CRITERIA
         }
         reflected = {row.id: read(row, mirror) for row in CRITERIA if row.reflectable}
-    return CriterionArrays(params, direct, reflected)
+    return CriterionHits(params, direct, reflected)
 
 
 def classify(params: CompetitionParams) -> SignVerdict:
@@ -607,8 +525,8 @@ def kstar_bounds(d: float, r: float, k2: float) -> ThresholdBounds:
     if d <= 0.0 or r <= 0.0 or k2 <= 1.0:
         raise ValueError("kstar_bounds requires d, r > 0 and k2 > 1")
     return ThresholdBounds(
-        k_lower=1.0 + pos1_margin(d, r, k2),
-        k_upper=neg3_threshold(d, r, k2),
+        k_lower=float(1.0 + pos1_margin(d, r, k2)),
+        k_upper=float(neg3_threshold(d, r, k2)),
     )
 
 
@@ -625,13 +543,22 @@ def _covers_all_ratios(k1: float, k2: float) -> bool:
 
 
 def _sampled_coverage_check(k1: float, k2: float, n: int = 25) -> bool:
-    """Safety net: spot-check classify() over a log-uniform ratio ladder."""
-    for i in range(n):
-        ratio = 10.0 ** (-6.0 + 12.0 * i / (n - 1))
-        verdict = classify(CompetitionParams(ratio, 1.0, k1, k2))
-        if verdict.sign is not Sign.NEGATIVE:
-            return False
-    return True
+    """Safety net: spot-check the verdict over a log-uniform ratio ladder."""
+    ratios = [10.0 ** (-6.0 + 12.0 * i / (n - 1)) for i in range(n)]
+    signs = evaluate_criteria(ParamArrays(ratios, 1.0, k1, k2)).signs()
+    return bool(np.all(signs == -1))
+
+
+def _bisect(covers: Callable[[float], bool], good: float, bad: float, rtol: float) -> float:
+    """Halve [good, bad] (either order) until its width is ``rtol`` of its upper
+    end, keeping ``covers(good)``; returns ``good``."""
+    while abs(good - bad) > rtol * max(good, bad):
+        mid = 0.5 * (good + bad)
+        if covers(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def determinacy_thresholds(
@@ -664,36 +591,18 @@ def determinacy_thresholds(
             raise SearchCapExceeded(
                 f"no k1 <= {search_cap:g} certifies c < 0 for all d/r at k2={k2:g}"
             )
-    while (hi - lo) > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if _covers_all_ratios(mid, k2):
-            hi = mid
-        else:
-            lo = mid
-    k1_dstar = hi
+    k1_dstar = _bisect(lambda k1: _covers_all_ratios(k1, k2), hi, lo, rtol)
 
     # Positive side: largest k1 < sqrt(k2) whose reflection has full coverage.
     hi_p = math.sqrt(k2)  # coverage fails at the boundary k2 = k1^2
-    lo_p = None
     step = (hi_p - 1.0) / 2.0
-    probe = 1.0 + step
     for _ in range(60):
-        if _covers_all_ratios(k2, probe):
-            lo_p = probe
+        if _covers_all_ratios(k2, 1.0 + step):
             break
         step /= 2.0
-        probe = 1.0 + step
-    if lo_p is None:
-        raise SearchCapExceeded(
-            f"no k1 > 1 certifies c > 0 for all d/r at k2={k2:g}"
-        )
-    while (hi_p - lo_p) > rtol * hi_p:
-        mid = 0.5 * (lo_p + hi_p)
-        if _covers_all_ratios(k2, mid):
-            lo_p = mid
-        else:
-            hi_p = mid
-    k1_star = lo_p
+    else:
+        raise SearchCapExceeded(f"no k1 > 1 certifies c > 0 for all d/r at k2={k2:g}")
+    k1_star = _bisect(lambda k1: _covers_all_ratios(k2, k1), 1.0 + step, hi_p, rtol)
 
     if not _sampled_coverage_check(k1_dstar * (1.0 + 10.0 * rtol), k2):
         raise PolarityConflictError(

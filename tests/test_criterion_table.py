@@ -1,4 +1,4 @@
-"""The criterion table against a fold over the public predicates."""
+"""The criterion table against the scalar reference in ``reference_criteria``."""
 
 import math
 from dataclasses import replace
@@ -18,21 +18,14 @@ from wavespeed.theory import (
     SignVerdict,
     _n1_ratio_bound,
     classify,
-    criterion_degenerate,
-    criterion_n1,
-    criterion_n2,
-    criterion_neg3,
-    criterion_pos1,
-    criterion_s1_s2,
     degenerate_ratio_bound,
     evaluate_criteria,
-    evaluate_criteria_arrays,
     m_of_k,
     neg3_threshold,
     pos1_margin,
-    prior_regions,
-    reflect,
 )
+
+import reference_criteria as ref
 
 # Report order of the negative criteria and of their reflections.
 NEGATIVE_ORDER = (
@@ -44,25 +37,25 @@ REFLECTED_ORDER = tuple(cid for cid in NEGATIVE_ORDER if cid is not C.DEG_NEG)
 
 def negative_hits(p):
     hits = {
-        C.N1: criterion_n1(p),
-        C.N2: criterion_n2(p),
-        C.NEG3: criterion_neg3(p),
-        C.DEG_NEG: criterion_degenerate(p),
+        C.N1: ref.criterion_n1(p),
+        C.N2: ref.criterion_n2(p),
+        C.NEG3: ref.criterion_neg3(p),
+        C.DEG_NEG: ref.criterion_degenerate(p),
     }
     if p.symmetric:
-        hits[C.S1], hits[C.S2] = criterion_s1_s2(p.d, p.k1)
-        hits.update(prior_regions(p.d, p.k1))
+        hits[C.S1], hits[C.S2] = ref.criterion_s1_s2(p.d, p.k1)
+        hits.update(ref.prior_regions(p.d, p.k1))
     return hits
 
 
 def reference_classify(p):
     """Negative criteria at p and reflect(p), plus pos1 and the reflected degenerate."""
     direct = negative_hits(p)
-    mirrored = negative_hits(reflect(p))
+    mirrored = negative_hits(ref.reflect(p))
     negative = tuple(cid for cid in NEGATIVE_ORDER if direct.get(cid))
     pos_reflected = tuple(cid for cid in REFLECTED_ORDER if mirrored.get(cid))
     positive = (
-        (C.POS1,) * criterion_pos1(p) + (C.DEG_POS,) * mirrored[C.DEG_NEG] + pos_reflected
+        (C.POS1,) * ref.criterion_pos1(p) + (C.DEG_POS,) * mirrored[C.DEG_NEG] + pos_reflected
     )
     if negative and positive:
         raise PolarityConflictError(p)
@@ -211,7 +204,8 @@ def arrays_of(points):
 
 
 class TestArrayPathMatchesScalar:
-    """``evaluate_criteria_arrays`` equals ``evaluate_criteria`` point by point."""
+    """``evaluate_criteria``, on arrays and at each single point, equals the
+    scalar reference point by point."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(
@@ -230,32 +224,41 @@ class TestArrayPathMatchesScalar:
               validate(8.0, 1.0, 1.75, 1.75), validate(4.0, 1.0, 1.8, 1.8),
               validate(5.5, 1.0, 1.9, 1.9)])
     def test_every_hit_and_the_sign(self, points):
+        scalar = [ref.evaluate(p) for p in points]
         try:
-            scalar = [evaluate_criteria(p) for p in points]
-            verdicts = [hits.verdict() for hits in scalar]
+            verdicts = [ref.verdict(p, *hits) for p, hits in zip(points, scalar)]
         except PolarityConflictError:
             with pytest.raises(PolarityConflictError):
-                evaluate_criteria_arrays(arrays_of(points)).signs()
+                evaluate_criteria(arrays_of(points)).signs()
             return
-        arrays = evaluate_criteria_arrays(arrays_of(points))
+        arrays = evaluate_criteria(arrays_of(points))
         signs = arrays.signs()
         assert list(arrays.direct) == [row.id for row in CRITERIA]
         assert list(arrays.reflected) == [row.id for row in CRITERIA if row.reflectable]
-        for i, (hits, verdict) in enumerate(zip(scalar, verdicts)):
-            assert {cid: bool(hit[i]) for cid, hit in arrays.direct.items()} == hits.direct
-            assert {cid: bool(hit[i]) for cid, hit in arrays.reflected.items()} == hits.reflected
+        for i, (p, (direct, reflected), verdict) in enumerate(zip(points, scalar, verdicts)):
+            assert {cid: bool(hit[i]) for cid, hit in arrays.direct.items()} == direct
+            assert {cid: bool(hit[i]) for cid, hit in arrays.reflected.items()} == reflected
             assert SIGN_OF_CODE[int(signs[i])] is verdict.sign
+            assert arrays.verdict((i,)) == verdict
+            single = evaluate_criteria(p)
+            assert {cid: bool(hit) for cid, hit in single.direct.items()} == direct
+            assert {cid: bool(hit) for cid, hit in single.reflected.items()} == reflected
+            assert single.verdict() == verdict
 
     def test_conflicting_point_raises(self, monkeypatch):
         # pos1 forced on where N1 holds gives both polarities at one point.
         from wavespeed import theory
 
         rows = tuple(
-            replace(row, array_predicate=lambda p: np.ones(p.shape, bool))
+            replace(row, predicate=lambda p: np.ones(p.shape, bool))
             if row.id is C.POS1 else row
             for row in CRITERIA
         )
         monkeypatch.setattr(theory, "CRITERIA", rows)
-        hits = evaluate_criteria_arrays(arrays_of([validate(11, 1, 3, 3)]))
+        hits = evaluate_criteria(arrays_of([validate(11, 1, 3, 3)]))
         with pytest.raises(PolarityConflictError, match="11.0"):
             hits.signs()
+        with pytest.raises(PolarityConflictError, match="11.0"):
+            hits.verdict((0,))
+        with pytest.raises(PolarityConflictError, match="11.0"):
+            classify(validate(11, 1, 3, 3))

@@ -212,7 +212,7 @@ class TestEmission:
 
     def test_svg_wellformed_with_groups(self, tmp_path, sym_samples):
         path = tmp_path / "scan.svg"
-        emit_svg(sym_samples, path, {"x_scale": "linear", "y_scale": "linear"})
+        emit_svg(sym_samples, path)
         tree = ET.parse(path)  # raises on malformed XML
         root = tree.getroot()
         assert root.tag.endswith("svg")
@@ -238,16 +238,23 @@ class TestEmission:
         )
         ds = figure2_dataset(spec)
         path = tmp_path / "fig2.svg"
-        emit_svg(
-            ds.samples, path,
-            {"x_scale": "log", "y_scale": "log", "reference_x": ds.reference_k1},
-        )
+        emit_svg(ds.samples, path, {"reference_x": ds.reference_k1})
         root = ET.parse(path).getroot()
         lines = [
             el for el in root.iter()
             if el.tag.endswith("line")
         ]
         assert len(lines) >= 3
+
+    def test_svg_tick_labels_follow_the_plane_scales(self, tmp_path):
+        # The default k1d plane is log-spaced: its middle column is
+        # k1 = sqrt(1.02 * 100) = 10.1, where a linear axis would read 50.51.
+        path = tmp_path / "log.svg"
+        emit_svg(scan_plane(plane_spec("k1d", nx=5, ny=3)), path)
+        root = ET.parse(path).getroot()
+        labels = next(el for el in root.iter() if el.get("id") == "labels")
+        x_labels = [el.text for el in labels if el.get("text-anchor") == "middle"]
+        assert x_labels[2] == "10.1"
 
 
 SYM_HEADER = (
@@ -329,3 +336,20 @@ class TestGoldenOutput:
         capsys.readouterr()
         assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256((tmp_path / "scan.svg").read_bytes()).hexdigest() == svg_sha
+
+
+# sha256 of the stdout and exit code of `wavespeed classify` on points that
+# cover every verdict: N1/neg3/S1, pos1 beside reflected hits, region (i)
+# with N2/S2/(viii), the inconclusive symmetric fixed point, and N2 alone.
+CLASSIFY_POINTS = [(11, 1, 3, 3), (1 / 11, 1, 3, 3), (5.5, 1, 11 / 6, 11 / 6),
+                   (1, 1, 2, 2), (7, 1, 1.8, 2)]
+CLASSIFY_GOLDEN = "cd345de38cddb12d304526f03905e6e6008ede17dc0ba7330ae9faba3ff5c4bb"
+
+
+class TestClassifyGoldenOutput:
+    def test_classify_bytes(self, capsys):
+        digest = hashlib.sha256()
+        for point in CLASSIFY_POINTS:
+            code = cli.main(["classify", *(repr(float(v)) for v in point)])
+            digest.update(f"exit {code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == CLASSIFY_GOLDEN
