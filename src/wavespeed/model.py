@@ -25,6 +25,13 @@ class ParameterError(ValueError):
     """Parameters violate positivity or the strong-competition condition."""
 
 
+def check_positive(**values: float) -> None:
+    """Raise ParameterError unless every keyword value is finite and positive."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CompetitionParams:
     """Validated (d, r, k1, k2) tuple; k1 > 1 and k2 > 1 strictly."""

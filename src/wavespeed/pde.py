@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import CompetitionParams, ParameterError, reaction_f, reaction_g
+from .model import CompetitionParams, ParameterError, check_positive, reaction_f, reaction_g
 
 
 class SimulationError(RuntimeError):
@@ -45,8 +45,7 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if self.half_length <= 0.0:
-            raise ParameterError("half_length must be positive")
+        check_positive(half_length=self.half_length)
         if self.n_points < 3:
             raise ParameterError("n_points must be at least 3")
 
@@ -76,7 +75,8 @@ class SimConfig:
     fit_window: float = 0.5
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= self.dt:
+        check_positive(dt=self.dt, t_end=self.t_end)
+        if self.t_end <= self.dt:
             raise ParameterError("need 0 < dt < t_end")
         if not (0.0 < self.front_level < 1.0):
             raise ParameterError("front_level must be in (0, 1)")
@@ -88,22 +88,10 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
 
-def default_config(
-    L: float = 200.0,
-    dx: float = 0.1,
-    dt: float = 0.02,
-    t_end: float = 400.0,
-    front_level: float = 0.5,
-    fit_window: float = 0.5,
-) -> SimConfig:
-    n = int(round(2.0 * L / dx)) + 1
-    return SimConfig(
-        grid=Grid1D(L, n),
-        dt=dt,
-        t_end=t_end,
-        front_level=front_level,
-        fit_window=fit_window,
-    )
+def default_config(L: float = 200.0, dx: float = 0.1, **settings) -> SimConfig:
+    """Grid of half-length ``L`` and spacing ``dx``; ``settings`` are SimConfig fields."""
+    check_positive(L=L, dx=dx)
+    return SimConfig(grid=Grid1D(L, int(round(2.0 * L / dx)) + 1), **settings)
 
 
 @dataclass(frozen=True)
@@ -122,10 +110,10 @@ class SpeedEstimate:
     converged: bool
 
 
-def step_profile(grid: Grid1D, width_cells: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
-    """Initial data: a step from (0,0) to (1,1) smoothed over ``width_cells`` cells."""
+def step_profile(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """Initial data: a step from (0,0) to (1,1) smoothed over five cells."""
     xs = grid.xs()
-    u0 = 0.5 * (1.0 + np.tanh(xs / (width_cells * grid.dx)))
+    u0 = 0.5 * (1.0 + np.tanh(xs / (5.0 * grid.dx)))
     return u0, u0.copy()
 
 
@@ -136,37 +124,6 @@ def _banded_matrix(n_interior: int, rc: float) -> np.ndarray:
     ab[1, :] = 1.0 + 2.0 * rc
     ab[2, :-1] = -rc
     return ab
-
-
-class _Stepper:
-    """One semi-implicit time step; boundary values are clamped to the initial ones."""
-
-    def __init__(self, params: CompetitionParams, config: SimConfig,
-                 u0: np.ndarray, v0: np.ndarray):
-        dx = config.grid.dx
-        dt = config.dt
-        self.params = params
-        self.dt = dt
-        self.rc_u = dt / (dx * dx)
-        self.rc_v = params.d * dt / (dx * dx)
-        n_int = config.grid.n_points - 2
-        self.ab_u = _banded_matrix(n_int, self.rc_u)
-        self.ab_v = _banded_matrix(n_int, self.rc_v)
-        self.u_bc = (float(u0[0]), float(u0[-1]))
-        self.v_bc = (float(v0[0]), float(v0[-1]))
-
-    def advance(self, u: np.ndarray, v: np.ndarray) -> None:
-        p, dt = self.params, self.dt
-        rhs_u = u[1:-1] + dt * reaction_f(u[1:-1], v[1:-1], p)
-        rhs_v = v[1:-1] + dt * p.r * reaction_g(u[1:-1], v[1:-1], p)
-        rhs_u[0] += self.rc_u * self.u_bc[0]
-        rhs_u[-1] += self.rc_u * self.u_bc[1]
-        rhs_v[0] += self.rc_v * self.v_bc[0]
-        rhs_v[-1] += self.rc_v * self.v_bc[1]
-        u[1:-1] = solve_banded((1, 1), self.ab_u, rhs_u,
-                               overwrite_b=True, check_finite=False)
-        v[1:-1] = solve_banded((1, 1), self.ab_v, rhs_v,
-                               overwrite_b=True, check_finite=False)
 
 
 def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
@@ -183,14 +140,28 @@ def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
 
 def _march(params: CompetitionParams, config: SimConfig,
            u: np.ndarray, v: np.ndarray, every: int):
-    """Advance (u, v) in place to ``config.t_end``, checking every step.
+    """Advance (u, v) in place to ``config.t_end`` by semi-implicit steps,
+    checking every step.  Only interior nodes are written, so the boundary
+    values stay clamped to the initial ones.
 
     Yields the time after every ``every``-th step and after the last one.
     """
-    stepper = _Stepper(params, config, u, v)
+    dt, dx = config.dt, config.grid.dx
+    rc_u = dt / (dx * dx)
+    rc_v = params.d * dt / (dx * dx)
+    n_int = config.grid.n_points - 2
+    ab_u = _banded_matrix(n_int, rc_u)
+    ab_v = _banded_matrix(n_int, rc_v)
     n_steps = config.n_steps
     for k in range(1, n_steps + 1):
-        stepper.advance(u, v)
+        rhs_u = u[1:-1] + dt * reaction_f(u[1:-1], v[1:-1], params)
+        rhs_v = v[1:-1] + dt * params.r * reaction_g(u[1:-1], v[1:-1], params)
+        rhs_u[0] += rc_u * u[0]
+        rhs_u[-1] += rc_u * u[-1]
+        rhs_v[0] += rc_v * v[0]
+        rhs_v[-1] += rc_v * v[-1]
+        u[1:-1] = solve_banded((1, 1), ab_u, rhs_u, overwrite_b=True, check_finite=False)
+        v[1:-1] = solve_banded((1, 1), ab_v, rhs_v, overwrite_b=True, check_finite=False)
         t = k * config.dt
         _check_fields(u, v, t)
         if k % every == 0 or k == n_steps:
@@ -323,5 +294,5 @@ def dump_trajectory(
     with open(path, "w") as fh:
         fh.write("t,x,u,v\n")
         for t, u, v in frames:
-            for x, uu, vv in zip(xs, u, v):
-                fh.write(f"{t:.12g},{x:.12g},{uu:.12g},{vv:.12g}\n")
+            np.savetxt(fh, np.column_stack([np.full_like(xs, t), xs, u, v]),
+                       fmt="%.12g", delimiter=",")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError
+from .model import ParameterError, check_positive
 from . import theory
 from .theory import CriterionId, SignVerdict
 from . import pde
@@ -62,12 +62,15 @@ class ScanSpec:
             if scale not in ("linear", "log"):
                 raise ParameterError(f"unknown scale {scale!r}")
         (xlo, xhi), (ylo, yhi) = self.x_range, self.y_range
-        if not (0.0 < xlo < xhi and 0.0 < ylo < yhi):
-            raise ParameterError("ranges must be positive and increasing")
+        if not (0.0 < xlo < xhi < math.inf and 0.0 < ylo < yhi < math.inf):
+            raise ParameterError("ranges must be finite, positive and increasing")
+        check_positive(r=self.r)
+        if not (1.0 < self.k2 < math.inf and self.pde_stride >= 1):
+            raise ParameterError("need finite k2 > 1 and pde_stride >= 1")
         if self.plane == "sym" and ylo <= 1.0:
             raise ParameterError("symmetric plane requires k > 1")
-        if self.plane == "k1d" and (xlo <= 1.0 or self.k2 <= 1.0):
-            raise ParameterError("k1d plane requires k1 > 1 and k2 > 1")
+        if self.plane == "k1d" and xlo <= 1.0:
+            raise ParameterError("k1d plane requires k1 > 1")
 
     def x_values(self) -> np.ndarray:
         return _axis(self.x_range, self.nx, self.x_scale)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompetitionParams, ParameterError, reaction_f, reaction_g
+from .model import CompetitionParams, ParameterError, check_positive, reaction_f, reaction_g
 from .theory import m_of_k
 
 
@@ -39,6 +39,11 @@ class QuadratureError(RuntimeError):
 
 class GridResolutionError(RuntimeError):
     """Tabulated profile too coarse for trustworthy derivative checks."""
+
+
+def _scalar_or_array(x, out):
+    """``out`` as a float when ``x`` is a scalar, else the array itself."""
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def alpha_p(p: float) -> float:
@@ -64,10 +69,7 @@ def h_p(s, p: float):
     s_arr = np.asarray(s, dtype=float)
     s_pos = np.maximum(s_arr, 0.0)
     pos = s_arr * (1.0 - s_arr) * (np.power(s_pos, p - 1.0) - a)
-    out = np.where(s_arr >= 0.0, pos, -a * s_arr)
-    if np.ndim(s) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(s, np.where(s_arr >= 0.0, pos, -a * s_arr))
 
 
 def first_integral(s, p: float):
@@ -78,15 +80,12 @@ def first_integral(s, p: float):
     """
     a = alpha_p(p)
     s_arr = np.asarray(s, dtype=float)
-    out = (
+    return _scalar_or_array(s, (
         a * s_arr**2
         - (2.0 / 3.0) * a * s_arr**3
         - 2.0 * np.power(s_arr, p + 1.0) / (p + 1.0)
         + 2.0 * np.power(s_arr, p + 2.0) / (p + 2.0)
-    )
-    if np.ndim(s) == 0:
-        return float(out)
-    return out
+    ))
 
 
 @dataclass(frozen=True)
@@ -95,23 +94,18 @@ class SigmoidProfile:
 
     ``xs`` is strictly increasing, with sigma below 1e-6 at the left end and
     above 1 - 1e-6 at the right end; ``dsigma`` holds sigma' at the nodes.
-    ``normalization`` is the position where sigma crosses 1/2 (0 by
-    construction).  ``quad_error`` is the measured quadrature error bound.
+    ``quad_error`` is the measured quadrature error bound.
     """
 
     p: float
     xs: np.ndarray
     sigma: np.ndarray
     dsigma: np.ndarray
-    normalization: float
     quad_error: float
-    splice: float
 
     def save_table(self, path) -> None:
         """Write the profile as two-column (x, sigma) text, 12 significant digits."""
-        with open(path, "w") as fh:
-            for x, s in zip(self.xs, self.sigma):
-                fh.write(f"{x:.12g} {s:.12g}\n")
+        np.savetxt(path, np.column_stack([self.xs, self.sigma]), fmt="%.12g")
 
 
 def _cumulative_positions(s: np.ndarray, p: float, order: int) -> np.ndarray:
@@ -125,17 +119,21 @@ def _cumulative_positions(s: np.ndarray, p: float, order: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
+# sigma level below which (and 1 - sigma level above which) the profile
+# follows its linearized exponential tails.
+_SPLICE = 1e-4
+
+
 def sigma_profile(
     p: float,
     tol: float = 1e-9,
     span: float = 40.0,
-    splice: float = 1e-4,
     points_per_decade: int = 2000,
     tail_dx: float = 0.01,
 ) -> SigmoidProfile:
     """Tabulate the monotone standing profile of sigma'' + h_p(sigma) = 0.
 
-    The core region splice <= sigma <= 1 - splice is parameterized by sigma
+    The core region _SPLICE <= sigma <= 1 - _SPLICE is parameterized by sigma
     (log-graded toward both ends) and positions come from quadrature of
     dx = dsigma / sqrt(G(sigma)); the grading keeps the x-spacing roughly
     uniform.  Beyond the splice levels the integrand is nearly singular, so
@@ -150,13 +148,12 @@ def sigma_profile(
     """
     if p <= 1.0:
         raise ValueError(f"sigma_profile requires p > 1, got {p!r}")
-    if tol <= 0.0 or span <= 0.0 or not (0.0 < splice <= 1e-3):
-        raise ValueError("invalid tol/span/splice")
+    check_positive(tol=tol, span=span)
 
-    decades = math.log10(0.5 / splice)
+    decades = math.log10(0.5 / _SPLICE)
     n_side = max(8, math.ceil(points_per_decade * decades))
-    s_lo = np.geomspace(splice, 0.5, n_side + 1)
-    s_hi = 1.0 - np.geomspace(0.5, splice, n_side + 1)
+    s_lo = np.geomspace(_SPLICE, 0.5, n_side + 1)
+    s_hi = 1.0 - np.geomspace(0.5, _SPLICE, n_side + 1)
     s = np.concatenate([s_lo, s_hi[1:]])
 
     x = _cumulative_positions(s, p, order=12)
@@ -193,15 +190,7 @@ def sigma_profile(
     xs = np.concatenate([xs_l, x, xs_r])
     sigma = np.concatenate([sig_l, s, sig_r])
     dsigma = np.concatenate([lam_l * sig_l, ds, lam_r * eps])
-    return SigmoidProfile(
-        p=float(p),
-        xs=xs,
-        sigma=sigma,
-        dsigma=dsigma,
-        normalization=0.0,
-        quad_error=quad_error,
-        splice=float(splice),
-    )
+    return SigmoidProfile(p=float(p), xs=xs, sigma=sigma, dsigma=dsigma, quad_error=quad_error)
 
 
 @dataclass(frozen=True)
@@ -212,8 +201,23 @@ class SupersolCandidate:
     a: float
 
     def __post_init__(self):
-        if self.p <= 1.0 or self.a <= 0.0:
-            raise ParameterError("candidate requires p > 1 and a > 0")
+        if not (1.0 < self.p < math.inf and 0.0 < self.a < math.inf):
+            raise ParameterError(
+                f"candidate requires finite p > 1 and a > 0, got p={self.p!r}, a={self.a!r}"
+            )
+
+
+def _a2_bounds(p: float, params: CompetitionParams) -> tuple[float, float, float, float, float]:
+    """The bounds (a_hi, b_lo, c_hi, d_lo, d_hi) that (a)-(d) put on a^2 at exponent p."""
+    k1, ratio = params.k1, params.ratio
+    pp = (p + 1.0) * (p + 2.0)
+    return (
+        pp * (k1 - 1.0) / (6.0 * p * p),
+        pp * (p - k1) / (p * (p - 1.0) * (p + 4.0)),
+        (2.0 * k1 - p) / (2.0 * p),
+        (params.k2 - 1.0) * pp / (ratio * (p - 1.0) * (p + 4.0)),
+        pp / (6.0 * ratio),
+    )
 
 
 def admissibility_conditions(
@@ -221,27 +225,23 @@ def admissibility_conditions(
 ) -> tuple[bool, bool, bool, bool]:
     """The four admissibility conditions (a)-(d) for the smooth family.
 
-    With a2 = a^2:
+    With a2 = a^2 and ratio = d/r:
 
     (a) a2 <  (p+1)(p+2)(k1-1) / (6 p^2)
     (b) p <= k1, or p > k1 and a2 >= (p+1)(p+2)(p-k1) / (p (p-1)(p+4))
     (c) p < 2 k1 and a2 <= (2 k1 - p) / (2 p)
-    (d) (r/d)(k2-1)(p+1)(p+2) / ((p-1)(p+4)) <= a2 <= (r/d)(p+1)(p+2)/6
+    (d) (k2-1)(p+1)(p+2) / (ratio (p-1)(p+4)) <= a2 <= (p+1)(p+2) / (6 ratio)
 
     Comparisons are exact, strict where stated.
     """
     p, a2 = cand.p, cand.a * cand.a
-    k1, k2, d, r = params.k1, params.k2, params.d, params.r
-    pp = (p + 1.0) * (p + 2.0)
-    cond_a = a2 < pp * (k1 - 1.0) / (6.0 * p * p)
-    cond_b = p <= k1 or a2 >= pp * (p - k1) / (p * (p - 1.0) * (p + 4.0))
-    cond_c = p < 2.0 * k1 and a2 <= (2.0 * k1 - p) / (2.0 * p)
-    cond_d = (
-        (r / d) * (k2 - 1.0) * pp / ((p - 1.0) * (p + 4.0))
-        <= a2
-        <= (r / d) * pp / 6.0
+    a_hi, b_lo, c_hi, d_lo, d_hi = _a2_bounds(p, params)
+    return (
+        a2 < a_hi,
+        p <= params.k1 or a2 >= b_lo,
+        p < 2.0 * params.k1 and a2 <= c_hi,
+        d_lo <= a2 <= d_hi,
     )
-    return cond_a, cond_b, cond_c, cond_d
 
 
 def abc_coefficients(
@@ -291,9 +291,7 @@ class SupersolutionTable:
     def save_tables(self, prefix) -> None:
         """Write (x, phi) and (x, psi) two-column tables next to ``prefix``."""
         for name, values in (("phi", self.phi), ("psi", self.psi)):
-            with open(f"{prefix}_{name}.txt", "w") as fh:
-                for x, v in zip(self.xs, values):
-                    fh.write(f"{x:.12g} {v:.12g}\n")
+            np.savetxt(f"{prefix}_{name}.txt", np.column_stack([self.xs, values]), fmt="%.12g")
 
 
 def build_supersolution(
@@ -335,6 +333,18 @@ class ResidualReport:
     tol: float
     jump_phi: float | None = None
     jump_psi: float | None = None
+
+
+def _report(xs, I, J, tol: float, jumps: tuple[float, ...] = ()) -> ResidualReport:
+    """The maxima of residuals I and J sampled at ``xs`` and the verdict at
+    ``tol``; a piecewise profile adds its slope ``jumps`` (phi', psi')."""
+    check_positive(tol=tol)
+    i_max = int(np.argmax(I))
+    j_max = int(np.argmax(J))
+    max_I = float(I[i_max])
+    max_J = float(J[j_max])
+    certified = max_I <= tol and max_J <= tol and all(jump >= -tol for jump in jumps)
+    return ResidualReport(max_I, float(xs[i_max]), max_J, float(xs[j_max]), certified, tol, *jumps)
 
 
 def _fd_second_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -381,18 +391,7 @@ def residuals_IJ(
             f"finite-difference check of phi'' failed: {fd_err:.3e} > {deriv_check_tol:.3e}"
         )
 
-    i_max = int(np.argmax(I))
-    j_max = int(np.argmax(J))
-    max_I = float(I[i_max])
-    max_J = float(J[j_max])
-    return ResidualReport(
-        max_I=max_I,
-        x_at_max_I=float(table.xs[i_max]),
-        max_J=max_J,
-        x_at_max_J=float(table.xs[j_max]),
-        certified=(max_I <= tol and max_J <= tol),
-        tol=tol,
-    )
+    return _report(table.xs, I, J, tol)
 
 
 def choose_p_a(params: CompetitionParams) -> SupersolCandidate | None:
@@ -420,16 +419,12 @@ def choose_p_a(params: CompetitionParams) -> SupersolCandidate | None:
     if p <= m * (1.0 + 1e-12):
         p = m * (1.0 + 1e-9)
 
-    pp = (p + 1.0) * (p + 2.0)
-    ratio = params.ratio
-    lo = (k2 - 1.0) * pp / (ratio * (p - 1.0) * (p + 4.0))
-    hi = pp / (6.0 * ratio)
-    hi = min(hi, pp * (k1 - 1.0) / (6.0 * p * p))
     if p >= 2.0 * k1:
         return None
-    hi = min(hi, (2.0 * k1 - p) / (2.0 * p))
+    a_hi, b_lo, c_hi, lo, d_hi = _a2_bounds(p, params)
+    hi = min(d_hi, a_hi, c_hi)
     if p > k1:
-        lo = max(lo, pp * (p - k1) / (p * (p - 1.0) * (p + 4.0)))
+        lo = max(lo, b_lo)
     if lo > hi:
         return None
     cand = SupersolCandidate(p=p, a=math.sqrt(0.5 * (lo + hi)))
@@ -479,25 +474,29 @@ class DegenerateSupersol:
         """Common value of both pieces at the matching point."""
         return (1.0 - self.delta) / self.k2
 
+    def _left_piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, phi'') of the x < 0 piece: beta w, w = mu (1 - mu)."""
+        mu = 1.0 / (1.0 + np.exp(-self.gamma_ * (x - self.xi)))
+        w = mu * (1.0 - mu)
+        return self.beta_ * w, self.beta_ * self.gamma_**2 * w * (1.0 - 6.0 * w)
+
+    def _right_piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, phi'') of the x >= 0 piece: 1 - 6 w, w = lam (1 - lam)."""
+        lam = 1.0 / (1.0 + np.exp(-(x - self.eta)))
+        w = lam * (1.0 - lam)
+        return 1.0 - 6.0 * w, -6.0 * w * (1.0 - 6.0 * w)
+
     def phi(self, x):
         """Evaluate phi at scalar or array x."""
         x_arr = np.asarray(x, dtype=float)
-        mu = 1.0 / (1.0 + np.exp(-self.gamma_ * (x_arr - self.xi)))
-        lam = 1.0 / (1.0 + np.exp(-(x_arr - self.eta)))
-        left = self.beta_ * mu * (1.0 - mu)
-        right = 1.0 - 6.0 * lam * (1.0 - lam)
-        out = np.where(x_arr < 0.0, left, right)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        left, right = self._left_piece(x_arr)[0], self._right_piece(x_arr)[0]
+        return _scalar_or_array(x, np.where(x_arr < 0.0, left, right))
 
     def psi(self, x):
         """Evaluate psi at scalar or array x."""
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr < 0.0, self.k2 * self.phi(x_arr) + self.delta, 1.0)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        left = self.k2 * self._left_piece(x_arr)[0] + self.delta
+        return _scalar_or_array(x, np.where(x_arr < 0.0, left, 1.0))
 
 
 def delta_candidates(params: CompetitionParams) -> tuple[float, float, float]:
@@ -625,41 +624,16 @@ def degenerate_residuals(
 
     span_l = abs(ds.xi) + 40.0 / ds.gamma_ + 10.0
     xl = np.linspace(-span_l, 0.0, n)
-    mu = 1.0 / (1.0 + np.exp(-ds.gamma_ * (xl - ds.xi)))
-    w = mu * (1.0 - mu)
-    phi_l = ds.beta_ * w
-    phi_dd_l = ds.beta_ * ds.gamma_**2 * w * (1.0 - 6.0 * w)
+    phi_l, phi_dd_l = ds._left_piece(xl)
     psi_l = ds.k2 * phi_l + ds.delta
     I_l = phi_dd_l + reaction_f(phi_l, psi_l, params)
     J_l = ratio * ds.k2 * phi_dd_l + reaction_g(phi_l, psi_l, params)
 
     span_r = abs(ds.eta) + 40.0 + 10.0
     xr = np.linspace(0.0, span_r, n)
-    lam = 1.0 / (1.0 + np.exp(-(xr - ds.eta)))
-    wr = lam * (1.0 - lam)
-    phi_r = 1.0 - 6.0 * wr
-    phi_dd_r = -6.0 * wr * (1.0 - 6.0 * wr)
+    phi_r, phi_dd_r = ds._right_piece(xr)
     I_r = phi_dd_r + reaction_f(phi_r, 1.0, params)
+    # psi'' = 0 here; adding it turns the -0.0 zeros of g into +0.0.
     J_r = ratio * 0.0 + reaction_g(phi_r, 1.0, params)
-
-    xs = np.concatenate([xl, xr])
-    I = np.concatenate([I_l, I_r])
-    J = np.concatenate([J_l, J_r])
-    i_max = int(np.argmax(I))
-    j_max = int(np.argmax(J))
-    max_I = float(I[i_max])
-    max_J = float(J[j_max])
-    jump_phi, jump_psi = _degenerate_jumps(ds)
-    certified = (
-        max_I <= tol and max_J <= tol and jump_phi >= -tol and jump_psi >= -tol
-    )
-    return ResidualReport(
-        max_I=max_I,
-        x_at_max_I=float(xs[i_max]),
-        max_J=max_J,
-        x_at_max_J=float(xs[j_max]),
-        certified=certified,
-        tol=tol,
-        jump_phi=jump_phi,
-        jump_psi=jump_psi,
-    )
+    return _report(np.concatenate([xl, xr]), np.concatenate([I_l, I_r]),
+                   np.concatenate([J_l, J_r]), tol, _degenerate_jumps(ds))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,78 @@ class TestScan:
         code, _, _ = run(capsys, "--config", str(cfg), "scan", "--output-dir", str(tmp_path))
         assert code == 0
         assert len((tmp_path / "scan.csv").read_text().splitlines()) == 1 + 4 * 3
+
+
+# sha256 of the exit code and stdout of `wavespeed certify` on the smooth
+# recipe at an N1 point (11,1,3,3) and an N2 point (12.2,1,1.9,2), the
+# piecewise family at its default and at a given offset, and an explicit
+# candidate that fails (d); then of the exported tables and of a small
+# trajectory dump with the stdout of its `speed` run (numpy 2.4.6, x86-64).
+CERTIFY_RUNS = [
+    ["11", "1", "3", "3"],
+    ["12.2", "1", "1.9", "2"],
+    ["--degenerate", "0.05", "1", "8", "2"],
+    ["--degenerate", "--delta", "0.1", "0.05", "1", "8", "2"],
+    ["--p", "2", "--a", "1", "1", "1", "3", "2"],
+]
+CERTIFY_GOLDEN = "dec93cd51119d3c2645a289e9c4fe5dbc537c0ea26aa93970fd7ba4a7f6f3976"
+EXPORT_GOLDEN = "a83ae31157a6b518ff30ae9452e405df9f95ebb66cb6116cf948ebcaa12085c5"
+DUMP_GOLDEN = "0bdbba1641745a00b31d284106c51b578e4eeca09c21c0106b8f4ae7b2ff993e"
+
+
+class TestCertifyGoldenOutput:
+    def test_certify_bytes(self, capsys):
+        digest = hashlib.sha256()
+        for argv in CERTIFY_RUNS:
+            code = main(["certify", *argv])
+            digest.update(f"exit {code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == CERTIFY_GOLDEN
+
+    def test_export_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["certify", "11", "1", "3", "3", "--export", "prof"])
+        digest = hashlib.sha256(f"exit {code}\n{capsys.readouterr().out}".encode())
+        for name in ("prof_phi.txt", "prof_psi.txt"):
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == EXPORT_GOLDEN
+
+    def test_trajectory_dump_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["speed", "1", "1", "2", "2", "--L", "5", "--dx", "0.5", "--dt", "0.1",
+                     "--t-end", "3", "--dump-trajectory", "traj.csv"])
+        digest = hashlib.sha256(f"exit {code}\n{capsys.readouterr().out}".encode())
+        digest.update((tmp_path / "traj.csv").read_bytes())
+        assert digest.hexdigest() == DUMP_GOLDEN
+
+
+_POINT = ["11", "1", "3", "3"]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["speed", *_POINT, "--dx", "0"], "dx must be positive and finite, got 0.0"),
+        (["speed", *_POINT, "--dt", "nan"], "dt must be positive and finite, got nan"),
+        (["speed", *_POINT, "--L", "nan"], "L must be positive and finite, got nan"),
+        (["speed", *_POINT, "--t-end", "inf"], "t_end must be positive and finite, got inf"),
+        (["certify", *_POINT, "--p", "nan", "--a", "1"], "candidate requires finite p > 1"),
+        (["certify", *_POINT, "--p", "inf", "--a", "1"], "candidate requires finite p > 1"),
+        (["certify", *_POINT, "--p", "2", "--a", "nan"], "candidate requires finite p > 1"),
+        (["certify", *_POINT, "--p", "2", "--a", "inf"], "candidate requires finite p > 1"),
+        (["certify", *_POINT, "--tol", "nan"], "tol must be positive and finite, got nan"),
+        (["certify", *_POINT, "--tol", "0"], "tol must be positive and finite, got 0.0"),
+        (["certify", "--degenerate", "0.05", "1", "8", "2", "--tol", "inf"],
+         "tol must be positive and finite, got inf"),
+        (["scan", "--plane", "k1d", "--r", "0"], "r must be positive and finite, got 0.0"),
+        (["scan", "--plane", "k1d", "--r", "-1"], "r must be positive and finite, got -1.0"),
+        (["scan", "--plane", "k1d", "--r", "nan"], "r must be positive and finite, got nan"),
+        (["scan", "--plane", "k1d", "--r", "inf"], "r must be positive and finite, got inf"),
+        (["scan", "--plane", "k1d", "--k2", "nan"], "need finite k2 > 1 and pde_stride >= 1"),
+        (["scan", "--plane", "k1d", "--k2", "inf"], "need finite k2 > 1 and pde_stride >= 1"),
+        (["scan", "--plane", "k1d", "--xrange", "1.5:inf"],
+         "ranges must be finite, positive and increasing"),
+    ])
+    def test_exit_64_with_message(self, capsys, tmp_path, argv, message):
+        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path))
+        assert code == 64
+        assert f"error: {message}" in err
+        assert not (tmp_path / "scan.csv").exists()

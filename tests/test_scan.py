@@ -298,6 +298,10 @@ class TestPlaneSequence:
         with pytest.raises(IndexError):
             sym_samples[len(sym_samples)]
 
+    def test_pde_stride_must_be_positive(self):
+        with pytest.raises(ParameterError, match="pde_stride >= 1"):
+            plane_spec("k1d", with_pde=True, pde_stride=0)
+
     def test_oracle_estimate_on_its_cell_only(self):
         spec = ScanSpec(
             plane="k1d", x_range=(4.0, 6.0), y_range=(0.8, 1.2), nx=3, ny=3,

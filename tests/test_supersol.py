@@ -122,6 +122,11 @@ class TestSigmaProfile:
         with pytest.raises(QuadratureError):
             sigma_profile(2.0, tol=1e-16)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_invalid_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sigma_profile(2.0, tol=tol)
+
     def test_span_request(self, profile_cache):
         prof = profile_cache(2.0, span=35.0)
         assert prof.xs[0] <= -35.0 and prof.xs[-1] >= 35.0
