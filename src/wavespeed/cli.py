@@ -4,6 +4,7 @@ Exit codes
     classify: 0 Negative, 1 Positive, 2 Inconclusive
     speed:    0 measured, 3 not converged
     certify:  0 certified, 4 no candidate found, 5 residuals not certified
+              (also when the profile quadrature misses its tolerance)
     scan:     0 on success
     64 invalid parameters or usage, 74 output I/O failure
 
@@ -212,7 +213,13 @@ def cmd_speed(args) -> int:
     sim_config = pde.default_config(
         **{key: getattr(args, key) for key in _PDE_SETTINGS if key in args}
     )
-    estimate = pde.estimate_speed(params, sim_config)
+    # Without a dump the call keeps its two-argument form, the one that
+    # wrappers of estimate_speed (bench/workloads.py) accept.
+    if args.dump_trajectory:
+        frames = []
+        estimate = pde.estimate_speed(params, sim_config, frames=frames)
+    else:
+        estimate = pde.estimate_speed(params, sim_config)
     verdict = theory.classify(params)
     print(f"parameters: d={_fmt(params.d)} r={_fmt(params.r)} "
           f"k1={_fmt(params.k1)} k2={_fmt(params.k2)}")
@@ -228,7 +235,6 @@ def cmd_speed(args) -> int:
         else:
             print("agreement: measured speed is consistent with the verdict")
     if args.dump_trajectory:
-        frames = pde.simulate(params, sim_config, pde.step_profile(sim_config.grid))
         pde.dump_trajectory(frames, sim_config.grid, args.dump_trajectory)
         print(f"trajectory written to {args.dump_trajectory}")
     if not estimate.converged:
@@ -279,7 +285,11 @@ def cmd_certify(args) -> int:
     print(f"candidate: p = {_fmt(cand.p)}, a = {_fmt(cand.a)} "
           f"(a^2 = {_fmt(cand.a * cand.a)})")
     print("conditions (a)(b)(c)(d): " + " ".join(str(c) for c in conds))
-    profile = supersol.sigma_profile(cand.p)
+    try:
+        profile = supersol.sigma_profile(cand.p)
+    except supersol.QuadratureError as exc:
+        print(f"error: profile quadrature failed: {exc}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     table = supersol.build_supersolution(cand, profile)
     report = supersol.residuals_IJ(table, params, **given)
     _print_report(report)

@@ -6,8 +6,10 @@ The cooperative system
     v_t = d v_xx + r g(u, v)
 
 is integrated on a truncated line with a semi-implicit scheme: backward
-Euler in the (linear) diffusion via one tridiagonal solve per species per
-step, forward Euler in the reaction.  That removes the d-dependent
+Euler in the (linear) diffusion, forward Euler in the reaction.  The two
+species' diffusion systems are stacked as one tridiagonal matrix over the
+interior [u; v], factored once per run (LAPACK ``dgttrf``) and solved once
+per step (``dgttrs``).  That removes the d-dependent
 stability restriction, which matters for both the small-d and large-d
 parameter sweeps; the explicit reaction only requires dt below the
 reaction's relaxation scale.  Boundaries are clamped to the initial
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .model import CompetitionParams, ParameterError, check_positive, reaction_f, reaction_g
 
@@ -117,13 +119,30 @@ def step_profile(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return u0, u0.copy()
 
 
-def _banded_matrix(n_interior: int, rc: float) -> np.ndarray:
-    """Banded storage of I - dt*D*Laplacian for solve_banded((1,1), ...)."""
-    ab = np.zeros((3, n_interior))
-    ab[0, 1:] = -rc
-    ab[1, :] = 1.0 + 2.0 * rc
-    ab[2, :-1] = -rc
-    return ab
+def _factor_diffusion(n_interior: int, rc_u: float, rc_v: float) -> tuple:
+    """LU factors (``dgttrf``) of I - dt*D*Laplacian on the stacked interior [u; v].
+
+    The u rows use ``rc_u``, the v rows ``rc_v``; the two blocks are not
+    coupled, so the sub- and super-diagonal hold 0 at the junction.
+    """
+    rc = np.repeat([rc_u, rc_v], n_interior)
+    off = -rc[1:]
+    off[n_interior - 1] = 0.0
+    dl, d, du, du2, ipiv, info = dgttrf(off, 1.0 + 2.0 * rc, off.copy(), overwrite_dl=True,
+                                        overwrite_d=True, overwrite_du=True)
+    if info != 0:
+        raise SimulationError(f"diffusion matrix is singular (dgttrf info={info})")
+    return dl, d, du, du2, ipiv
+
+
+def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs`` (shape (m, 1)) with the solution for the stored factors.
+
+    The per-step solve keeps this module-level name so that tools which
+    time it by rebinding ``pde.solve_banded`` (``bench/spans.py``) still see it.
+    """
+    x, _ = dgttrs(*factors, rhs, overwrite_b=True)
+    return x
 
 
 def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
@@ -139,33 +158,46 @@ def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
 
 
 def _march(params: CompetitionParams, config: SimConfig,
-           u: np.ndarray, v: np.ndarray, every: int):
+           u: np.ndarray, v: np.ndarray):
     """Advance (u, v) in place to ``config.t_end`` by semi-implicit steps,
     checking every step.  Only interior nodes are written, so the boundary
     values stay clamped to the initial ones.
 
-    Yields the time after every ``every``-th step and after the last one.
+    The diffusion matrix of the stacked interior [u; v] is factored once;
+    each step writes both right-hand sides into one buffer and solves them
+    with one ``solve_banded`` call.  Yields (k, t) after every step k.
     """
     dt, dx = config.dt, config.grid.dx
     rc_u = dt / (dx * dx)
     rc_v = params.d * dt / (dx * dx)
-    n_int = config.grid.n_points - 2
-    ab_u = _banded_matrix(n_int, rc_u)
-    ab_v = _banded_matrix(n_int, rc_v)
-    n_steps = config.n_steps
-    for k in range(1, n_steps + 1):
-        rhs_u = u[1:-1] + dt * reaction_f(u[1:-1], v[1:-1], params)
-        rhs_v = v[1:-1] + dt * params.r * reaction_g(u[1:-1], v[1:-1], params)
+    n = config.grid.n_points - 2
+    factors = _factor_diffusion(n, rc_u, rc_v)
+    rhs = np.empty((2 * n, 1))
+    rhs_u, rhs_v = rhs[:n, 0], rhs[n:, 0]
+    u_in, v_in = u[1:-1], v[1:-1]
+    for k in range(1, config.n_steps + 1):
+        np.add(u_in, dt * reaction_f(u_in, v_in, params), out=rhs_u)
+        np.add(v_in, dt * params.r * reaction_g(u_in, v_in, params), out=rhs_v)
         rhs_u[0] += rc_u * u[0]
         rhs_u[-1] += rc_u * u[-1]
         rhs_v[0] += rc_v * v[0]
         rhs_v[-1] += rc_v * v[-1]
-        u[1:-1] = solve_banded((1, 1), ab_u, rhs_u, overwrite_b=True, check_finite=False)
-        v[1:-1] = solve_banded((1, 1), ab_v, rhs_v, overwrite_b=True, check_finite=False)
+        x = solve_banded(factors, rhs)
+        u_in[:] = x[:n, 0]
+        v_in[:] = x[n:, 0]
         t = k * config.dt
         _check_fields(u, v, t)
-        if k % every == 0 or k == n_steps:
-            yield t
+        yield k, t
+
+
+def _sampled(k: int, every: int, n_steps: int) -> bool:
+    """Whether step ``k`` is sampled: every ``every``-th step and the last one."""
+    return k % every == 0 or k == n_steps
+
+
+def _frame_every(config: SimConfig) -> int:
+    """Default frame spacing in steps: about 200 frames per run."""
+    return max(1, config.n_steps // 200)
 
 
 def simulate(
@@ -189,12 +221,13 @@ def simulate(
         raise ParameterError("initial fields must lie in [0, 1]^2")
 
     if record_every is None:
-        record_every = max(1, config.n_steps // 200)
+        record_every = _frame_every(config)
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
     frames = [(0.0, u.copy(), v.copy())]
-    for t in _march(params, config, u, v, record_every):
-        frames.append((t, u.copy(), v.copy()))
+    for k, t in _march(params, config, u, v):
+        if _sampled(k, record_every, config.n_steps):
+            frames.append((t, u.copy(), v.copy()))
     return frames
 
 
@@ -226,7 +259,9 @@ def _ols_slope(t: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 
 
 def estimate_speed(
-    params: CompetitionParams, config: SimConfig | None = None
+    params: CompetitionParams,
+    config: SimConfig | None = None,
+    frames: list | None = None,
 ) -> SpeedEstimate:
     """Measure the front speed from a step-initialized run.
 
@@ -236,17 +271,27 @@ def estimate_speed(
     advances.  Non-convergence (front near a boundary, lost crossing, or a
     noisy fit) is reported through the ``converged`` flag rather than an
     exception so that parameter sweeps can continue past bad points.
+
+    When ``frames`` is a list, the same run appends to it the frames
+    (t, u, v) that :func:`simulate` records from the step profile.
     """
     if config is None:
         config = default_config()
     grid = config.grid
     xs = grid.xs()
     u, v = step_profile(grid)
-    sample_every = max(1, config.n_steps // 4000)
+    n_steps = config.n_steps
+    sample_every = max(1, n_steps // 4000)
     ts, fronts = [0.0], [front_position(xs, u, config.front_level)]
-    for t in _march(params, config, u, v, sample_every):
-        ts.append(t)
-        fronts.append(front_position(xs, u, config.front_level))
+    if frames is not None:
+        frame_every = _frame_every(config)
+        frames.append((0.0, u.copy(), v.copy()))
+    for k, t in _march(params, config, u, v):
+        if _sampled(k, sample_every, n_steps):
+            ts.append(t)
+            fronts.append(front_position(xs, u, config.front_level))
+        if frames is not None and _sampled(k, frame_every, n_steps):
+            frames.append((t, u.copy(), v.copy()))
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
 
     t_start = (1.0 - config.fit_window) * config.t_end

@@ -476,13 +476,15 @@ class DegenerateSupersol:
 
     def _left_piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi, phi'') of the x < 0 piece: beta w, w = mu (1 - mu)."""
-        mu = 1.0 / (1.0 + np.exp(-self.gamma_ * (x - self.xi)))
+        with np.errstate(over="ignore"):  # far left exp -> inf: mu = 0, the exact limit
+            mu = 1.0 / (1.0 + np.exp(-self.gamma_ * (x - self.xi)))
         w = mu * (1.0 - mu)
         return self.beta_ * w, self.beta_ * self.gamma_**2 * w * (1.0 - 6.0 * w)
 
     def _right_piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi, phi'') of the x >= 0 piece: 1 - 6 w, w = lam (1 - lam)."""
-        lam = 1.0 / (1.0 + np.exp(-(x - self.eta)))
+        with np.errstate(over="ignore"):  # far left exp -> inf: lam = 0, the exact limit
+            lam = 1.0 / (1.0 + np.exp(-(x - self.eta)))
         w = lam * (1.0 - lam)
         return 1.0 - 6.0 * w, -6.0 * w * (1.0 - 6.0 * w)
 

@@ -83,6 +83,18 @@ class TestSpeed:
         assert path.exists()
         assert path.read_text().startswith("t,x,u,v")
 
+    def test_trajectory_dump_runs_the_pde_once(self, capsys, tmp_path, monkeypatch):
+        solves = []
+        solve = cli.pde.solve_banded
+        monkeypatch.setattr(cli.pde, "solve_banded",
+                            lambda *args: solves.append(1) or solve(*args))
+        code, _, _ = run(
+            capsys, "speed", "1", "1", "2", "2",
+            "--L", "10", "--dx", "0.5", "--dt", "0.1", "--t-end", "5",
+            "--dump-trajectory", str(tmp_path / "traj.csv"),
+        )
+        assert code == 0
+        assert len(solves) == 50
 
     def test_config_settings_reach_the_pde(self, capsys, tmp_path, monkeypatch):
         seen = []
@@ -128,6 +140,14 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--degenerate", "0.1", "1", "8", "2")
         assert code == 5
         assert "certified: no" in out
+
+    def test_quadrature_failure_is_not_certified(self, capsys):
+        # p = k1 = 1.1: sigma_profile misses its 1e-9 position tolerance.
+        code, out, err = run(capsys, "certify", "5", "1", "1.1", "1.02")
+        assert code == 5
+        assert "candidate: p = 1.1," in out
+        assert err.startswith("error: profile quadrature failed: position quadrature error")
+        assert "Traceback" not in err
 
     def test_explicit_candidate(self, capsys):
         code, out, _ = run(

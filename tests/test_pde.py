@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import reference_pde
+from wavespeed import pde
 from wavespeed.model import ParameterError, coexistence, to_cooperative, validate
 from wavespeed.pde import (
     Grid1D,
+    _march,
     SimConfig,
     SimulationError,
     default_config,
@@ -191,6 +194,53 @@ class TestReflectionIdentity:
             b = estimate_speed(validate(1 / d, 1 / r, k2, k1), cfg)
             assert a.converged and b.converged, (d, r, k1, k2)
             assert abs(a.c_hat + np.sqrt(d * r) * b.c_hat) <= 0.03
+
+
+class TestMarch:
+    """``_march`` against the two-solve reference loop of ``reference_pde``."""
+
+    @pytest.mark.parametrize("point", [(1, 1, 2, 1.5), (7, 1, 1.8, 2), (0.05, 1, 8, 2),
+                                       (1, 30, 2, 2)])
+    def test_bit_identical_to_reference(self, point):
+        params = validate(*point)
+        cfg = default_config(L=20.0, t_end=6.0)
+        assert cfg.n_steps == 300
+        u, v = step_profile(cfg.grid)
+        u_ref, v_ref = u.copy(), v.copy()
+        reference_pde.march(params, cfg, u_ref, v_ref, cfg.n_steps)
+        steps = [k for k, _ in _march(params, cfg, u, v)]
+        assert steps == list(range(1, 301))
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+
+    def test_stiff_anchor_message(self):
+        with pytest.raises(SimulationError) as info:
+            estimate_speed(validate(0.02, 60, 3, 3))
+        assert str(info.value) == "instability: v in [0, 1.202] at t=0.02"
+
+    def test_one_solve_and_one_reaction_pair_per_step(self, monkeypatch):
+        # Tools that time the step rebind these names; each must see every step.
+        counts = {}
+        for name in ("solve_banded", "reaction_f", "reaction_g"):
+            def counted(*args, _fn=getattr(pde, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(pde, name, counted)
+        cfg = coarse_config(t_end=6.0)
+        estimate_speed(validate(7, 1, 1.8, 2), cfg)
+        assert counts == dict.fromkeys(("solve_banded", "reaction_f", "reaction_g"),
+                                       cfg.n_steps)
+
+    def test_estimate_records_the_frames_of_simulate(self):
+        params = validate(7, 1, 1.8, 2)
+        cfg = coarse_config(t_end=30.0)
+        frames = []
+        est = estimate_speed(params, cfg, frames=frames)
+        expected = simulate(params, cfg, step_profile(cfg.grid))
+        assert len(frames) == len(expected) == 201
+        for (t, u, v), (t_ref, u_ref, v_ref) in zip(frames, expected):
+            assert t == t_ref
+            assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(est.front_trace, estimate_speed(params, cfg).front_trace)
 
 
 class TestTrajectoryDump:

@@ -326,6 +326,15 @@ class TestDegenerateFamily:
         assert np.all(np.diff(ds.phi(xl)) > 0)
         assert np.all(np.diff(ds.phi(xr)) > 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_field_without_overflow_warning(self):
+        # Each exponential overflows on the far left; the limits are exact.
+        ds = degenerate_build(validate(0.05, 1, 8, 2))
+        assert ds.phi(-800.0) == 0.0
+        assert ds.psi(-800.0) == ds.delta
+        assert ds.phi(800.0) == 1.0
+        np.testing.assert_array_equal(ds.phi(np.array([-800.0, 800.0])), [0.0, 1.0])
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             degenerate_build(validate(0.05, 1, 4, 2))  # k1 = k2^2 boundary
