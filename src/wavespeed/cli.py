@@ -102,7 +102,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_speed = add_parser("speed", help="measure the front speed from a PDE run")
     add_params(p_speed)
     p_speed.add_argument("--L", type=float, default=argparse.SUPPRESS,
-                         help="domain half-length")
+                         help="half-length of the co-moving window")
     p_speed.add_argument("--dx", type=float, default=argparse.SUPPRESS)
     p_speed.add_argument("--dt", type=float, default=argparse.SUPPRESS)
     p_speed.add_argument("--t-end", type=float, default=argparse.SUPPRESS)
@@ -225,6 +225,8 @@ def cmd_speed(args) -> int:
           f"k1={_fmt(params.k1)} k2={_fmt(params.k2)}")
     print(f"c_hat = {_fmt(estimate.c_hat)} +/- {_fmt(estimate.stderr)}")
     print(f"converged: {'yes' if estimate.converged else 'no'}")
+    if not estimate.converged:
+        print(f"not converged: {estimate.reason}", file=sys.stderr)
     for line in _verdict_lines(verdict):
         print("theory " + line)
     if verdict.sign is not theory.Sign.INCONCLUSIVE and estimate.converged:
@@ -235,7 +237,7 @@ def cmd_speed(args) -> int:
         else:
             print("agreement: measured speed is consistent with the verdict")
     if args.dump_trajectory:
-        pde.dump_trajectory(frames, sim_config.grid, args.dump_trajectory)
+        pde.dump_trajectory(frames, sim_config.grid, args.dump_trajectory, estimate.shifts)
         print(f"trajectory written to {args.dump_trajectory}")
     if not estimate.converged:
         return EXIT_NOT_CONVERGED

@@ -17,7 +17,14 @@ condition's end values, which equal the resting states (0,0) and (1,1) for
 every speed measurement and suppress boundary-layer drift.
 
 Speed measurement tracks the u = 1/2 level crossing by linear interpolation
-and regresses its position against time over the trailing window.  Sign
+and regresses its position against time over the trailing window.  The grid
+is a co-moving window: whenever the crossing strays more than a quarter of
+the half-length from the centre, the fields move back by whole cells (an
+exact copy, no interpolation) and the far field is refilled with the
+resting states.  The window therefore only has to hold the front's profile,
+not the distance it travels, and positions are reported in the lab frame.
+A run whose final state still differs from the resting states next to the
+boundaries was truncated by the window and does not converge.  Sign
 convention: the wave profile translates as phi(x + c t), so the level set
 moves at -c; a front drifting toward -x means c > 0.  The convention is
 pinned in the tests against a parameter point with independently certified
@@ -27,6 +34,7 @@ negative speed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,9 +73,11 @@ class SimConfig:
 
     ``fit_window`` is the trailing fraction of the run used for the speed
     regression; ``front_level`` the u level whose crossing is tracked.
-    The desk-scale defaults (L=200, dx=0.1, dt=0.02, t_end=400) resolve any
+    The desk-scale defaults (L=40, dx=0.1, dt=0.02, t_end=400) resolve any
     front with |c| >= 0.02: it travels at least 4 space units during the
-    fit window.
+    fit window.  ``estimate_speed`` recentres the front, so L only has to
+    hold the front's profile: its rest-state check flags a window too short
+    for it.
     """
 
     grid: Grid1D
@@ -90,26 +100,40 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
 
-def default_config(L: float = 200.0, dx: float = 0.1, **settings) -> SimConfig:
+def default_config(L: float = 40.0, dx: float = 0.1, **settings) -> SimConfig:
     """Grid of half-length ``L`` and spacing ``dx``; ``settings`` are SimConfig fields."""
     check_positive(L=L, dx=dx)
     return SimConfig(grid=Grid1D(L, int(round(2.0 * L / dx)) + 1), **settings)
+
+
+# Largest gap, at the final state, between a field's outermost interior node
+# and its clamped end value for which the window still holds the front's
+# profile.
+REST_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class SpeedEstimate:
     """Front speed with regression diagnostics.
 
-    ``front_trace`` is an (n, 2) array of (t, front position).  ``converged``
-    requires the regression standard error below 0.1 * max(|c_hat|, 0.01)
-    and the front at least 10% of the half-length away from both boundaries
-    throughout the fit window.
+    ``front_trace`` is an (n, 2) array of (t, front position in the lab
+    frame).  ``converged`` requires the regression standard error below
+    0.1 * max(|c_hat|, 0.01) and, at the final state, each field within
+    ``REST_TOL`` of its clamped end value at both outermost interior nodes.
+    ``reason`` names why a run did not converge: ``truncation`` (the window
+    cuts the front's profile), ``noisy_fit``, ``lost_crossing`` (the fit window
+    holds a missing crossing, or fewer than three samples), or
+    ``stiff`` for a run that raised :class:`SimulationError` and was
+    recorded without a trace.  ``shifts`` holds one (t, offset) pair per
+    recentring: the time and the window's offset in cells after it.
     """
 
     c_hat: float
     stderr: float
     front_trace: np.ndarray
     converged: bool
+    reason: str | None = None
+    shifts: tuple[tuple[float, int], ...] = ()
 
 
 def step_profile(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -258,53 +282,85 @@ def _ols_slope(t: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return slope, math.sqrt(s2 / stt)
 
 
+def _recentre(arr: np.ndarray, s: int) -> None:
+    """Move the interior of ``arr`` in place by ``s`` cells toward -x (toward
+    +x for s < 0), refilling the vacated cells with the clamped end value."""
+    inner = arr[1:-1]
+    if s > 0:
+        inner[:-s] = inner[s:]
+        inner[-s:] = arr[-1]
+    else:
+        inner[-s:] = inner[:s]
+        inner[:-s] = arr[0]
+
+
+def _rest_gap(u: np.ndarray, v: np.ndarray) -> float:
+    """Largest gap between an outermost interior node and its clamped end value."""
+    return max(abs(u[1] - u[0]), abs(u[-2] - u[-1]), abs(v[1] - v[0]), abs(v[-2] - v[-1]))
+
+
 def estimate_speed(
     params: CompetitionParams,
     config: SimConfig | None = None,
     frames: list | None = None,
 ) -> SpeedEstimate:
-    """Measure the front speed from a step-initialized run.
+    """Measure the front speed from a step-initialized run in a co-moving window.
 
     Returns c in the traveling-wave convention (profile of x + c t): c_hat
     is minus the fitted drift of the u = front_level crossing.  A negative
     c_hat means the (0,0) side, species V in the original variables,
-    advances.  Non-convergence (front near a boundary, lost crossing, or a
-    noisy fit) is reported through the ``converged`` flag rather than an
-    exception so that parameter sweeps can continue past bad points.
+    advances.  At every sampled step where the crossing lies more than L/4
+    from the centre, u and v move back by whole cells to recentre it, and
+    the trace records lab-frame positions.  Non-convergence (window too
+    short for the profile, lost crossing, or a noisy fit) is reported
+    through ``converged`` and ``reason`` rather than an exception so that
+    parameter sweeps can continue past bad points.
 
     When ``frames`` is a list, the same run appends to it the frames
-    (t, u, v) that :func:`simulate` records from the step profile.
+    (t, u, v) of the window; until the first shift they are those that
+    :func:`simulate` records from the step profile.
     """
     if config is None:
         config = default_config()
     grid = config.grid
-    xs = grid.xs()
+    xs, dx = grid.xs(), grid.dx
     u, v = step_profile(grid)
     n_steps = config.n_steps
     sample_every = max(1, n_steps // 4000)
     ts, fronts = [0.0], [front_position(xs, u, config.front_level)]
+    offset, shifts = 0, []
     if frames is not None:
         frame_every = _frame_every(config)
         frames.append((0.0, u.copy(), v.copy()))
     for k, t in _march(params, config, u, v):
         if _sampled(k, sample_every, n_steps):
+            x = front_position(xs, u, config.front_level)
             ts.append(t)
-            fronts.append(front_position(xs, u, config.front_level))
+            fronts.append(offset * dx + x)
+            if abs(x) > 0.25 * grid.half_length and (s := round(x / dx)):
+                _recentre(u, s)
+                _recentre(v, s)
+                offset += s
+                shifts.append((t, offset))
         if frames is not None and _sampled(k, frame_every, n_steps):
             frames.append((t, u.copy(), v.copy()))
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
+    shifts = tuple(shifts)
 
     t_start = (1.0 - config.fit_window) * config.t_end
     window = trace[trace[:, 0] >= t_start]
     tw, xw = window[:, 0], window[:, 1]
-    ok = np.isfinite(xw).all() and len(tw) >= 3
-    if not ok:
-        return SpeedEstimate(float("nan"), float("inf"), trace, False)
+    if not (np.isfinite(xw).all() and len(tw) >= 3):
+        return SpeedEstimate(float("nan"), float("inf"), trace, False, "lost_crossing", shifts)
     slope, stderr = _ols_slope(tw, xw)
     c_hat = -slope
-    in_domain = float(np.abs(xw).max()) <= 0.9 * grid.half_length
-    converged = in_domain and stderr < 0.1 * max(abs(c_hat), 0.01)
-    return SpeedEstimate(c_hat, stderr, trace, converged)
+    if _rest_gap(u, v) > REST_TOL:
+        reason = "truncation"
+    elif not stderr < 0.1 * max(abs(c_hat), 0.01):
+        reason = "noisy_fit"
+    else:
+        reason = None
+    return SpeedEstimate(c_hat, stderr, trace, reason is None, reason, shifts)
 
 
 def refine_check(
@@ -333,11 +389,20 @@ def dump_trajectory(
     frames: list[tuple[float, np.ndarray, np.ndarray]],
     grid: Grid1D,
     path,
+    shifts: tuple[tuple[float, int], ...] = (),
 ) -> None:
-    """Write sampled frames as delimited rows of (t, x, u, v)."""
+    """Write sampled frames as delimited rows of (t, x, u, v).
+
+    ``shifts`` are the recentrings of the run that recorded the frames
+    (``SpeedEstimate.shifts``): a frame recorded at or after a shift is
+    written at lab-frame x, its window x plus the offset in cells times dx.
+    """
     xs = grid.xs()
+    shift_times = [t for t, _ in shifts]
     with open(path, "w") as fh:
         fh.write("t,x,u,v\n")
         for t, u, v in frames:
-            np.savetxt(fh, np.column_stack([np.full_like(xs, t), xs, u, v]),
+            i = bisect_right(shift_times, t)
+            x = xs + shifts[i - 1][1] * grid.dx if i else xs
+            np.savetxt(fh, np.column_stack([np.full_like(xs, t), x, u, v]),
                        fmt="%.12g", delimiter=",")

@@ -205,7 +205,7 @@ def scan_plane(spec: ScanSpec) -> Plane:
                 try:
                     est = pde.estimate_speed(params.at((iy, ix)), spec.pde_config)
                 except pde.SimulationError:
-                    est = pde.SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False)
+                    est = pde.SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")
                 c_num[iy * xs.size + ix] = est
     return Plane(spec, xs, ys, hits, signs, c_num)
 

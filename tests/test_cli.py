@@ -96,6 +96,36 @@ class TestSpeed:
         assert code == 0
         assert len(solves) == 50
 
+    def test_reason_goes_to_stderr(self, capsys):
+        code, out, err = run(
+            capsys, "speed", "5", "1", "5", "2",
+            "--L", "10", "--dx", "0.2", "--dt", "0.05", "--t-end", "60",
+        )
+        assert code == 3
+        assert err == "not converged: truncation\n"
+        assert "truncation" not in out
+
+    def test_trajectory_dump_is_in_the_lab_frame_across_shifts(self, capsys, tmp_path,
+                                                                monkeypatch):
+        estimates = []
+        estimate_speed = cli.pde.estimate_speed
+
+        def kept(*args, **kwargs):
+            estimates.append(estimate_speed(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli.pde, "estimate_speed", kept)
+        path = tmp_path / "traj.csv"
+        run(capsys, "speed", "7", "1", "1.8", "2",
+            "--L", "10", "--dx", "0.2", "--dt", "0.05", "--t-end", "60",
+            "--dump-trajectory", str(path))
+        (est,) = estimates
+        assert est.shifts
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        last = rows[rows[:, 0] == rows[-1, 0]]
+        crossing = cli.pde.front_position(last[:, 1], last[:, 2], 0.5)
+        assert crossing == pytest.approx(est.front_trace[-1, 1], abs=1e-9)
+
     def test_config_settings_reach_the_pde(self, capsys, tmp_path, monkeypatch):
         seen = []
 

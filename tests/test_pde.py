@@ -1,3 +1,6 @@
+import math
+
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from wavespeed.pde import (
     _march,
     SimConfig,
     SimulationError,
+    _recentre,
     default_config,
     dump_trajectory,
     estimate_speed,
@@ -17,6 +21,7 @@ from wavespeed.pde import (
     simulate,
     step_profile,
 )
+from wavespeed.theory import reflect
 
 
 def coarse_config(L=40.0, dx=0.2, dt=0.05, t_end=60.0):
@@ -156,6 +161,42 @@ class TestEstimateSpeed:
         assert not est.converged
 
 
+class TestCoMovingWindow:
+    def test_recentre_moves_whole_cells_and_refills_the_ends(self):
+        arr = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0])
+        _recentre(arr, 2)
+        assert arr.tolist() == [0.0, 0.3, 0.4, 0.5, 1.0, 1.0, 1.0]
+        _recentre(arr, -3)
+        assert arr.tolist() == [0.0, 0.0, 0.0, 0.0, 0.3, 0.4, 1.0]
+
+    def test_oracle_scan_cell_matches_the_long_fixed_frame(self):
+        # A fixed L = 60 frame reported c = 0.2557 here as converged; the
+        # reference 0.56295 is a fixed frame at L = 400.
+        est = estimate_speed(validate(4000, 40, 1.5, 3), default_config(L=60.0, t_end=120.0))
+        assert est.converged and est.shifts
+        assert abs(est.c_hat - 0.56295) < 1e-3
+
+    def test_window_shorter_than_the_profile_is_truncation(self):
+        est = estimate_speed(validate(4000, 40, 1.5, 3), default_config(L=20.0, t_end=120.0))
+        assert not est.converged
+        assert est.reason == "truncation"
+
+    def test_readme_point_converges_at_the_defaults(self):
+        est = estimate_speed(validate(11, 1, 3, 3))
+        assert est.converged and est.reason is None
+        assert abs(est.c_hat + 0.46209) < 2e-3
+
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"t_end": 3.0}, "noisy_fit"),
+        ({"t_end": 5.0, "fit_window": 0.01}, "lost_crossing"),
+    ])
+    def test_reason_of_a_failed_fit(self, overrides, reason):
+        est = estimate_speed(validate(1, 1, 2, 2),
+                             default_config(L=10.0, dx=0.5, dt=0.1, **overrides))
+        assert not est.converged
+        assert est.reason == reason
+
+
 class TestRefineCheck:
     def test_agreement_at_symmetric_point(self):
         est1, est2, agree = refine_check(validate(1, 1, 2, 2), coarse_config(t_end=30.0))
@@ -194,6 +235,17 @@ class TestReflectionIdentity:
             b = estimate_speed(validate(1 / d, 1 / r, k2, k1), cfg)
             assert a.converged and b.converged, (d, r, k1, k2)
             assert abs(a.c_hat + np.sqrt(d * r) * b.c_hat) <= 0.03
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-0.3, 0.3), st.floats(1.2, 4.0), st.floats(1.2, 4.0))
+    def test_exchange_identity_on_a_box(self, log_d, log_r, k1, k2):
+        # The co-moving window lets a coarse, short grid hold every front.
+        params = validate(10.0**log_d, 10.0**log_r, k1, k2)
+        cfg = default_config(L=20.0, dx=0.2, dt=0.05, t_end=100.0)
+        a = estimate_speed(params, cfg)
+        b = estimate_speed(reflect(params), cfg)
+        assume(a.converged and b.converged)
+        assert abs(a.c_hat + math.sqrt(params.d * params.r) * b.c_hat) <= 0.03
 
 
 class TestMarch:

@@ -110,6 +110,16 @@ class TestScanPlane:
         est = with_est[0].c_num
         assert isinstance(est.converged, bool)
 
+    def test_stiff_cell_is_recorded_with_its_reason(self):
+        # At (0.02, 60, 3, 3) the explicit reaction step blows up at t = 0.02.
+        spec = ScanSpec(
+            plane="k1d", x_range=(3.0, 3.1), y_range=(0.02 / 60, 0.021 / 60), nx=2, ny=2,
+            k2=3.0, r=60.0, with_pde=True, pde_stride=2,
+        )
+        (sample,) = [s for s in scan_plane(spec) if s.c_num is not None]
+        assert not sample.c_num.converged
+        assert sample.c_num.reason == "stiff"
+
     def test_sign_agreement_where_conclusive(self):
         spec = ScanSpec(
             plane="k1d", x_range=(1.8, 1.9), y_range=(6.0, 7.0), nx=2, ny=2,
