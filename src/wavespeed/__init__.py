@@ -76,13 +76,11 @@ from .pde import (
     simulate,
 )
 from .scan import (
-    Fig2Dataset,
     Plane,
     RegionSample,
     ScanSpec,
     emit_csv,
     emit_svg,
-    figure2_dataset,
     scan_plane,
 )
 

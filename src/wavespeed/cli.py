@@ -315,11 +315,7 @@ def cmd_scan(args) -> int:
         k2=args.k2,
         r=args.r,
     )
-    if spec.plane == "k1d":
-        dataset = scan_mod.figure2_dataset(spec)
-        plane, style = dataset.samples, {"reference_x": dataset.reference_k1}
-    else:
-        plane, style = scan_mod.scan_plane(spec), None
+    plane = scan_mod.scan_plane(spec)
 
     out_dir = Path(getattr(args, "output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +323,7 @@ def cmd_scan(args) -> int:
     svg_path = out_dir / f"{args.out_prefix}.svg"
     try:
         scan_mod.emit_csv(plane, csv_path)
-        scan_mod.emit_svg(plane, svg_path, style)
+        scan_mod.emit_svg(plane, svg_path)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -18,7 +18,6 @@ the verdict at its parameters.
 
 from __future__ import annotations
 
-import html
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -210,32 +209,6 @@ def scan_plane(spec: ScanSpec) -> Plane:
     return Plane(spec, xs, ys, hits, signs, c_num)
 
 
-@dataclass(frozen=True)
-class Fig2Dataset:
-    """The (k1, d/r) sweep at fixed k2 plus the reference competition levels."""
-
-    samples: Plane
-    reference_k1: dict[str, float]
-    spec: ScanSpec
-
-
-def figure2_dataset(spec: ScanSpec) -> Fig2Dataset:
-    """Double-logarithmic (k1, d/r) sweep with the reference verticals.
-
-    The verticals k1 = sqrt(k2), k1 = k2 and k1 = k2^2, at the k2 of the
-    k1d plane ``spec``, mark the conjectured all-ratio positive threshold,
-    the symmetric point, and the conjectured all-ratio negative threshold.
-    """
-    if spec.plane != "k1d":
-        raise ParameterError("figure2_dataset requires a k1d plane")
-    k2 = float(spec.k2)
-    return Fig2Dataset(
-        samples=scan_plane(spec),
-        reference_k1={"sqrt_k2": math.sqrt(k2), "k2": k2, "k2_squared": k2 ** 2},
-        spec=spec,
-    )
-
-
 def mask_counts(plane: Plane) -> dict[str, int]:
     """Number of cells on which each criterion (and each reflection) fired."""
     return {key: int(np.count_nonzero(hits)) for key, hits in plane.masks()}
@@ -313,20 +286,24 @@ def _group(attributes: str, children: list[str]) -> str:
     return f"<g {attributes}>{''.join(children)}</g>"
 
 
-def emit_svg(
-    plane: Plane,
-    path,
-    style: dict | None = None,
-) -> None:
+def _reference_k1(spec: ScanSpec) -> dict[str, float]:
+    """The dashed verticals of a k1d plane, by label: k1 = sqrt(k2), k2 and
+    k2^2 mark the conjectured all-ratio positive threshold, the symmetric
+    point and the conjectured all-ratio negative threshold.  Empty on the
+    sym plane."""
+    if spec.plane != "k1d":
+        return {}
+    return {"sqrt_k2": math.sqrt(spec.k2), "k2": spec.k2, "k2_squared": spec.k2 ** 2}
+
+
+def emit_svg(plane: Plane, path) -> None:
     """Render the criterion masks as layered colored cells with axes and a legend.
 
-    The tick labels follow the scales of ``plane.spec``.  ``style`` may
-    carry ``reference_x``: a mapping of label -> x value drawn as dashed
-    verticals (used for the k1-plane reference levels).
+    The tick labels follow the scales of ``plane.spec``; a k1d plane also
+    gets the reference verticals of :func:`_reference_k1`.
     """
     if not plane:
         raise ParameterError("emit_svg requires a nonempty plane")
-    style = style or {}
     xs, ys = plane.xs.tolist(), plane.ys.tolist()
     nx, ny = len(xs), len(ys)
     x_log = plane.spec.x_scale == "log"
@@ -376,7 +353,7 @@ def emit_svg(
                       f'{xv:.4g}</text>')
         labels.append(f'<text text-anchor="end" x="{ml - 6}" y="{ty + 4:.1f}">{yv:.4g}</text>')
 
-    refs = style.get("reference_x") or {}
+    refs = _reference_k1(plane.spec)
     lines = []
     for name, xv in refs.items():
         frac = _axis_fraction(xs[0], xs[-1], xv, x_log)
@@ -385,7 +362,7 @@ def emit_svg(
         px = ml + frac * pw
         lines.append(f'<line x1="{px:.2f}" x2="{px:.2f}" y1="{mt}" y2="{mt + ph}" />')
         labels.append(f'<text text-anchor="middle" x="{px:.1f}" y="{mt - 6}">'
-                      f'{html.escape(name, quote=False)}</text>')
+                      f'{name}</text>')
     parts.append(_group('font-size="11" id="labels"', labels))
     if refs:
         parts.append(_group('stroke-dasharray="4 3" id="reference-lines" stroke="#222222"',

@@ -122,14 +122,15 @@ def _cumulative_positions(s: np.ndarray, p: float, order: int) -> np.ndarray:
 # sigma level below which (and 1 - sigma level above which) the profile
 # follows its linearized exponential tails.
 _SPLICE = 1e-4
+# Least half-width of the tabulated profile, and the x-spacing of its tails.
+_SPAN = 40.0
+_TAIL_DX = 0.01
 
 
 def sigma_profile(
     p: float,
     tol: float = 1e-9,
-    span: float = 40.0,
     points_per_decade: int = 2000,
-    tail_dx: float = 0.01,
 ) -> SigmoidProfile:
     """Tabulate the monotone standing profile of sigma'' + h_p(sigma) = 0.
 
@@ -140,7 +141,7 @@ def sigma_profile(
     the profile is continued by the linearized exponential tails, matched in
     value and slope; their rates approach sqrt(alpha_p) on the left and the
     linearization rate at 1 on the right.  Tails extend to at least
-    +/- span and until sigma is within 1e-8 of its limit, except that the
+    +/- _SPAN and until sigma is within 1e-8 of its limit, except that the
     right tail stops where 1 - sigma would saturate at double precision.
 
     Raises QuadratureError when the internal quadrature cannot certify the
@@ -148,7 +149,7 @@ def sigma_profile(
     """
     if p <= 1.0:
         raise ValueError(f"sigma_profile requires p > 1, got {p!r}")
-    check_positive(tol=tol, span=span)
+    check_positive(tol=tol)
 
     decades = math.log10(0.5 / _SPLICE)
     n_side = max(8, math.ceil(points_per_decade * decades))
@@ -169,9 +170,9 @@ def sigma_profile(
 
     # Left tail: sigma = s0 exp(lam (x - x0)), matched in value and slope.
     lam_l = ds[0] / s[0]
-    x_left_end = min(-span, x[0] + math.log(1e-8 / s[0]) / lam_l)
-    n_l = max(2, math.ceil((x[0] - x_left_end) / tail_dx))
-    xs_l = x[0] - tail_dx * np.arange(n_l, 0, -1)
+    x_left_end = min(-_SPAN, x[0] + math.log(1e-8 / s[0]) / lam_l)
+    n_l = max(2, math.ceil((x[0] - x_left_end) / _TAIL_DX))
+    xs_l = x[0] - _TAIL_DX * np.arange(n_l, 0, -1)
     sig_l = s[0] * np.exp(lam_l * (xs_l - x[0]))
 
     # Right tail: 1 - sigma = e0 exp(-lam (x - x1)).  Stop before 1 - sigma
@@ -179,11 +180,11 @@ def sigma_profile(
     # collide at double precision and break strict monotonicity.
     eps_r = 1.0 - s[-1]
     lam_r = ds[-1] / eps_r
-    x_right_end = max(span, x[-1] + math.log(eps_r / 1e-8) / lam_r)
+    x_right_end = max(_SPAN, x[-1] + math.log(eps_r / 1e-8) / lam_r)
     x_saturate = x[-1] + math.log(eps_r * lam_r / 1e-13) / lam_r
     x_right_end = min(x_right_end, x_saturate)
-    n_r = max(2, math.ceil((x_right_end - x[-1]) / tail_dx))
-    xs_r = x[-1] + tail_dx * np.arange(1, n_r + 1)
+    n_r = max(2, math.ceil((x_right_end - x[-1]) / _TAIL_DX))
+    xs_r = x[-1] + _TAIL_DX * np.arange(1, n_r + 1)
     eps = eps_r * np.exp(-lam_r * (xs_r - x[-1]))
     sig_r = 1.0 - eps
 
@@ -347,6 +348,11 @@ def _report(xs, I, J, tol: float, jumps: tuple[float, ...] = ()) -> ResidualRepo
     return ResidualReport(max_I, float(xs[i_max]), max_J, float(xs[j_max]), certified, tol, *jumps)
 
 
+# Largest disagreement allowed between the centered-difference and the
+# closed-form phi'' before a table is rejected as too coarse.
+_DERIV_CHECK_TOL = 1e-4
+
+
 def _fd_second_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Centered second derivative on a non-uniform grid (interior points)."""
     h1 = xs[1:-1] - xs[:-2]
@@ -360,7 +366,6 @@ def residuals_IJ(
     table: SupersolutionTable,
     params: CompetitionParams,
     tol: float = 1e-8,
-    deriv_check_tol: float = 1e-4,
 ) -> ResidualReport:
     """Certify the smooth candidate by evaluating I and J on the grid.
 
@@ -372,7 +377,7 @@ def residuals_IJ(
     so I = phi'' + f(s^p, s) and J = (d/r) psi'' + g(s^p, s) contain no
     differencing error.  A centered-difference reconstruction of phi'' is
     compared against the closed form; disagreement beyond
-    ``deriv_check_tol`` raises :class:`GridResolutionError`.
+    ``_DERIV_CHECK_TOL`` raises :class:`GridResolutionError`.
     """
     s = table.sigma
     p, a = table.p, table.a
@@ -386,9 +391,9 @@ def residuals_IJ(
 
     fd = _fd_second_derivative(table.xs, table.phi)
     fd_err = float(np.max(np.abs(fd - phi_dd[1:-1])))
-    if fd_err > deriv_check_tol:
+    if fd_err > _DERIV_CHECK_TOL:
         raise GridResolutionError(
-            f"finite-difference check of phi'' failed: {fd_err:.3e} > {deriv_check_tol:.3e}"
+            f"finite-difference check of phi'' failed: {fd_err:.3e} > {_DERIV_CHECK_TOL:.3e}"
         )
 
     return _report(table.xs, I, J, tol)

@@ -549,10 +549,14 @@ def _sampled_coverage_check(k1: float, k2: float, n: int = 25) -> bool:
     return bool(np.all(signs == -1))
 
 
-def _bisect(covers: Callable[[float], bool], good: float, bad: float, rtol: float) -> float:
-    """Halve [good, bad] (either order) until its width is ``rtol`` of its upper
-    end, keeping ``covers(good)``; returns ``good``."""
-    while abs(good - bad) > rtol * max(good, bad):
+# Relative tolerance of the determinacy threshold bisections.
+_RTOL = 1e-6
+
+
+def _bisect(covers: Callable[[float], bool], good: float, bad: float) -> float:
+    """Halve [good, bad] (either order) until its width is ``_RTOL`` of its
+    upper end, keeping ``covers(good)``; returns ``good``."""
+    while abs(good - bad) > _RTOL * max(good, bad):
         mid = 0.5 * (good + bad)
         if covers(mid):
             good = mid
@@ -561,16 +565,14 @@ def _bisect(covers: Callable[[float], bool], good: float, bad: float, rtol: floa
     return good
 
 
-def determinacy_thresholds(
-    k2: float, search_cap: float = 1e4, rtol: float = 1e-6
-) -> tuple[float, float]:
+def determinacy_thresholds(k2: float, search_cap: float = 1e4) -> tuple[float, float]:
     """Competition levels beyond which the speed sign is fixed for every d, r.
 
     Returns (k1_star, k1_dstar) with 1 < k1_star < k1_dstar such that the
     criteria certify c > 0 for all d, r > 0 whenever 1 < k1 <= k1_star, and
     c < 0 for all d, r > 0 whenever k1 >= k1_dstar.  Both are located by
     bisection on the envelope inequality of :func:`_covers_all_ratios` to
-    relative tolerance ``rtol``, then spot-checked against classify() on a
+    relative tolerance ``_RTOL``, then spot-checked against classify() on a
     log-uniform d/r ladder over [1e-6, 1e6].
 
     These are upper estimates of the true determinacy levels: the criteria
@@ -591,7 +593,7 @@ def determinacy_thresholds(
             raise SearchCapExceeded(
                 f"no k1 <= {search_cap:g} certifies c < 0 for all d/r at k2={k2:g}"
             )
-    k1_dstar = _bisect(lambda k1: _covers_all_ratios(k1, k2), hi, lo, rtol)
+    k1_dstar = _bisect(lambda k1: _covers_all_ratios(k1, k2), hi, lo)
 
     # Positive side: largest k1 < sqrt(k2) whose reflection has full coverage.
     hi_p = math.sqrt(k2)  # coverage fails at the boundary k2 = k1^2
@@ -602,9 +604,9 @@ def determinacy_thresholds(
         step /= 2.0
     else:
         raise SearchCapExceeded(f"no k1 > 1 certifies c > 0 for all d/r at k2={k2:g}")
-    k1_star = _bisect(lambda k1: _covers_all_ratios(k2, k1), 1.0 + step, hi_p, rtol)
+    k1_star = _bisect(lambda k1: _covers_all_ratios(k2, k1), 1.0 + step, hi_p)
 
-    if not _sampled_coverage_check(k1_dstar * (1.0 + 10.0 * rtol), k2):
+    if not _sampled_coverage_check(k1_dstar * (1.0 + 10.0 * _RTOL), k2):
         raise PolarityConflictError(
             "coverage bisection and sampled classification disagree at "
             f"k1={k1_dstar!r}, k2={k2!r}"

@@ -14,7 +14,6 @@ from wavespeed.scan import (
     ScanSpec,
     emit_csv,
     emit_svg,
-    figure2_dataset,
     load_csv,
     mask_counts,
     plane_spec,
@@ -138,47 +137,66 @@ class TestScanPlane:
 
 
 @pytest.fixture(scope="module")
-def dataset():
+def fig2_plane():
     spec = ScanSpec(
         plane="k1d", x_range=(1.05, 60.0), y_range=(1e-3, 1e2),
         nx=41, ny=31, x_scale="log", y_scale="log", k2=2.0,
     )
-    return figure2_dataset(spec)
+    return scan_plane(spec)
+
+
+def reference_lines(plane, path):
+    """{label: x pixel} of the dashed verticals in the SVG of ``plane``."""
+    emit_svg(plane, path)
+    root = ET.parse(path).getroot()
+    labels = next(el for el in root.iter() if el.get("id") == "labels")
+    names = [el.text for el in labels if el.get("y") == "14"]  # above the frame
+    xs = [float(el.get("x1")) for el in root.iter() if el.tag.endswith("line")]
+    assert len(names) == len(xs)
+    return dict(zip(names, xs))
+
+
+def pixel_of(spec, k1):
+    """The x pixel of k1 on the log-scaled x axis of ``spec`` (frame 60..550)."""
+    lo, hi = spec.x_range
+    return 60 + 490 * math.log(k1 / lo) / math.log(hi / lo)
 
 
 class TestFigure2:
-    def test_reference_lines(self, dataset):
-        assert dataset.reference_k1["sqrt_k2"] == pytest.approx(math.sqrt(2.0))
-        assert dataset.reference_k1["k2"] == 2.0
-        assert dataset.reference_k1["k2_squared"] == 4.0
+    def test_reference_lines(self, fig2_plane, tmp_path):
+        lines = reference_lines(fig2_plane, tmp_path / "fig2.svg")
+        assert list(lines) == ["sqrt_k2", "k2", "k2_squared"]
+        for name, k1 in zip(lines, (math.sqrt(2.0), 2.0, 4.0)):
+            assert lines[name] == pytest.approx(pixel_of(fig2_plane.spec, k1), abs=0.01)
 
-    def test_reference_lines_follow_the_spec(self):
-        spec = plane_spec("k1d", k2=2.0, nx=3, ny=2)
-        reference = figure2_dataset(spec).reference_k1
-        assert reference["k2_squared"] == spec.k2 ** 2
-        assert reference["sqrt_k2"] == math.sqrt(spec.k2)
+    def test_reference_lines_follow_the_spec(self, tmp_path):
+        spec = plane_spec("k1d", k2=3.0, nx=3, ny=2)
+        lines = reference_lines(scan_plane(spec), tmp_path / "k2-3.svg")
+        assert lines["k2_squared"] == pytest.approx(pixel_of(spec, spec.k2 ** 2), abs=0.01)
+        assert lines["sqrt_k2"] == pytest.approx(pixel_of(spec, math.sqrt(spec.k2)), abs=0.01)
 
-    def test_requires_the_k1d_plane(self):
-        with pytest.raises(ParameterError):
-            figure2_dataset(plane_spec("sym", nx=3, ny=2))
+    def test_requires_the_k1d_plane(self, tmp_path):
+        # The verticals are levels of k1, so the sym plane draws none.
+        assert reference_lines(scan_plane(plane_spec("sym", nx=3, ny=2)),
+                               tmp_path / "sym.svg") == {}
 
-    def test_degenerate_mask_needs_k1_above_k2_squared(self, dataset):
-        fired = [s for s in dataset.samples if s.verdicts[CriterionId.DEG_NEG]]
+    def test_degenerate_mask_needs_k1_above_k2_squared(self, fig2_plane):
+        fired = [s for s in fig2_plane if s.verdicts[CriterionId.DEG_NEG]]
         assert fired
         assert all(s.x > 4.0 for s in fired)
 
-    def test_degenerate_envelope_matches_bound(self, dataset):
-        xs = sorted({s.x for s in dataset.samples})
+    def test_degenerate_envelope_matches_bound(self, fig2_plane):
+        xs = sorted({s.x for s in fig2_plane})
         col = min((x for x in xs if x > 7.5), key=lambda x: abs(x - 8.0))
         fired_y = [
-            s.y for s in dataset.samples
+            s.y for s in fig2_plane
             if s.x == col and s.verdicts[CriterionId.DEG_NEG]
         ]
         assert fired_y
         bound = degenerate_ratio_bound(col, 2.0)
         assert max(fired_y) <= bound
         # the grid resolves the envelope to within one log step
-        ys = sorted({s.y for s in dataset.samples})
+        ys = sorted({s.y for s in fig2_plane})
         step = ys[1] / ys[0]
         assert max(fired_y) * step * step > bound
 
@@ -187,7 +205,7 @@ class TestFigure2:
             plane="k1d", x_range=(2.0, 4.0), y_range=(1.0, 2.0), nx=2, ny=2,
             k2=2.0,
         )
-        samples = figure2_dataset(spec).samples
+        samples = scan_plane(spec)
         corner = [s for s in samples if s.x == 2.0 and s.y == 1.0]
         assert corner[0].combined.sign is Sign.INCONCLUSIVE
 
@@ -246,9 +264,8 @@ class TestEmission:
             plane="k1d", x_range=(1.05, 60.0), y_range=(1e-2, 1e2),
             nx=11, ny=11, x_scale="log", y_scale="log", k2=2.0,
         )
-        ds = figure2_dataset(spec)
         path = tmp_path / "fig2.svg"
-        emit_svg(ds.samples, path, {"reference_x": ds.reference_k1})
+        emit_svg(scan_plane(spec), path)
         root = ET.parse(path).getroot()
         lines = [
             el for el in root.iter()

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from conftest import blocking_sample_points
 from wavespeed.model import ParameterError, validate
+from wavespeed import supersol
 from wavespeed.theory import degenerate_ratio_bound, m_of_k
 from wavespeed.supersol import (
     DegenerateSupersol,
@@ -128,8 +129,8 @@ class TestSigmaProfile:
             sigma_profile(2.0, tol=tol)
 
     def test_span_request(self, profile_cache):
-        prof = profile_cache(2.0, span=35.0)
-        assert prof.xs[0] <= -35.0 and prof.xs[-1] >= 35.0
+        prof = profile_cache(2.0)
+        assert prof.xs[0] <= -supersol._SPAN and prof.xs[-1] >= supersol._SPAN
 
     def test_save_table(self, tmp_path, profile_cache):
         prof = profile_cache(2.0)
@@ -242,10 +243,10 @@ class TestBuildAndResiduals:
     def test_coarse_grid_rejected(self, profile_cache):
         params = validate(11, 1, 3, 3)
         cand = choose_p_a(params)
-        coarse = sigma_profile(cand.p, points_per_decade=12, tail_dx=1.0, tol=1e-3)
+        coarse = sigma_profile(cand.p, points_per_decade=12, tol=1e-3)
         table = build_supersolution(cand, coarse)
         with pytest.raises(GridResolutionError):
-            residuals_IJ(table, params, deriv_check_tol=1e-7)
+            residuals_IJ(table, params)
 
 
 class TestChoosePA:
