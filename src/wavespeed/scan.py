@@ -127,10 +127,10 @@ def _plane_params(spec: ScanSpec, xs: np.ndarray, ys: np.ndarray) -> theory.Para
 def _plane_columns(plane: str) -> tuple[tuple[str, CriterionId, bool], ...]:
     """(CSV key, row, read at the reflection) of each criterion column: the
     table rows, minus the symmetric-only rows on the k1d plane, then the
-    reflections of the reflectable ones."""
+    same rows read at the reflection."""
     rows = [row for row in theory.CRITERIA if plane == "sym" or not row.symmetric_only]
     return (tuple((row.id.value, row.id, False) for row in rows)
-            + tuple((f"R_{row.id.value}", row.id, True) for row in rows if row.reflectable))
+            + tuple((f"R_{row.id.value}", row.id, True) for row in rows))
 
 
 _COLUMNS = {plane: _plane_columns(plane) for plane in PLANE_DEFAULTS}
@@ -260,18 +260,16 @@ def load_csv(path) -> list[dict]:
 
 
 # Layer rank (lower draws first) and colour of each criterion's mask, then of
-# its reflected mask (None for rows with no reflection).  Priors render below
-# the new criteria.
+# its reflected mask.  Priors render below the new criteria.
 _SVG_STYLE = {
     CriterionId.PRIOR_I: ((0, "#b0b0b0"), (5, "#d9c2a8")),
     CriterionId.PRIOR_II: ((1, "#999999"), (6, "#d9c2a8")),
     CriterionId.PRIOR_III: ((2, "#8a8a8a"), (7, "#d9c2a8")),
     CriterionId.PRIOR_VII: ((3, "#7b7b7b"), (8, "#d9c2a8")),
     CriterionId.PRIOR_VIII: ((4, "#6c6c6c"), (9, "#d9c2a8")),
-    CriterionId.DEG_NEG: ((10, "#4477cc"), None),
-    CriterionId.DEG_POS: ((11, "#dd8855"), None),
+    CriterionId.DEG_NEG: ((10, "#4477cc"), (11, "#dd8855")),
     CriterionId.NEG3: ((12, "#5599dd"), (14, "#e0bb88")),
-    CriterionId.POS1: ((13, "#dd6644"), None),
+    CriterionId.POS1: ((13, "#dd6644"), (23, "#66aadd")),
     CriterionId.N1: ((15, "#9955cc"), (19, "#e09966")),
     CriterionId.N2: ((16, "#cc55aa"), (20, "#e0aa77")),
     CriterionId.S1: ((17, "#7744bb"), (21, "#eab388")),

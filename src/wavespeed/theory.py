@@ -6,9 +6,9 @@ criteria certify c < 0; the exchange symmetry
 
     c(d, r, k1, k2) = -sqrt(d r) c(1/d, 1/r, k2, k1)
 
-turns every negative criterion into a positive one, so :func:`classify`
-evaluates the reflectable criteria both directly and on the reflected
-parameters.  All inequalities are evaluated exactly as stated, preserving
+turns every criterion into its mirror, so :func:`classify` reads each one
+both at the parameters and at the reflected parameters, where a hit
+certifies the opposite sign.  All inequalities are evaluated exactly as stated, preserving
 strict vs non-strict comparisons, with no tolerance padding: the criteria
 are sharp-edged sufficient conditions and padding would manufacture false
 positives.
@@ -55,7 +55,6 @@ class CriterionId(Enum):
     S1 = "S1"
     S2 = "S2"
     DEG_NEG = "DEG_NEG"
-    DEG_POS = "DEG_POS"
     PRIOR_I = "PRIOR_I"
     PRIOR_II = "PRIOR_II"
     PRIOR_III = "PRIOR_III"
@@ -377,11 +376,9 @@ class Criterion:
     ``polarity`` is the sign of c the row certifies at p when its predicate
     holds: -1 for c < 0, +1 for c > 0.  ``predicate`` reads a
     :class:`ParamArrays` and returns its hits, a numpy bool or bool array.
-    The predicate is read at p, or at ``reflect(p)`` when ``at_reflection``
-    is set.  ``symmetric_only`` rows are defined on the symmetric plane
-    (r = 1, k1 = k2) and read False elsewhere.  ``reflectable`` rows (the
-    default) are read a second time at ``reflect(p)``, where a hit certifies
-    the opposite polarity at p.
+    Every row is read at p and at ``reflect(p)``, where a hit certifies the
+    opposite polarity at p.  ``symmetric_only`` rows are defined on the
+    symmetric plane (r = 1, k1 = k2) and read False elsewhere.
     """
 
     id: CriterionId
@@ -389,8 +386,6 @@ class Criterion:
     polarity: int
     predicate: Callable[[ParamArrays], np.ndarray]
     symmetric_only: bool = False
-    reflectable: bool = True
-    at_reflection: bool = False
 
 
 # The criterion inventory, in report and CSV column order.
@@ -400,10 +395,8 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion(CriterionId.NEG3, "neg3", -1, _in_neg3),
     Criterion(CriterionId.S1, "S1", -1, _in_s1, symmetric_only=True),
     Criterion(CriterionId.S2, "S2", -1, _in_s2, symmetric_only=True),
-    Criterion(CriterionId.DEG_NEG, "degenerate", -1, _in_degenerate, reflectable=False),
-    Criterion(CriterionId.POS1, "pos1", +1, _in_pos1, reflectable=False),
-    Criterion(CriterionId.DEG_POS, "degenerate (reflected)", +1, _in_degenerate,
-              reflectable=False, at_reflection=True),
+    Criterion(CriterionId.DEG_NEG, "degenerate", -1, _in_degenerate),
+    Criterion(CriterionId.POS1, "pos1", +1, _in_pos1),
     Criterion(CriterionId.PRIOR_I, "(i)", -1, _in_prior_i, symmetric_only=True),
     Criterion(CriterionId.PRIOR_II, "(ii)", -1, _in_prior_ii, symmetric_only=True),
     Criterion(CriterionId.PRIOR_III, "(iii)", -1, _in_prior_iii, symmetric_only=True),
@@ -420,11 +413,9 @@ SIGN_OF_CODE = {-1: Sign.NEGATIVE, 0: Sign.INCONCLUSIVE, +1: Sign.POSITIVE}
 class CriterionHits:
     """Every row of :data:`CRITERIA` evaluated on the points of a :class:`ParamArrays`.
 
-    ``direct`` maps each row to its hits where the row is read (p, or
-    ``reflect(p)`` for ``at_reflection`` rows); ``reflected`` maps each
-    ``reflectable`` row to its hits at ``reflect(p)``.  Both follow table
-    order, and each hit has the points' broadcast shape: a numpy bool for
-    one point, a bool array for many.
+    ``direct`` maps each row to its hits at p, ``reflected`` to its hits at
+    ``reflect(p)``.  Both follow table order, and each hit has the points'
+    broadcast shape: a numpy bool for one point, a bool array for many.
     """
 
     params: ParamArrays
@@ -440,8 +431,7 @@ class CriterionHits:
         votes = {-1: np.zeros(self.params.shape, bool), +1: np.zeros(self.params.shape, bool)}
         for row in CRITERIA:
             votes[row.polarity] |= self.direct[row.id]
-            if row.id in self.reflected:
-                votes[-row.polarity] |= self.reflected[row.id]
+            votes[-row.polarity] |= self.reflected[row.id]
         negative, positive = votes[-1], votes[+1]
         conflict = negative & positive
         if conflict.any():
@@ -462,7 +452,7 @@ class CriterionHits:
         for row in CRITERIA:
             if self.direct[row.id][index]:
                 direct[row.polarity].append(row.id)
-            if row.id in self.reflected and self.reflected[row.id][index]:
+            if self.reflected[row.id][index]:
                 mirrored[-row.polarity].append(row.id)
         negative = tuple(direct[-1] + mirrored[-1])
         positive = tuple(direct[+1] + mirrored[+1])
@@ -481,7 +471,7 @@ class CriterionHits:
 
 
 def evaluate_criteria(params: CompetitionParams | ParamArrays) -> CriterionHits:
-    """Read every row of the table at ``params`` and, where reflectable, at its reflection.
+    """Read every row of the table at ``params`` and at its reflection.
 
     ``params`` is one point (a :class:`CompetitionParams`) or many (a
     :class:`ParamArrays`); either is read as a ParamArrays.
@@ -497,18 +487,16 @@ def evaluate_criteria(params: CompetitionParams | ParamArrays) -> CriterionHits:
         return hit if hit.shape == shape else np.broadcast_to(hit, shape)
 
     with _masked():
-        direct = {
-            row.id: read(row, mirror if row.at_reflection else params) for row in CRITERIA
-        }
-        reflected = {row.id: read(row, mirror) for row in CRITERIA if row.reflectable}
+        direct = {row.id: read(row, params) for row in CRITERIA}
+        reflected = {row.id: read(row, mirror) for row in CRITERIA}
     return CriterionHits(params, direct, reflected)
 
 
 def classify(params: CompetitionParams) -> SignVerdict:
     """Combine every criterion into a single sign verdict.
 
-    Each row of :data:`CRITERIA` is read at ``params`` and, where
-    reflectable, at ``reflect(params)``; see :meth:`CriterionHits.verdict`.
+    Each row of :data:`CRITERIA` is read at ``params`` and at
+    ``reflect(params)``; see :meth:`CriterionHits.verdict`.
     """
     return evaluate_criteria(params).verdict()
 

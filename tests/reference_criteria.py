@@ -4,9 +4,9 @@ Every criterion stated on Python floats, one point at a time, with
 ``math.sqrt``, ``math.floor`` and Python's ``**``.  The tests compare
 ``theory.evaluate_criteria`` (on one point and on arrays) and
 ``theory.classify`` with it hit by hit, so a change to a predicate of the
-table that moves a single boundary point shows up here.  It reads only the
-flags of ``theory.CRITERIA`` (which rows are symmetric-only, reflectable or
-read at the reflection), never its predicates.
+table that moves a single boundary point shows up here.  It keeps its own
+list of rows, with their order, polarity and symmetric-only flag, and reads
+nothing of ``theory.CRITERIA``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 
 from wavespeed.model import CompetitionParams, validate
 from wavespeed.theory import (
-    CRITERIA,
     CriterionId,
     PolarityConflictError,
     Sign,
@@ -165,7 +164,7 @@ def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
     point = validate(d, 1.0, k, k)
     return {
         cid: predicate(point)
-        for cid, predicate in PREDICATES.items()
+        for cid, _, _, predicate in ROWS
         if cid.name.startswith("PRIOR_")
     }
 
@@ -198,37 +197,33 @@ def _prior_viii(params: CompetitionParams) -> bool:
     return 5.0 / 3.0 < k < 2.0 and 4.0 < d < 2.0 / (2.0 - k)
 
 
-# The scalar predicate of each row of ``theory.CRITERIA``.
-PREDICATES = {
-    CriterionId.N1: criterion_n1,
-    CriterionId.N2: criterion_n2,
-    CriterionId.NEG3: criterion_neg3,
-    CriterionId.S1: _s1,
-    CriterionId.S2: _s2,
-    CriterionId.DEG_NEG: criterion_degenerate,
-    CriterionId.POS1: criterion_pos1,
-    CriterionId.DEG_POS: criterion_degenerate,
-    CriterionId.PRIOR_I: _prior_i,
-    CriterionId.PRIOR_II: _prior_ii,
-    CriterionId.PRIOR_III: _prior_iii,
-    CriterionId.PRIOR_VII: _prior_vii,
-    CriterionId.PRIOR_VIII: _prior_viii,
-}
+# (row, polarity, symmetric-only, scalar predicate) of each row of
+# ``theory.CRITERIA``, in report order.
+ROWS = (
+    (CriterionId.N1, -1, False, criterion_n1),
+    (CriterionId.N2, -1, False, criterion_n2),
+    (CriterionId.NEG3, -1, False, criterion_neg3),
+    (CriterionId.S1, -1, True, _s1),
+    (CriterionId.S2, -1, True, _s2),
+    (CriterionId.DEG_NEG, -1, False, criterion_degenerate),
+    (CriterionId.POS1, +1, False, criterion_pos1),
+    (CriterionId.PRIOR_I, -1, True, _prior_i),
+    (CriterionId.PRIOR_II, -1, True, _prior_ii),
+    (CriterionId.PRIOR_III, -1, True, _prior_iii),
+    (CriterionId.PRIOR_VII, -1, True, _prior_vii),
+    (CriterionId.PRIOR_VIII, -1, True, _prior_viii),
+)
+
+
+def _hits(point: CompetitionParams) -> dict[CriterionId, bool]:
+    return {cid: (not symmetric_only or point.symmetric) and predicate(point)
+            for cid, _, symmetric_only, predicate in ROWS}
 
 
 def evaluate(params: CompetitionParams):
-    """(direct, reflected) hits of every row at ``params``, in table order."""
-    mirror = reflect(params)
-    direct = {}
-    for row in CRITERIA:
-        point = mirror if row.at_reflection else params
-        direct[row.id] = (not row.symmetric_only or point.symmetric) and PREDICATES[row.id](point)
-    reflected = {
-        row.id: (not row.symmetric_only or mirror.symmetric) and PREDICATES[row.id](mirror)
-        for row in CRITERIA
-        if row.reflectable
-    }
-    return direct, reflected
+    """(direct, reflected) hits of every row, at ``params`` and at its
+    reflection, in table order."""
+    return _hits(params), _hits(reflect(params))
 
 
 def verdict(params: CompetitionParams, direct, reflected) -> SignVerdict:
@@ -239,11 +234,11 @@ def verdict(params: CompetitionParams, direct, reflected) -> SignVerdict:
     """
     votes = {-1: [], +1: []}
     mirrored = {-1: [], +1: []}
-    for row in CRITERIA:
-        if direct[row.id]:
-            votes[row.polarity].append(row.id)
-        if reflected.get(row.id):
-            mirrored[-row.polarity].append(row.id)
+    for cid, polarity, _, _ in ROWS:
+        if direct[cid]:
+            votes[polarity].append(cid)
+        if reflected[cid]:
+            mirrored[-polarity].append(cid)
     negative = tuple(votes[-1] + mirrored[-1])
     positive = tuple(votes[+1] + mirrored[+1])
     if negative and positive:

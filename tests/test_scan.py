@@ -50,17 +50,12 @@ class TestScanPlane:
             assert a.combined.sign == b.combined.sign
 
     def test_no_cell_in_both_polarity_masks(self, sym_samples):
-        negative = [
-            CriterionId.N1, CriterionId.N2, CriterionId.NEG3, CriterionId.S1,
-            CriterionId.S2, CriterionId.DEG_NEG, CriterionId.PRIOR_I,
-            CriterionId.PRIOR_II, CriterionId.PRIOR_III, CriterionId.PRIOR_VII,
-            CriterionId.PRIOR_VIII,
-        ]
         for s in sym_samples:
-            neg = any(s.verdicts[c] for c in negative)
-            pos = any(s.verdicts[c] for c in (CriterionId.POS1, CriterionId.DEG_POS))
-            pos = pos or any(s.reflected_verdicts.values())
-            assert not (neg and pos)
+            votes = {-1: False, +1: False}
+            for row in CRITERIA:
+                votes[row.polarity] |= s.verdicts[row.id]
+                votes[-row.polarity] |= s.reflected_verdicts[row.id]
+            assert not (votes[-1] and votes[+1])
 
     def test_combined_consistent_with_masks(self, sym_samples):
         for s in sym_samples:
@@ -254,9 +249,8 @@ class TestEmission:
     def test_every_criterion_column_is_styled(self):
         for row in CRITERIA:
             direct, reflected = _SVG_STYLE[row.id]
-            assert direct is not None
-            assert (reflected is not None) == row.reflectable
-        ranks = [layer[0] for style in _SVG_STYLE.values() for layer in style if layer]
+            assert direct is not None and reflected is not None
+        ranks = [layer[0] for style in _SVG_STYLE.values() for layer in style]
         assert sorted(ranks) == list(range(len(ranks)))
 
     def test_svg_reference_lines(self, tmp_path):
@@ -285,14 +279,14 @@ class TestEmission:
 
 
 SYM_HEADER = (
-    "x,y,N1,N2,NEG3,S1,S2,DEG_NEG,POS1,DEG_POS,"
+    "x,y,N1,N2,NEG3,S1,S2,DEG_NEG,POS1,"
     "PRIOR_I,PRIOR_II,PRIOR_III,PRIOR_VII,PRIOR_VIII,"
-    "R_N1,R_N2,R_NEG3,R_S1,R_S2,"
+    "R_N1,R_N2,R_NEG3,R_S1,R_S2,R_DEG_NEG,R_POS1,"
     "R_PRIOR_I,R_PRIOR_II,R_PRIOR_III,R_PRIOR_VII,R_PRIOR_VIII,"
     "combined,c_num,stderr,converged"
 )
 K1D_HEADER = (
-    "x,y,N1,N2,NEG3,DEG_NEG,POS1,DEG_POS,R_N1,R_N2,R_NEG3,"
+    "x,y,N1,N2,NEG3,DEG_NEG,POS1,R_N1,R_N2,R_NEG3,R_DEG_NEG,R_POS1,"
     "combined,c_num,stderr,converged"
 )
 
@@ -341,21 +335,21 @@ class TestPlaneSequence:
         assert holding == [(xs[ix], ys[iy]) for iy in (0, 2) for ix in (0, 2)]
 
 
-# sha256 of `wavespeed scan` output as the per-cell ElementTree writer
-# produced it (numpy 2.4.6, x86-64).  The --with-pde plane holds a cell whose
-# oracle run fails, written as nan,inf,0.
+# sha256 of `wavespeed scan` output (numpy 2.4.6, x86-64), with an R_ column
+# for every criterion row.  The --with-pde plane holds a cell whose oracle run
+# fails, written as nan,inf,0.
 GOLDEN = [
-    ([], "fb69ab1635bbf0806904bded3055215580bc9427e972bef128c70c9bd67bb826",
-     "14f199f63ca435bcb86560b49712302077a15d355e0146fbe9ab136e2f344954"),
+    ([], "818ce98a48a3af7b6ff270c19f9f3b697d7a19da31356793d4c12346fcb4cbfc",
+     "38c4d575254d44ce9db3691ec47ecc7ab80d86216e78cfe980286cf291da5e75"),
     (["--plane", "k1d", "--k2", "2", "--r", "1"],
-     "c079d438e102d4c8fc0e4dd5290a321ce4a7ac0a9970218de64b9f41174fa539",
-     "3aadc53467762839007db9e4df9332053716b01c12f6949fa84053ca5a420b59"),
+     "ddbabdfb6c7d79f23aac2982e86d65485cc95751b88260e065f1343ef51c3812",
+     "1e147040549245ea89ba7b775ec78f0807d6213ad8cb0176c500391caf107b7a"),
     (["--plane", "k1d", "--k2", "3", "--r", "40"],
-     "d4189fb6fe871702e965377995fa243f5fc14a555c6befc42b13baede52a1c61",
-     "05304f29f3df41dcb389c61a86d1158c20c09ef52f6dbbe8fdd29d24681395d3"),
+     "085bc54afa023e1ce746bc83c4cc580ba1b980962ef2cfeef29622b774b7c043",
+     "669e569199361f5079a8cc9ba0eb9a8086e3eb5751a7c6711bd62fa76674a036"),
     (["--plane", "k1d", "--k2", "3", "--r", "40", "--nx", "4", "--ny", "3", "--with-pde"],
-     "48853d2401a92653f2adcc20664c72a2605991f9557d1566b7d4ade15a3b0a8d",
-     "72d2825b7eaf172fbdde2a0df9fef3f8d6820e5e9faebd1561331796947a6356"),
+     "eadd23f422213e11c7d738571dd7a2e955a74f3abf92d93ffe81b6312482cecf",
+     "96005ade2d6cb18fd0d361a38819402e7afce73c2772a56c4faa56ebdb709390"),
 ]
 
 
@@ -370,11 +364,12 @@ class TestGoldenOutput:
 
 
 # sha256 of the stdout and exit code of `wavespeed classify` on points that
-# cover every verdict: N1/neg3/S1, pos1 beside reflected hits, region (i)
-# with N2/S2/(viii), the inconclusive symmetric fixed point, and N2 alone.
+# cover every verdict: N1/neg3/S1 beside reflected pos1, pos1 beside
+# reflected N1/neg3/S1, region (i) with N2/S2/(viii), the inconclusive
+# symmetric fixed point, and N2 alone.
 CLASSIFY_POINTS = [(11, 1, 3, 3), (1 / 11, 1, 3, 3), (5.5, 1, 11 / 6, 11 / 6),
                    (1, 1, 2, 2), (7, 1, 1.8, 2)]
-CLASSIFY_GOLDEN = "cd345de38cddb12d304526f03905e6e6008ede17dc0ba7330ae9faba3ff5c4bb"
+CLASSIFY_GOLDEN = "c1c9aa266b58afaf4f57d39bb2b2343ae9ce5fe3ede2c6a06a6ac3fdb8245938"
 
 
 class TestClassifyGoldenOutput:

@@ -8,6 +8,7 @@ from wavespeed.model import validate
 from wavespeed import theory
 from wavespeed.theory import (
     CriterionId,
+    ParamArrays,
     PolarityConflictError,
     SearchCapExceeded,
     Sign,
@@ -20,6 +21,7 @@ from wavespeed.theory import (
     criterion_s1_s2,
     degenerate_ratio_bound,
     determinacy_thresholds,
+    evaluate_criteria,
     kstar_bounds,
     m_of_k,
     prior_regions,
@@ -33,6 +35,15 @@ def random_params(rng, n):
         r = 10.0 ** rng.uniform(-2, 2)
         k1, k2 = 1.0 + 10.0 ** rng.uniform(-2, 1, size=2)
         yield validate(d, r, k1, k2)
+
+
+def random_arrays(rng, n):
+    """The n points of ``random_params(rng, n)`` as one ParamArrays: the
+    same draws, with d and r raised by Python's ``**`` as there."""
+    exponents = rng.uniform([-3, -2, -2, -2], [3, 2, 1, 1], size=(n, 4))
+    d, r = (np.array([10.0 ** e for e in column]) for column in exponents[:, :2].T.tolist())
+    k1, k2 = 1.0 + 10.0 ** exponents[:, 2:].T
+    return ParamArrays(d, r, k1, k2)
 
 
 class TestMOfK:
@@ -198,7 +209,8 @@ class TestClassify:
         assert verdict.sign is Sign.NEGATIVE
         assert CriterionId.S1 in verdict.fired
         assert CriterionId.N1 in verdict.fired
-        assert not verdict.reflected
+        # pos1 holds at the reflection (1/11, 1, 3, 3) and certifies c < 0 here too.
+        assert verdict.fired_reflected == (CriterionId.POS1,)
 
     def test_positive_via_reflection(self):
         verdict = classify(validate(1 / 11, 1, 3, 3))
@@ -213,22 +225,18 @@ class TestClassify:
 
     def test_polarity_exclusion_on_random_sample(self):
         rng = np.random.default_rng(123)
-        for p in random_params(rng, 100_000):
-            classify(p)  # must never raise PolarityConflictError
+        # signs() raises PolarityConflictError wherever classify() would.
+        evaluate_criteria(random_arrays(rng, 100_000)).signs()
 
     def test_reflection_flips_sign(self):
         rng = np.random.default_rng(17)
-        flips = {Sign.NEGATIVE: Sign.POSITIVE, Sign.POSITIVE: Sign.NEGATIVE}
+        flips = {Sign.NEGATIVE: Sign.POSITIVE, Sign.POSITIVE: Sign.NEGATIVE,
+                 Sign.INCONCLUSIVE: Sign.INCONCLUSIVE}
         checked = 0
         for p in random_params(rng, 2000):
-            a = classify(p).sign
-            b = classify(reflect(p)).sign
-            if a is not Sign.INCONCLUSIVE or b is not Sign.INCONCLUSIVE:
-                checked += 1
-                if a is not Sign.INCONCLUSIVE:
-                    assert b in (flips[a], Sign.INCONCLUSIVE)
-                if b is not Sign.INCONCLUSIVE:
-                    assert a in (flips[b], Sign.INCONCLUSIVE)
+            sign = classify(p).sign
+            assert classify(reflect(p)).sign is flips[sign]
+            checked += sign is not Sign.INCONCLUSIVE
         assert checked > 100
 
     def test_neg3_membership_monotone_in_k1(self):
