@@ -359,8 +359,7 @@ def emit_svg(plane: Plane, path) -> None:
             continue
         px = ml + frac * pw
         lines.append(f'<line x1="{px:.2f}" x2="{px:.2f}" y1="{mt}" y2="{mt + ph}" />')
-        labels.append(f'<text text-anchor="middle" x="{px:.1f}" y="{mt - 6}">'
-                      f'{name}</text>')
+        labels.append(f'<text text-anchor="middle" x="{px:.1f}" y="{mt - 6}">{name}</text>')
     parts.append(_group('font-size="11" id="labels"', labels))
     if refs:
         parts.append(_group('stroke-dasharray="4 3" id="reference-lines" stroke="#222222"',

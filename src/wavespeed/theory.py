@@ -8,10 +8,10 @@ criteria certify c < 0; the exchange symmetry
 
 turns every criterion into its mirror, so :func:`classify` reads each one
 both at the parameters and at the reflected parameters, where a hit
-certifies the opposite sign.  All inequalities are evaluated exactly as stated, preserving
-strict vs non-strict comparisons, with no tolerance padding: the criteria
-are sharp-edged sufficient conditions and padding would manufacture false
-positives.
+certifies the opposite sign.  All inequalities are evaluated exactly as
+stated, preserving strict vs non-strict comparisons, with no tolerance
+padding: the criteria are sharp-edged sufficient conditions and padding
+would manufacture false positives.
 
 The inventory is the single table :data:`CRITERIA`; its report labels:
 
