@@ -247,9 +247,8 @@ class TestEmission:
         assert {g.get("id")[len("criterion-"):] for g in groups} == fired
 
     def test_every_criterion_column_is_styled(self):
-        for row in CRITERIA:
-            direct, reflected = _SVG_STYLE[row.id]
-            assert direct is not None and reflected is not None
+        # One (direct, reflected) pair of layers per row.
+        assert set(_SVG_STYLE) == {row.id for row in CRITERIA}
         ranks = [layer[0] for style in _SVG_STYLE.values() for layer in style]
         assert sorted(ranks) == list(range(len(ranks)))
 
