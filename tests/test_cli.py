@@ -105,13 +105,6 @@ class TestSpeed:
         assert err == "not converged: truncation\n"
         assert "truncation" not in out
 
-    def test_stiff_run_exits_three_with_its_reason(self, capsys):
-        # The explicit reaction step blows up here at t = 0.02.
-        code, out, err = run(capsys, "speed", "0.4", "40", "5.5", "3", "--t-end", "1")
-        assert code == 3
-        assert err.startswith("not converged: stiff (instability: ")
-        assert out == ""
-
     def test_trajectory_dump_is_in_the_lab_frame_across_shifts(self, capsys, tmp_path,
                                                                 monkeypatch):
         estimates = []
