@@ -34,16 +34,9 @@ from .theory import (
     SignVerdict,
     ThresholdBounds,
     classify,
-    criterion_degenerate,
-    criterion_n1,
-    criterion_n2,
-    criterion_neg3,
-    criterion_pos1,
-    criterion_s1_s2,
     determinacy_thresholds,
     kstar_bounds,
     m_of_k,
-    prior_regions,
     reflect,
 )
 from .supersol import (

@@ -285,7 +285,6 @@ class SupersolutionTable:
     xs: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    sigma: np.ndarray
     p: float
     a: float
 
@@ -312,7 +311,6 @@ def build_supersolution(
         xs=profile.xs / cand.a,
         phi=profile.sigma**cand.p,
         psi=profile.sigma.copy(),
-        sigma=profile.sigma,
         p=cand.p,
         a=cand.a,
     )
@@ -379,7 +377,7 @@ def residuals_IJ(
     compared against the closed form; disagreement beyond
     ``_DERIV_CHECK_TOL`` raises :class:`GridResolutionError`.
     """
-    s = table.sigma
+    s = table.psi
     p, a = table.p, table.a
     a2 = a * a
     G = np.maximum(first_integral(s, p), 0.0)

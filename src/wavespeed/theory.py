@@ -19,7 +19,8 @@ The inventory is the single table :data:`CRITERIA`; its report labels:
 * neg3, pos1 -- explicit half-line bounds in k1 bracketing the threshold k*
 * S1, S2     -- the symmetric-case (r = 1, k1 = k2) specializations
 * degenerate -- the small-d/r condition active for k1 > k2^2
-* (i)..(viii)-- previously established symmetric-case regions
+* (i)..(viii)-- previously established symmetric-case regions; the limiting
+                regions (iv)-(vi) carry no quantitative data and have no row
 
 Each row holds its predicate once, on numpy values: :func:`evaluate_criteria`
 reads the table at one point or on broadcast arrays (a :class:`ParamArrays`),
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CompetitionParams, validate
+from .model import CompetitionParams
 
 
 class PolarityConflictError(RuntimeError):
@@ -84,10 +85,6 @@ class SignVerdict:
     sign: Sign
     fired: tuple[CriterionId, ...]
     fired_reflected: tuple[CriterionId, ...] = ()
-
-    @property
-    def reflected(self) -> bool:
-        return bool(self.fired_reflected)
 
 
 @dataclass(frozen=True)
@@ -316,31 +313,6 @@ def _in_prior_viii(p: ParamArrays):
     return (5.0 / 3.0 < k) & (k < 2.0) & (4.0 < d) & (d < 2.0 / (2.0 - k))
 
 
-def _one_point(predicate: Callable[[ParamArrays], np.ndarray]) -> Callable:
-    """``predicate`` read at one :class:`CompetitionParams`, as a bool."""
-    def read(params: CompetitionParams) -> bool:
-        with _masked():
-            return bool(predicate(ParamArrays(params.d, params.r, params.k1, params.k2)))
-    read.__doc__ = predicate.__doc__
-    return read
-
-
-# Single-point readers of the rows.
-criterion_n1 = _one_point(_in_n1)
-criterion_n2 = _one_point(_in_n2)
-criterion_neg3 = _one_point(_in_neg3)
-criterion_pos1 = _one_point(_in_pos1)
-criterion_degenerate = _one_point(_in_degenerate)
-
-
-def criterion_s1_s2(d: float, k: float) -> tuple[bool, bool]:
-    """Rows S1 and S2 at the symmetric point (r = 1, k1 = k2 = k)."""
-    if d <= 0.0 or k <= 1.0:
-        raise ValueError("criterion_s1_s2 requires d > 0 and k > 1")
-    point = validate(d, 1.0, k, k)
-    return _one_point(_in_s1)(point), _one_point(_in_s2)(point)
-
-
 def reflect(params):
     """Exchange the two species' roles: (d, r, k1, k2) -> (1/d, 1/r, k2, k1).
 
@@ -349,24 +321,6 @@ def reflect(params):
     certifies c > 0 at the original ones.
     """
     return type(params)(1.0 / params.d, 1.0 / params.r, params.k2, params.k1)
-
-
-def prior_regions(d: float, k: float) -> dict[CriterionId, bool]:
-    """Previously established negative-speed regions in the symmetric (d, k) plane.
-
-    Membership follows the published formulas exactly, as the PRIOR rows of
-    :data:`CRITERIA` state them: (i), (ii), (iii), (vii) and (viii).  The
-    limiting regions (iv), (v), (vi) carry no quantitative data and are not
-    evaluated.
-    """
-    if d <= 0.0 or k <= 1.0:
-        raise ValueError("prior_regions requires d > 0 and k > 1")
-    point = validate(d, 1.0, k, k)
-    return {
-        row.id: _one_point(row.predicate)(point)
-        for row in CRITERIA
-        if row.id.name.startswith("PRIOR_")
-    }
 
 
 @dataclass(frozen=True)

@@ -155,11 +155,6 @@ class TestEstimateSpeed:
         assert est.front_trace[0, 0] == 0.0
         assert est.front_trace[-1, 0] == pytest.approx(20.0)
 
-    def test_boundary_proximity_flags_nonconverged(self):
-        # Fast front in a short box reaches the 10%-margin zone.
-        est = estimate_speed(validate(5, 1, 5, 2), coarse_config(L=10.0, t_end=60.0))
-        assert not est.converged
-
 
 class TestCoMovingWindow:
     def test_recentre_moves_whole_cells_and_refills_the_ends(self):
@@ -176,8 +171,13 @@ class TestCoMovingWindow:
         assert est.converged and est.shifts
         assert abs(est.c_hat - 0.56295) < 1e-3
 
-    def test_window_shorter_than_the_profile_is_truncation(self):
-        est = estimate_speed(validate(4000, 40, 1.5, 3), default_config(L=20.0, t_end=120.0))
+    @pytest.mark.parametrize("point, config", [
+        ((4000, 40, 1.5, 3), default_config(L=20.0, t_end=120.0)),
+        # A fast front in a short window.
+        ((5, 1, 5, 2), coarse_config(L=10.0, t_end=60.0)),
+    ], ids=["oracle_scan_cell", "fast_front"])
+    def test_window_shorter_than_the_profile_is_truncation(self, point, config):
+        est = estimate_speed(validate(*point), config)
         assert not est.converged
         assert est.reason == "truncation"
 

@@ -297,7 +297,7 @@ class TestCriterionColumns:
         # The grid holds the symmetric cell k1 = k2 = 2, d/r = 1 at r = 1.
         (ScanSpec(plane="k1d", x_range=(1.5, 2.5), y_range=(0.5, 1.5),
                   nx=3, ny=3, k2=2.0), K1D_HEADER),
-    ])
+    ], ids=["sym", "k1d"])
     def test_combined_is_classify_and_header_is_fixed(self, tmp_path, spec, header):
         samples = scan_plane(spec)
         points = {(s.x, s.y) for s in samples}

@@ -197,7 +197,7 @@ class TestBuildAndResiduals:
         assert np.all(table.phi <= table.psi)
         assert np.all(np.diff(table.phi) > 0)
         assert table.phi[0] < 1e-12 and table.phi[-1] > 1.0 - 1e-6
-        assert np.allclose(table.phi, table.sigma**2)
+        assert np.allclose(table.phi, table.psi**2)
 
     def test_build_requires_matching_exponent(self, profile_cache):
         with pytest.raises(ParameterError):
@@ -218,8 +218,7 @@ class TestBuildAndResiduals:
         prof = profile_cache(cand.p, points_per_decade=400)
         table = build_supersolution(cand, prof)
         shifted = type(table)(
-            xs=table.xs + 17.0, phi=table.phi, psi=table.psi,
-            sigma=table.sigma, p=table.p, a=table.a,
+            xs=table.xs + 17.0, phi=table.phi, psi=table.psi, p=table.p, a=table.a,
         )
         r1 = residuals_IJ(table, params)
         r2 = residuals_IJ(shifted, params)

@@ -13,20 +13,18 @@ from wavespeed.theory import (
     SearchCapExceeded,
     Sign,
     classify,
-    criterion_neg3,
-    criterion_pos1,
-    criterion_degenerate,
-    criterion_n1,
-    criterion_n2,
-    criterion_s1_s2,
     degenerate_ratio_bound,
     determinacy_thresholds,
     evaluate_criteria,
     kstar_bounds,
     m_of_k,
-    prior_regions,
     reflect,
 )
+
+
+def hit(params, row):
+    """Whether the table row ``row`` holds at ``params`` itself (not at its reflection)."""
+    return bool(evaluate_criteria(params).direct[row])
 
 
 def random_params(rng, n):
@@ -72,69 +70,68 @@ class TestN1:
     def test_fires_at_strong_symmetric_point(self):
         # k1 = 3 >= m(3) ~ 2.772 and d/r = 11 exceeds the k2 > 2 branch
         # bound 2 k2 m / (2 k1 - m) ~ 5.152.
-        assert criterion_n1(validate(11, 1, 3, 3))
+        assert hit(validate(11, 1, 3, 3), CriterionId.N1)
 
     def test_middle_branch(self):
-        assert criterion_n1(validate(5, 1, 5, 2))
-        assert not criterion_n1(validate(0.5, 1, 5, 2))
+        assert hit(validate(5, 1, 5, 2), CriterionId.N1)
+        assert not hit(validate(0.5, 1, 5, 2), CriterionId.N1)
 
     def test_requires_k1_at_least_m(self):
         # k1 = 1.8 < m(2) = 2.
-        assert not criterion_n1(validate(100, 1, 1.8, 2))
+        assert not hit(validate(100, 1, 1.8, 2), CriterionId.N1)
 
 
 class TestN2:
     def test_strip_membership(self):
-        assert criterion_n2(validate(7, 1, 1.8, 2))
-        assert not criterion_n2(validate(12, 1, 1.8, 2))
-        assert not criterion_n2(validate(4, 1, 1.8, 2))
+        assert hit(validate(7, 1, 1.8, 2), CriterionId.N2)
+        assert not hit(validate(12, 1, 1.8, 2), CriterionId.N2)
+        assert not hit(validate(4, 1, 1.8, 2), CriterionId.N2)
 
     def test_first_clause(self):
-        assert not criterion_n2(validate(7, 1, 2.5, 2))
+        assert not hit(validate(7, 1, 2.5, 2), CriterionId.N2)
 
     def test_large_k2_requires_positive_lower_bound(self):
         # With 2 k1 <= m(k2) the strip is empty; a naive reading would let
         # any small ratio through and contradict pos1.
         p = validate(0.001, 1, 1.01, 10)
-        assert not criterion_n2(p)
-        assert criterion_pos1(p)
+        assert not hit(p, CriterionId.N2)
+        assert hit(p, CriterionId.POS1)
 
 
 class TestCorollary:
     def test_neg3_at_equal_rates(self):
-        assert criterion_neg3(validate(1, 1, 6, 2))
-        assert not criterion_neg3(validate(1, 1, 5, 2))  # threshold is strict
+        assert hit(validate(1, 1, 6, 2), CriterionId.NEG3)
+        assert not hit(validate(1, 1, 5, 2), CriterionId.NEG3)  # threshold is strict
 
     def test_pos1_example(self):
-        assert criterion_pos1(validate(1, 1, 1.1, 2))
-        assert not criterion_pos1(validate(1, 1, 1.3, 2))
+        assert hit(validate(1, 1, 1.1, 2), CriterionId.POS1)
+        assert not hit(validate(1, 1, 1.3, 2), CriterionId.POS1)
 
     def test_polarities_disjoint_random(self):
-        rng = np.random.default_rng(42)
-        for p in random_params(rng, 10_000):
-            assert not (criterion_neg3(p) and criterion_pos1(p))
+        direct = evaluate_criteria(random_arrays(np.random.default_rng(42), 10_000)).direct
+        assert not np.any(direct[CriterionId.NEG3] & direct[CriterionId.POS1])
 
 
 class TestS1S2:
     def test_s1_true_above_bound(self):
-        s1, s2 = criterion_s1_s2(11.0, 3.0)
-        assert s1 and not s2
+        p = validate(11.0, 1, 3.0, 3.0)
+        assert hit(p, CriterionId.S1) and not hit(p, CriterionId.S2)
 
     def test_s1_false_below_bound(self):
-        s1, _ = criterion_s1_s2(1.0, 3.0)
-        assert not s1
+        assert not hit(validate(1.0, 1, 3.0, 3.0), CriterionId.S1)
 
     def test_s2_strip(self):
-        s1, s2 = criterion_s1_s2(5.0, 1.5)
-        assert s2 and not s1
+        p = validate(5.0, 1, 1.5, 1.5)
+        assert hit(p, CriterionId.S2) and not hit(p, CriterionId.S1)
 
     def test_s2_where_rounded_m_meets_k(self):
         # Just below k = 2 the rounded m(k) equals k and the strip's upper
         # bound would divide by zero.
         k = 1.9999999999999996
         assert m_of_k(k) == k
-        assert criterion_s1_s2(5.0, k) == (False, False)
-        verdict = classify(validate(5.0, 1.0, k, k))
+        p = validate(5.0, 1, k, k)
+        assert not hit(p, CriterionId.S1) and not hit(p, CriterionId.S2)
+        verdict = classify(p)
         assert verdict.sign is Sign.NEGATIVE and CriterionId.N1 in verdict.fired
 
     def test_agrees_with_general_criteria_on_diagonal(self):
@@ -143,7 +140,8 @@ class TestS1S2:
             d = 10.0 ** rng.uniform(-2, 2)
             k = 1.0 + 10.0 ** rng.uniform(-2, 1)
             p = validate(d, 1.0, k, k)
-            assert criterion_s1_s2(d, k) == (criterion_n1(p), criterion_n2(p))
+            assert hit(p, CriterionId.S1) == hit(p, CriterionId.N1)
+            assert hit(p, CriterionId.S2) == hit(p, CriterionId.N2)
 
 
 class TestDegenerate:
@@ -151,11 +149,11 @@ class TestDegenerate:
         assert degenerate_ratio_bound(8.0, 2.0) == pytest.approx(0.0745778, rel=1e-5)
 
     def test_fires_below_bound_only(self):
-        assert criterion_degenerate(validate(0.05, 1, 8, 2))
-        assert not criterion_degenerate(validate(0.1, 1, 8, 2))
+        assert hit(validate(0.05, 1, 8, 2), CriterionId.DEG_NEG)
+        assert not hit(validate(0.1, 1, 8, 2), CriterionId.DEG_NEG)
 
     def test_boundary_excluded(self):
-        assert not criterion_degenerate(validate(0.01, 1, 4, 2))
+        assert not hit(validate(0.01, 1, 4, 2), CriterionId.DEG_NEG)
 
 
 class TestReflect:
@@ -177,30 +175,30 @@ class TestReflect:
 
 class TestPriorRegions:
     def test_point_region(self):
-        assert prior_regions(5.5, 11 / 6)[CriterionId.PRIOR_I]
-        assert not prior_regions(5.5, 1.83)[CriterionId.PRIOR_I]
-        assert not prior_regions(5.4, 11 / 6)[CriterionId.PRIOR_I]
+        assert hit(validate(5.5, 1, 11 / 6, 11 / 6), CriterionId.PRIOR_I)
+        assert not hit(validate(5.5, 1, 1.83, 1.83), CriterionId.PRIOR_I)
+        assert not hit(validate(5.4, 1, 11 / 6, 11 / 6), CriterionId.PRIOR_I)
 
     def test_region_ii(self):
-        assert prior_regions(4.0, 1.3)[CriterionId.PRIOR_II]
-        assert not prior_regions(4.1, 1.3)[CriterionId.PRIOR_II]
-        assert not prior_regions(4.0, 1.4)[CriterionId.PRIOR_II]
+        assert hit(validate(4.0, 1, 1.3, 1.3), CriterionId.PRIOR_II)
+        assert not hit(validate(4.1, 1, 1.3, 1.3), CriterionId.PRIOR_II)
+        assert not hit(validate(4.0, 1, 1.4, 1.4), CriterionId.PRIOR_II)
 
     def test_region_iii_exclusion_fires(self):
         # At (4.5, 1.8) the excluded line d = 2k/(k-1) passes exactly
         # through the query point.
-        assert not prior_regions(4.5, 1.8)[CriterionId.PRIOR_III]
-        assert prior_regions(4.4, 1.8)[CriterionId.PRIOR_III]
+        assert not hit(validate(4.5, 1, 1.8, 1.8), CriterionId.PRIOR_III)
+        assert hit(validate(4.4, 1, 1.8, 1.8), CriterionId.PRIOR_III)
 
     def test_region_viii(self):
-        assert prior_regions(4.5, 1.9)[CriterionId.PRIOR_VIII]
-        assert not prior_regions(3.9, 1.9)[CriterionId.PRIOR_VIII]
+        assert hit(validate(4.5, 1, 1.9, 1.9), CriterionId.PRIOR_VIII)
+        assert not hit(validate(3.9, 1, 1.9, 1.9), CriterionId.PRIOR_VIII)
 
     def test_region_vii_sample(self):
         # For k < 5/3 both floor terms drop out and the condition reduces to
         # d > 3k - 1 and 4 d (k-1) < (3k-1)^2.
-        assert prior_regions(3.0, 1.2)[CriterionId.PRIOR_VII]
-        assert not prior_regions(2.0, 1.2)[CriterionId.PRIOR_VII]
+        assert hit(validate(3.0, 1, 1.2, 1.2), CriterionId.PRIOR_VII)
+        assert not hit(validate(2.0, 1, 1.2, 1.2), CriterionId.PRIOR_VII)
 
 
 class TestClassify:
@@ -216,7 +214,7 @@ class TestClassify:
         verdict = classify(validate(1 / 11, 1, 3, 3))
         assert verdict.sign is Sign.POSITIVE
         assert CriterionId.S1 in verdict.fired
-        assert verdict.reflected
+        assert verdict.fired_reflected
 
     def test_inconclusive_at_symmetric_fixed_point(self):
         verdict = classify(validate(1, 1, 2, 2))
@@ -246,7 +244,7 @@ class TestClassify:
             r = 10.0 ** rng.uniform(-1, 1)
             k2 = 1.0 + 10.0 ** rng.uniform(-2, 1)
             k1s = sorted(1.0 + 10.0 ** rng.uniform(-2, 1.5, size=4))
-            fired = [criterion_neg3(validate(d, r, k1, k2)) for k1 in k1s]
+            fired = [hit(validate(d, r, k1, k2), CriterionId.NEG3) for k1 in k1s]
             # once true, true for every larger k1
             seen = False
             for f in fired:
