@@ -101,13 +101,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_speed = add_parser("speed", help="measure the front speed from a PDE run")
     add_params(p_speed)
-    p_speed.add_argument("--L", type=float, default=argparse.SUPPRESS,
-                         help="half-length of the co-moving window")
-    p_speed.add_argument("--dx", type=float, default=argparse.SUPPRESS)
-    p_speed.add_argument("--dt", type=float, default=argparse.SUPPRESS)
-    p_speed.add_argument("--t-end", type=float, default=argparse.SUPPRESS)
-    p_speed.add_argument("--front-level", type=float, default=argparse.SUPPRESS)
-    p_speed.add_argument("--fit-window", type=float, default=argparse.SUPPRESS)
+    for key in _PDE_SETTINGS:
+        p_speed.add_argument("--" + key.replace("_", "-"), type=float,
+                             default=argparse.SUPPRESS,
+                             help="half-length of the co-moving window" if key == "L" else None)
     p_speed.add_argument("--dump-trajectory", metavar="PATH",
                          help="write sampled (t,x,u,v) rows (large output)")
 
@@ -237,7 +234,7 @@ def cmd_speed(args) -> int:
         else:
             print("agreement: measured speed is consistent with the verdict")
     if args.dump_trajectory:
-        pde.dump_trajectory(frames, sim_config.grid, args.dump_trajectory, estimate.shifts)
+        pde.dump_trajectory(frames, args.dump_trajectory)
         print(f"trajectory written to {args.dump_trajectory}")
     if not estimate.converged:
         return EXIT_NOT_CONVERGED
@@ -256,6 +253,12 @@ def _print_report(report: supersol.ResidualReport) -> None:
 
 def cmd_certify(args) -> int:
     params = validate(args.d, args.r, args.k1, args.k2)
+    if args.degenerate and not (args.p is None and args.a is None and args.export is None):
+        raise ParameterError("--p, --a and --export do not apply with --degenerate")
+    if args.delta is not None and not args.degenerate:
+        raise ParameterError("--delta applies only with --degenerate")
+    if (args.p is None) != (args.a is None):
+        raise ParameterError("--p and --a must be given together")
     given = {"tol": args.tol} if "tol" in args else {}
 
     if args.degenerate:
@@ -267,9 +270,6 @@ def cmd_certify(args) -> int:
         _print_report(report)
         return 0 if report.certified else EXIT_NOT_CERTIFIED
 
-    if (args.p is None) != (args.a is None):
-        print("error: --p and --a must be given together", file=sys.stderr)
-        return EXIT_USAGE
     if args.p is not None:
         cand = supersol.SupersolCandidate(p=args.p, a=args.a)
     else:

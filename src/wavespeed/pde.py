@@ -34,7 +34,6 @@ negative speed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,13 +228,14 @@ def simulate(
     config: SimConfig,
     init: tuple[np.ndarray, np.ndarray],
     record_every: int | None = None,
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Evolve the cooperative system; return sampled frames (t, u, v).
+) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """Evolve the cooperative system; return sampled frames (t, x, u, v).
 
-    ``init`` must lie componentwise in [0, 1].  The scheme preserves that
-    box (the reaction pushes inward on its faces and the implicit diffusion
-    solve is an M-matrix inverse), so any visible excursion signals
-    instability and raises :class:`SimulationError`.
+    Every frame shares the grid's ``x`` array.  ``init`` must lie
+    componentwise in [0, 1].  The scheme preserves that box (the reaction
+    pushes inward on its faces and the implicit diffusion solve is an
+    M-matrix inverse), so any visible excursion signals instability and
+    raises :class:`SimulationError`.
     """
     u0, v0 = init
     n = config.grid.n_points
@@ -246,12 +246,13 @@ def simulate(
 
     if record_every is None:
         record_every = _frame_every(config)
+    xs = config.grid.xs()
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
-    frames = [(0.0, u.copy(), v.copy())]
+    frames = [(0.0, xs, u.copy(), v.copy())]
     for k, t in _march(params, config, u, v):
         if _sampled(k, record_every, config.n_steps):
-            frames.append((t, u.copy(), v.copy()))
+            frames.append((t, xs, u.copy(), v.copy()))
     return frames
 
 
@@ -317,8 +318,8 @@ def estimate_speed(
     parameter sweeps can continue past bad points.
 
     When ``frames`` is a list, the same run appends to it the frames
-    (t, u, v) of the window; until the first shift they are those that
-    :func:`simulate` records from the step profile.
+    (t, x, u, v) of the window, x in the lab frame; until the first shift
+    they are those that :func:`simulate` records from the step profile.
     """
     if config is None:
         config = default_config()
@@ -331,7 +332,7 @@ def estimate_speed(
     offset, shifts = 0, []
     if frames is not None:
         frame_every = _frame_every(config)
-        frames.append((0.0, u.copy(), v.copy()))
+        frames.append((0.0, xs, u.copy(), v.copy()))
     for k, t in _march(params, config, u, v):
         if _sampled(k, sample_every, n_steps):
             x = front_position(xs, u, config.front_level)
@@ -343,7 +344,7 @@ def estimate_speed(
                 offset += s
                 shifts.append((t, offset))
         if frames is not None and _sampled(k, frame_every, n_steps):
-            frames.append((t, u.copy(), v.copy()))
+            frames.append((t, xs + offset * dx, u.copy(), v.copy()))
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
     shifts = tuple(shifts)
 
@@ -385,24 +386,11 @@ def refine_check(
     return est1, est2, agree
 
 
-def dump_trajectory(
-    frames: list[tuple[float, np.ndarray, np.ndarray]],
-    grid: Grid1D,
-    path,
-    shifts: tuple[tuple[float, int], ...] = (),
-) -> None:
-    """Write sampled frames as delimited rows of (t, x, u, v).
-
-    ``shifts`` are the recentrings of the run that recorded the frames
-    (``SpeedEstimate.shifts``): a frame recorded at or after a shift is
-    written at lab-frame x, its window x plus the offset in cells times dx.
-    """
-    xs = grid.xs()
-    shift_times = [t for t, _ in shifts]
+def dump_trajectory(frames: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]],
+                    path) -> None:
+    """Write frames (t, x, u, v) as comma-delimited rows t,x,u,v, one per node."""
     with open(path, "w") as fh:
         fh.write("t,x,u,v\n")
-        for t, u, v in frames:
-            i = bisect_right(shift_times, t)
-            x = xs + shifts[i - 1][1] * grid.dx if i else xs
-            np.savetxt(fh, np.column_stack([np.full_like(xs, t), x, u, v]),
+        for t, x, u, v in frames:
+            np.savetxt(fh, np.column_stack([np.full_like(x, t), x, u, v]),
                        fmt="%.12g", delimiter=",")

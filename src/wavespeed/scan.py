@@ -248,17 +248,6 @@ def emit_csv(plane: Plane, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_csv(path) -> list[dict]:
-    """Parse a file written by :func:`emit_csv` back into row dictionaries."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append(dict(zip(header, parts)))
-    return rows
-
-
 # Layer rank (lower draws first) and colour of each criterion's mask, then of
 # its reflected mask.  Priors render below the new criteria.
 _SVG_STYLE = {

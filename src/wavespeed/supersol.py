@@ -53,7 +53,7 @@ def alpha_p(p: float) -> float:
     h_p integrates to zero over [0, 1], which in turn is what guarantees a
     standing monotone profile.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"alpha_p requires p > 1, got {p!r}")
     return 6.0 / ((p + 1.0) * (p + 2.0))
 
@@ -103,10 +103,6 @@ class SigmoidProfile:
     dsigma: np.ndarray
     quad_error: float
 
-    def save_table(self, path) -> None:
-        """Write the profile as two-column (x, sigma) text, 12 significant digits."""
-        np.savetxt(path, np.column_stack([self.xs, self.sigma]), fmt="%.12g")
-
 
 def _cumulative_positions(s: np.ndarray, p: float, order: int) -> np.ndarray:
     """Positions x(s) - x(s[0]) by per-interval Gauss-Legendre on dx/ds = G^(-1/2)."""
@@ -147,7 +143,7 @@ def sigma_profile(
     Raises QuadratureError when the internal quadrature cannot certify the
     requested tolerance ``tol`` on positions.
     """
-    if p <= 1.0:
+    if not 1.0 < p < math.inf:
         raise ValueError(f"sigma_profile requires p > 1, got {p!r}")
     check_positive(tol=tol)
 

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CompetitionParams
+from .model import CompetitionParams, check_positive
 
 
 class PolarityConflictError(RuntimeError):
@@ -103,7 +103,7 @@ def m_of_k(k: float) -> float:
     slaved-component residual can change sign, so every criterion below is
     phrased through it.
     """
-    if k < 1.0:
+    if not k >= 1.0:
         raise ValueError(f"m(k) requires k >= 1, got {k!r}")
     return float(_m(k))
 
@@ -464,7 +464,8 @@ def kstar_bounds(d: float, r: float, k2: float) -> ThresholdBounds:
     classify() is Negative for any k1 > k_upper and Positive for any
     1 < k1 < k_lower.
     """
-    if d <= 0.0 or r <= 0.0 or k2 <= 1.0:
+    check_positive(d=d, r=r)
+    if not 1.0 < k2 < math.inf:
         raise ValueError("kstar_bounds requires d, r > 0 and k2 > 1")
     return ThresholdBounds(
         k_lower=float(1.0 + pos1_margin(d, r, k2)),
@@ -491,11 +492,11 @@ def _sampled_coverage_check(k1: float, k2: float, n: int = 25) -> bool:
     return bool(np.all(signs == -1))
 
 
-# Relative tolerance of the determinacy threshold bisections.
+# Relative tolerance of the determinacy threshold searches.
 _RTOL = 1e-6
 
 
-def _bisect(covers: Callable[[float], bool], good: float, bad: float) -> float:
+def _halve(covers: Callable[[float], bool], good: float, bad: float) -> float:
     """Halve [good, bad] (either order) until its width is ``_RTOL`` of its
     upper end, keeping ``covers(good)``; returns ``good``."""
     while abs(good - bad) > _RTOL * max(good, bad):
@@ -513,7 +514,7 @@ def determinacy_thresholds(k2: float, search_cap: float = 1e4) -> tuple[float, f
     Returns (k1_star, k1_dstar) with 1 < k1_star < k1_dstar such that the
     criteria certify c > 0 for all d, r > 0 whenever 1 < k1 <= k1_star, and
     c < 0 for all d, r > 0 whenever k1 >= k1_dstar.  Both are located by
-    bisection on the envelope inequality of :func:`_covers_all_ratios` to
+    halving on the envelope inequality of :func:`_covers_all_ratios` to
     relative tolerance ``_RTOL``, then spot-checked against classify() on a
     log-uniform d/r ladder over [1e-6, 1e6].
 
@@ -523,8 +524,9 @@ def determinacy_thresholds(k2: float, search_cap: float = 1e4) -> tuple[float, f
     Raises :class:`SearchCapExceeded` if coverage is never achieved for
     k1 <= search_cap.
     """
-    if k2 <= 1.0:
+    if not 1.0 < k2 < math.inf:
         raise ValueError("determinacy_thresholds requires k2 > 1")
+    check_positive(search_cap=search_cap)
 
     # Negative side: smallest k1 with full-ratio coverage at (k1, k2).
     lo = max(k2 * k2, m_of_k(k2))  # coverage fails here (degenerate bound is 0)
@@ -535,7 +537,7 @@ def determinacy_thresholds(k2: float, search_cap: float = 1e4) -> tuple[float, f
             raise SearchCapExceeded(
                 f"no k1 <= {search_cap:g} certifies c < 0 for all d/r at k2={k2:g}"
             )
-    k1_dstar = _bisect(lambda k1: _covers_all_ratios(k1, k2), hi, lo)
+    k1_dstar = _halve(lambda k1: _covers_all_ratios(k1, k2), hi, lo)
 
     # Positive side: largest k1 < sqrt(k2) whose reflection has full coverage.
     hi_p = math.sqrt(k2)  # coverage fails at the boundary k2 = k1^2
@@ -546,11 +548,11 @@ def determinacy_thresholds(k2: float, search_cap: float = 1e4) -> tuple[float, f
         step /= 2.0
     else:
         raise SearchCapExceeded(f"no k1 > 1 certifies c > 0 for all d/r at k2={k2:g}")
-    k1_star = _bisect(lambda k1: _covers_all_ratios(k2, k1), 1.0 + step, hi_p)
+    k1_star = _halve(lambda k1: _covers_all_ratios(k2, k1), 1.0 + step, hi_p)
 
     if not _sampled_coverage_check(k1_dstar * (1.0 + 10.0 * _RTOL), k2):
         raise PolarityConflictError(
-            "coverage bisection and sampled classification disagree at "
+            "coverage search and sampled classification disagree at "
             f"k1={k1_dstar!r}, k2={k2!r}"
         )
     return k1_star, k1_dstar

@@ -146,6 +146,16 @@ class TestSpeed:
         assert config.front_level == library.front_level
         assert config.fit_window == library.fit_window
 
+    def test_sign_contradicting_the_verdict_is_a_disagreement(self, capsys, monkeypatch):
+        def fake_estimate(params, config):
+            return cli.pde.SpeedEstimate(0.5, 0.001, np.empty((0, 2)), True)
+
+        monkeypatch.setattr(cli.pde, "estimate_speed", fake_estimate)
+        code, out, _ = run(capsys, "speed", "11", "1", "3", "3")
+        assert code == 0
+        assert "theory verdict: Negative" in out
+        assert "DISAGREEMENT: measured sign contradicts the theory verdict" in out
+
 
 class TestCertify:
     def test_certifies_blocking_point(self, capsys):
@@ -210,6 +220,23 @@ class TestCertify:
         assert code == 0
         assert (tmp_path / "prof_phi.txt").exists()
         assert (tmp_path / "prof_psi.txt").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--degenerate", "--export", "prof", "0.05", "1", "8", "2"],
+         "--p, --a and --export do not apply with --degenerate"),
+        (["--delta", "0.1", "--export", "prof", "11", "1", "3", "3"],
+         "--delta applies only with --degenerate"),
+        (["--degenerate", "--p", "2", "--a", "1", "0.05", "1", "8", "2"],
+         "--p, --a and --export do not apply with --degenerate"),
+        (["--p", "2", "11", "1", "3", "3"], "--p and --a must be given together"),
+    ], ids=["degenerate-export", "delta-without-degenerate", "degenerate-p-a", "p-without-a"])
+    def test_flag_misuse_exit_64(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "certify", *argv)
+        assert code == 64
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScan:

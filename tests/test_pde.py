@@ -54,7 +54,7 @@ class TestSimulate:
         n = cfg.grid.n_points
         zeros = np.zeros(n)
         frames = simulate(params, cfg, (zeros.copy(), zeros.copy()))
-        _, u, v = frames[-1]
+        _, _, u, v = frames[-1]
         assert np.max(np.abs(u)) < 1e-12
         assert np.max(np.abs(v)) < 1e-12
 
@@ -64,7 +64,7 @@ class TestSimulate:
         ustar, vstar = to_cooperative(*coexistence(params))
         n = cfg.grid.n_points
         frames = simulate(params, cfg, (np.full(n, ustar), np.full(n, vstar)))
-        _, u, v = frames[-1]
+        _, _, u, v = frames[-1]
         assert np.max(np.abs(u - ustar)) < 1e-10
         assert np.max(np.abs(v - vstar)) < 1e-10
 
@@ -72,7 +72,7 @@ class TestSimulate:
         params = validate(5, 1, 5, 2)
         cfg = coarse_config(t_end=30.0)
         frames = simulate(params, cfg, step_profile(cfg.grid), record_every=20)
-        for _, u, v in frames:
+        for _, _, u, v in frames:
             assert u.min() >= -1e-10 and u.max() <= 1.0 + 1e-10
             assert v.min() >= -1e-10 and v.max() <= 1.0 + 1e-10
 
@@ -93,7 +93,7 @@ class TestSimulate:
             hi = (hi_u, hi_u.copy())
             fl = simulate(params, cfg, lo, record_every=10)
             fh = simulate(params, cfg, hi, record_every=10)
-            for (_, ul, vl), (_, uh, vh) in zip(fl, fh):
+            for (_, _, ul, vl), (_, _, uh, vh) in zip(fl, fh):
                 assert np.all(ul <= uh + 1e-9)
                 assert np.all(vl <= vh + 1e-9)
 
@@ -289,8 +289,8 @@ class TestMarch:
         est = estimate_speed(params, cfg, frames=frames)
         expected = simulate(params, cfg, step_profile(cfg.grid))
         assert len(frames) == len(expected) == 201
-        for (t, u, v), (t_ref, u_ref, v_ref) in zip(frames, expected):
-            assert t == t_ref
+        for (t, x, u, v), (t_ref, x_ref, u_ref, v_ref) in zip(frames, expected):
+            assert t == t_ref and np.array_equal(x, x_ref)
             assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
         assert np.array_equal(est.front_trace, estimate_speed(params, cfg).front_trace)
 
@@ -301,7 +301,7 @@ class TestTrajectoryDump:
         cfg = coarse_config(L=5.0, dx=0.5, t_end=1.0)
         frames = simulate(params, cfg, step_profile(cfg.grid), record_every=10)
         path = tmp_path / "traj.csv"
-        dump_trajectory(frames, cfg.grid, path)
+        dump_trajectory(frames, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,u,v"
         assert len(lines) == 1 + len(frames) * cfg.grid.n_points

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 from xml.etree import ElementTree as ET
@@ -14,7 +15,6 @@ from wavespeed.scan import (
     ScanSpec,
     emit_csv,
     emit_svg,
-    load_csv,
     mask_counts,
     plane_spec,
     scan_plane,
@@ -211,7 +211,8 @@ class TestEmission:
         emit_csv(sym_samples, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + sym_spec.nx * sym_spec.ny
-        rows = load_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         for row, sample in zip(rows, sym_samples):
             assert float(row["x"]) == pytest.approx(sample.x, rel=1e-11)
             assert float(row["y"]) == pytest.approx(sample.y, rel=1e-11)

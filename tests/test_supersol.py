@@ -132,14 +132,6 @@ class TestSigmaProfile:
         prof = profile_cache(2.0)
         assert prof.xs[0] <= -supersol._SPAN and prof.xs[-1] >= supersol._SPAN
 
-    def test_save_table(self, tmp_path, profile_cache):
-        prof = profile_cache(2.0)
-        path = tmp_path / "sigma.txt"
-        prof.save_table(path)
-        data = np.loadtxt(path)
-        assert data.shape == (len(prof.xs), 2)
-        assert data[:, 1] == pytest.approx(prof.sigma, abs=1e-10)
-
 
 class TestProp21:
     def test_symmetric_point_recipe(self):

@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wavespeed.model import validate
-from wavespeed import theory
+from wavespeed import supersol, theory
 from wavespeed.theory import (
     CriterionId,
     ParamArrays,
@@ -305,3 +306,23 @@ class TestDeterminacy:
     def test_domain(self):
         with pytest.raises(ValueError):
             determinacy_thresholds(1.0)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (determinacy_thresholds, (math.nan,), "determinacy_thresholds requires k2 > 1"),
+    (determinacy_thresholds, (math.inf,), "determinacy_thresholds requires k2 > 1"),
+    (determinacy_thresholds, (3.0, math.nan), "search_cap must be positive and finite, got nan"),
+    (kstar_bounds, (math.nan, 1.0, 2.0), "d must be positive and finite, got nan"),
+    (kstar_bounds, (1.0, math.inf, 2.0), "r must be positive and finite, got inf"),
+    (kstar_bounds, (1.0, 1.0, math.nan), "kstar_bounds requires d, r > 0 and k2 > 1"),
+    (kstar_bounds, (1.0, 1.0, math.inf), "kstar_bounds requires d, r > 0 and k2 > 1"),
+    (m_of_k, (math.nan,), "m(k) requires k >= 1, got nan"),
+    (supersol.alpha_p, (math.nan,), "alpha_p requires p > 1, got nan"),
+    (supersol.sigma_profile, (math.nan,), "sigma_profile requires p > 1, got nan"),
+    (supersol.sigma_profile, (math.inf,), "sigma_profile requires p > 1, got inf"),
+], ids=["determinacy-nan", "determinacy-inf", "determinacy-cap-nan", "kstar-d-nan",
+        "kstar-r-inf", "kstar-k2-nan", "kstar-k2-inf", "m_of_k-nan", "alpha_p-nan",
+        "sigma_profile-nan", "sigma_profile-inf"])
+def test_threshold_entry_points_reject_non_finite(fn, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(*args)
