@@ -41,14 +41,13 @@ from .theory import (
 )
 from .supersol import (
     DegenerateSupersol,
+    ProfileError,
     ResidualReport,
     SigmoidProfile,
     SupersolCandidate,
-    SupersolutionTable,
     abc_coefficients,
     admissibility_conditions,
     alpha_p,
-    build_supersolution,
     choose_p_a,
     degenerate_build,
     degenerate_residuals,

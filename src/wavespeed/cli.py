@@ -4,7 +4,7 @@ Exit codes
     classify: 0 Negative, 1 Positive, 2 Inconclusive
     speed:    0 measured, 3 not converged
     certify:  0 certified, 4 no candidate found, 5 residuals not certified
-              (also when the profile quadrature misses its tolerance)
+              (also when the profile fails its quadrature or derivative check)
     scan:     0 on success
     64 invalid parameters or usage, 74 output I/O failure
 
@@ -289,14 +289,13 @@ def cmd_certify(args) -> int:
     print("conditions (a)(b)(c)(d): " + " ".join(str(c) for c in conds))
     try:
         profile = supersol.sigma_profile(cand.p)
-    except supersol.QuadratureError as exc:
-        print(f"error: profile quadrature failed: {exc}", file=sys.stderr)
+        report = supersol.residuals_IJ(cand, profile, params, **given)
+    except supersol.ProfileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
-    table = supersol.build_supersolution(cand, profile)
-    report = supersol.residuals_IJ(table, params, **given)
     _print_report(report)
     if args.export:
-        table.save_tables(args.export)
+        supersol.save_tables(cand, profile, args.export)
         print(f"profile tables written to {args.export}_phi.txt / _psi.txt")
     return 0 if report.certified else EXIT_NOT_CERTIFIED
 

@@ -89,10 +89,13 @@ PLANE_DEFAULTS = {
 
 def plane_spec(plane: str, **fields) -> ScanSpec:
     """A ScanSpec on ``plane``: fields not given, or given as None, take the
-    plane's default grid from ``PLANE_DEFAULTS`` and then ScanSpec's defaults."""
+    plane's default grid from ``PLANE_DEFAULTS`` and then ScanSpec's defaults.
+    The sym plane fixes k1 = k2 and r = 1, so it takes neither ``k2`` nor ``r``."""
     if plane not in PLANE_DEFAULTS:
         raise ParameterError(f"unknown plane {plane!r}")
     given = {key: value for key, value in fields.items() if value is not None}
+    if plane == "sym" and given.keys() & {"k2", "r"}:
+        raise ParameterError("k2 and r apply only to the k1d plane")
     return ScanSpec(plane=plane, **{**PLANE_DEFAULTS[plane], **given})
 
 

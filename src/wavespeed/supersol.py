@@ -33,12 +33,8 @@ from .model import CompetitionParams, ParameterError, check_positive, reaction_f
 from .theory import m_of_k
 
 
-class QuadratureError(RuntimeError):
-    """Profile quadrature failed to meet the requested tolerance."""
-
-
-class GridResolutionError(RuntimeError):
-    """Tabulated profile too coarse for trustworthy derivative checks."""
+class ProfileError(RuntimeError):
+    """A tabulated profile failed its quadrature, size or finite-difference check."""
 
 
 def _scalar_or_array(x, out):
@@ -121,13 +117,15 @@ _SPLICE = 1e-4
 # Least half-width of the tabulated profile, and the x-spacing of its tails.
 _SPAN = 40.0
 _TAIL_DX = 0.01
+# Bound on the position quadrature error; sigma nodes per decade of the core.
+_QUAD_TOL = 1e-9
+_POINTS_PER_DECADE = 2000
+# Most tail nodes a profile may hold (8 MB an array).  The left tail needs
+# about 376 p nodes, so this admits p up to about 2600.
+_MAX_TAIL_NODES = 1_000_000
 
 
-def sigma_profile(
-    p: float,
-    tol: float = 1e-9,
-    points_per_decade: int = 2000,
-) -> SigmoidProfile:
+def sigma_profile(p: float) -> SigmoidProfile:
     """Tabulate the monotone standing profile of sigma'' + h_p(sigma) = 0.
 
     The core region _SPLICE <= sigma <= 1 - _SPLICE is parameterized by sigma
@@ -140,25 +138,28 @@ def sigma_profile(
     +/- _SPAN and until sigma is within 1e-8 of its limit, except that the
     right tail stops where 1 - sigma would saturate at double precision.
 
-    Raises QuadratureError when the internal quadrature cannot certify the
-    requested tolerance ``tol`` on positions.
+    Raises ProfileError when the quadrature misses ``_QUAD_TOL`` on positions
+    or the tails would need more than ``_MAX_TAIL_NODES`` nodes.
     """
     if not 1.0 < p < math.inf:
         raise ValueError(f"sigma_profile requires p > 1, got {p!r}")
-    check_positive(tol=tol)
 
     decades = math.log10(0.5 / _SPLICE)
-    n_side = max(8, math.ceil(points_per_decade * decades))
+    n_side = max(8, math.ceil(_POINTS_PER_DECADE * decades))
     s_lo = np.geomspace(_SPLICE, 0.5, n_side + 1)
     s_hi = 1.0 - np.geomspace(0.5, _SPLICE, n_side + 1)
     s = np.concatenate([s_lo, s_hi[1:]])
 
-    x = _cumulative_positions(s, p, order=12)
-    x_hi = _cumulative_positions(s, p, order=24)
-    quad_error = float(np.max(np.abs(x - x_hi)))
-    if quad_error > tol:
-        raise QuadratureError(
-            f"position quadrature error {quad_error:.3e} exceeds tol {tol:.3e}"
+    # A G that vanishes inside (0, 1) makes positions infinite and the error
+    # NaN; the guard below rejects both.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = _cumulative_positions(s, p, order=12)
+        x_hi = _cumulative_positions(s, p, order=24)
+        quad_error = float(np.max(np.abs(x - x_hi)))
+    if not quad_error <= _QUAD_TOL:
+        raise ProfileError(
+            f"profile quadrature failed: position quadrature error {quad_error:.3e} "
+            f"exceeds tol {_QUAD_TOL:.3e}"
         )
     x = x_hi - x_hi[n_side]  # pin sigma(0) = 1/2
 
@@ -168,8 +169,6 @@ def sigma_profile(
     lam_l = ds[0] / s[0]
     x_left_end = min(-_SPAN, x[0] + math.log(1e-8 / s[0]) / lam_l)
     n_l = max(2, math.ceil((x[0] - x_left_end) / _TAIL_DX))
-    xs_l = x[0] - _TAIL_DX * np.arange(n_l, 0, -1)
-    sig_l = s[0] * np.exp(lam_l * (xs_l - x[0]))
 
     # Right tail: 1 - sigma = e0 exp(-lam (x - x1)).  Stop before 1 - sigma
     # shrinks under ~1e-13/lam, where consecutive tabulated values would
@@ -180,6 +179,11 @@ def sigma_profile(
     x_saturate = x[-1] + math.log(eps_r * lam_r / 1e-13) / lam_r
     x_right_end = min(x_right_end, x_saturate)
     n_r = max(2, math.ceil((x_right_end - x[-1]) / _TAIL_DX))
+    if n_l + n_r > _MAX_TAIL_NODES:
+        raise ProfileError(f"profile tails need {n_l + n_r} nodes, more than {_MAX_TAIL_NODES}")
+
+    xs_l = x[0] - _TAIL_DX * np.arange(n_l, 0, -1)
+    sig_l = s[0] * np.exp(lam_l * (xs_l - x[0]))
     xs_r = x[-1] + _TAIL_DX * np.arange(1, n_r + 1)
     eps = eps_r * np.exp(-lam_r * (xs_r - x[-1]))
     sig_r = 1.0 - eps
@@ -274,42 +278,11 @@ def proof_condition_flags(
     )
 
 
-@dataclass(frozen=True)
-class SupersolutionTable:
-    """Tabulated smooth blocking profile (phi, psi) = (sigma^p, sigma)(a x)."""
-
-    xs: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-    p: float
-    a: float
-
-    def save_tables(self, prefix) -> None:
-        """Write (x, phi) and (x, psi) two-column tables next to ``prefix``."""
-        for name, values in (("phi", self.phi), ("psi", self.psi)):
-            np.savetxt(f"{prefix}_{name}.txt", np.column_stack([self.xs, values]), fmt="%.12g")
-
-
-def build_supersolution(
-    cand: SupersolCandidate, profile: SigmoidProfile
-) -> SupersolutionTable:
-    """Rescale a standing profile into the candidate pair (sigma(ax)^p, sigma(ax)).
-
-    The grid is the profile's grid divided by a, so sigma(a x_j) is exact at
-    every node.  Both components increase strictly from (0, 0) to (1, 1),
-    and phi <= psi pointwise since sigma is in (0, 1) and p > 1.
-    """
-    if profile.p != cand.p:
-        raise ParameterError(
-            f"profile exponent {profile.p!r} does not match candidate p={cand.p!r}"
-        )
-    return SupersolutionTable(
-        xs=profile.xs / cand.a,
-        phi=profile.sigma**cand.p,
-        psi=profile.sigma.copy(),
-        p=cand.p,
-        a=cand.a,
-    )
+def save_tables(cand: SupersolCandidate, profile: SigmoidProfile, prefix) -> None:
+    """Write the (x, phi) and (x, psi) tables of (sigma^p, sigma)(a x) next to ``prefix``."""
+    xs = profile.xs / cand.a
+    for name, values in (("phi", profile.sigma**cand.p), ("psi", profile.sigma)):
+        np.savetxt(f"{prefix}_{name}.txt", np.column_stack([xs, values]), fmt="%.12g")
 
 
 @dataclass(frozen=True)
@@ -356,12 +329,10 @@ def _fd_second_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     )
 
 
-def residuals_IJ(
-    table: SupersolutionTable,
-    params: CompetitionParams,
-    tol: float = 1e-8,
-) -> ResidualReport:
-    """Certify the smooth candidate by evaluating I and J on the grid.
+def residuals_IJ(cand: SupersolCandidate, profile: SigmoidProfile,
+                 params: CompetitionParams, tol: float = 1e-8) -> ResidualReport:
+    """Certify (phi, psi) = (sigma^p, sigma)(a x) by evaluating I and J on
+    the grid ``profile.xs / a``, where sigma(a x) is exact at every node.
 
     Both residuals reduce to explicit functions of s = sigma(a x):
 
@@ -371,26 +342,30 @@ def residuals_IJ(
     so I = phi'' + f(s^p, s) and J = (d/r) psi'' + g(s^p, s) contain no
     differencing error.  A centered-difference reconstruction of phi'' is
     compared against the closed form; disagreement beyond
-    ``_DERIV_CHECK_TOL`` raises :class:`GridResolutionError`.
+    ``_DERIV_CHECK_TOL`` raises :class:`ProfileError`.
     """
-    s = table.psi
-    p, a = table.p, table.a
-    a2 = a * a
+    if profile.p != cand.p:
+        raise ParameterError(
+            f"profile exponent {profile.p!r} does not match candidate p={cand.p!r}"
+        )
+    p, a2 = cand.p, cand.a * cand.a
+    xs, s = profile.xs / cand.a, profile.sigma
+    phi = s**p
     G = np.maximum(first_integral(s, p), 0.0)
     hp = h_p(s, p)
 
     phi_dd = a2 * p * ((p - 1.0) * np.power(s, p - 2.0) * G - np.power(s, p - 1.0) * hp)
-    I = phi_dd + reaction_f(table.phi, table.psi, params)
-    J = -params.ratio * a2 * hp + reaction_g(table.phi, table.psi, params)
+    I = phi_dd + reaction_f(phi, s, params)
+    J = -params.ratio * a2 * hp + reaction_g(phi, s, params)
 
-    fd = _fd_second_derivative(table.xs, table.phi)
+    fd = _fd_second_derivative(xs, phi)
     fd_err = float(np.max(np.abs(fd - phi_dd[1:-1])))
-    if fd_err > _DERIV_CHECK_TOL:
-        raise GridResolutionError(
+    if not fd_err <= _DERIV_CHECK_TOL:
+        raise ProfileError(
             f"finite-difference check of phi'' failed: {fd_err:.3e} > {_DERIV_CHECK_TOL:.3e}"
         )
 
-    return _report(table.xs, I, J, tol)
+    return _report(xs, I, J, tol)
 
 
 def choose_p_a(params: CompetitionParams) -> SupersolCandidate | None:
@@ -605,12 +580,12 @@ def _degenerate_jumps(ds: DegenerateSupersol) -> tuple[float, float]:
     return left - right, ds.k2 * left
 
 
-def degenerate_residuals(
-    ds: DegenerateSupersol,
-    params: CompetitionParams,
-    tol: float = 1e-8,
-    n: int = 4001,
-) -> ResidualReport:
+# Sample points of the residuals on each half-line of a piecewise profile.
+_HALF_NODES = 4001
+
+
+def degenerate_residuals(ds: DegenerateSupersol, params: CompetitionParams,
+                         tol: float = 1e-8) -> ResidualReport:
     """Certify the piecewise profile: residuals on both half-lines plus slope jumps.
 
     On x < 0 the profile solves I = 0 exactly and J <= 0 reduces to
@@ -624,14 +599,14 @@ def degenerate_residuals(
     ratio = params.ratio
 
     span_l = abs(ds.xi) + 40.0 / ds.gamma_ + 10.0
-    xl = np.linspace(-span_l, 0.0, n)
+    xl = np.linspace(-span_l, 0.0, _HALF_NODES)
     phi_l, phi_dd_l = ds._left_piece(xl)
     psi_l = ds.k2 * phi_l + ds.delta
     I_l = phi_dd_l + reaction_f(phi_l, psi_l, params)
     J_l = ratio * ds.k2 * phi_dd_l + reaction_g(phi_l, psi_l, params)
 
     span_r = abs(ds.eta) + 40.0 + 10.0
-    xr = np.linspace(0.0, span_r, n)
+    xr = np.linspace(0.0, span_r, _HALF_NODES)
     phi_r, phi_dd_r = ds._right_piece(xr)
     I_r = phi_dd_r + reaction_f(phi_r, 1.0, params)
     # psi'' = 0 here; adding it turns the -0.0 zeros of g into +0.0.

@@ -467,10 +467,9 @@ def kstar_bounds(d: float, r: float, k2: float) -> ThresholdBounds:
     check_positive(d=d, r=r)
     if not 1.0 < k2 < math.inf:
         raise ValueError("kstar_bounds requires d, r > 0 and k2 > 1")
-    return ThresholdBounds(
-        k_lower=float(1.0 + pos1_margin(d, r, k2)),
-        k_upper=float(neg3_threshold(d, r, k2)),
-    )
+    with _masked():
+        return ThresholdBounds(k_lower=float(1.0 + pos1_margin(d, r, k2)),
+                               k_upper=float(neg3_threshold(d, r, k2)))
 
 
 def _covers_all_ratios(k1: float, k2: float) -> bool:
@@ -480,9 +479,7 @@ def _covers_all_ratios(k1: float, k2: float) -> bool:
     the down-set d/r < H(k1, k2); together they cover the whole half-line
     exactly when L < H (both bounds are strict).
     """
-    if k1 <= k2 * k2 or k1 < m_of_k(k2):
-        return False
-    return _n1_ratio_bound(k1, k2) < degenerate_ratio_bound(k1, k2)
+    return _n1_threshold(k1, k2) < degenerate_ratio_bound(k1, k2)
 
 
 def _sampled_coverage_check(k1: float, k2: float, n: int = 25) -> bool:

@@ -46,7 +46,7 @@ def test_02_balance_and_first_integral():
     for p in (1.5, 2.0, 3.0, 5.0):
         integral, _ = quad(lambda s: supersol.h_p(s, p), 0.0, 1.0, epsabs=1e-14)
         ok &= abs(integral) < 1e-12
-        prof = supersol.sigma_profile(p, points_per_decade=700)
+        prof = supersol.sigma_profile(p)
         resid = np.max(np.abs(prof.dsigma**2 - supersol.first_integral(prof.sigma, p)))
         ok &= resid < 1e-8
     elapsed = time.perf_counter() - t0
@@ -64,9 +64,8 @@ def test_03_smooth_certification_soundness():
         A, B, C, D = supersol.abc_coefficients(cand, params)
         ok &= abs(A + B + C + D) <= 1e-14
         if cand.p not in profiles:
-            profiles[cand.p] = supersol.sigma_profile(cand.p, points_per_decade=400)
-        table = supersol.build_supersolution(cand, profiles[cand.p])
-        report = supersol.residuals_IJ(table, params)
+            profiles[cand.p] = supersol.sigma_profile(cand.p)
+        report = supersol.residuals_IJ(cand, profiles[cand.p], params)
         ok &= report.certified and report.max_I <= 1e-8 and report.max_J <= 1e-8
     elapsed = time.perf_counter() - t0
     _report(3, "smooth-family certification on 20 tuples", ok and elapsed < 10.0)

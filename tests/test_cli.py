@@ -189,6 +189,18 @@ class TestCertify:
         assert err.startswith("error: profile quadrature failed: position quadrature error")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "2", "--a", "100"],
+         "finite-difference check of phi'' failed: 1.884e-03 > 1.000e-04"),
+        (["--p", "1e308", "--a", "1"],
+         "profile quadrature failed: position quadrature error nan exceeds tol 1.000e-09"),
+    ], ids=["fd-check", "nan-quadrature"])
+    def test_profile_failure_is_not_certified(self, capsys, flags, message):
+        code, out, err = run(capsys, "certify", "11", "1", "3", "3", *flags)
+        assert code == 5
+        assert err == f"error: {message}\n"
+        assert "certified:" not in out
+
     def test_explicit_candidate(self, capsys):
         code, out, _ = run(
             capsys, "certify", "11", "1", "3", "3",
@@ -240,6 +252,21 @@ class TestCertify:
 
 
 class TestScan:
+    @pytest.mark.parametrize("config, flags", [
+        ("", ["--k2", "7"]),
+        ("", ["--r", "40"]),
+        ("k2 = 7\nr = 40\n", []),
+    ], ids=["k2-flag", "r-flag", "config"])
+    def test_sym_plane_rejects_k2_and_r(self, capsys, tmp_path, config, flags):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(config)
+        code, out, err = run(capsys, "--config", str(cfg), "scan", "--plane", "sym",
+                             "--nx", "5", "--ny", "5", *flags, "--output-dir", str(tmp_path))
+        assert code == 64
+        assert err == "error: k2 and r apply only to the k1d plane\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_writes_outputs_and_counts(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "scan", "--plane", "sym",

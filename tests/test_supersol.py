@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,12 +12,10 @@ from wavespeed import supersol
 from wavespeed.theory import degenerate_ratio_bound, m_of_k
 from wavespeed.supersol import (
     DegenerateSupersol,
-    GridResolutionError,
-    QuadratureError,
+    ProfileError,
     SupersolCandidate,
     abc_coefficients,
     alpha_p,
-    build_supersolution,
     choose_p_a,
     degenerate_build,
     degenerate_residuals,
@@ -36,11 +35,10 @@ from wavespeed.supersol import (
 def profile_cache():
     cache = {}
 
-    def get(p, **kw):
-        key = (p, tuple(sorted(kw.items())))
-        if key not in cache:
-            cache[key] = sigma_profile(p, **kw)
-        return cache[key]
+    def get(p):
+        if p not in cache:
+            cache[p] = sigma_profile(p)
+        return cache[p]
 
     return get
 
@@ -117,16 +115,20 @@ class TestSigmaProfile:
         )
         assert np.max(np.abs(sdd + h_p(s[1:-1], 3.0))) < 1e-6
 
-    def test_quadrature_error_reported_and_bounded(self, profile_cache):
+    def test_quadrature_error_reported_and_bounded(self, profile_cache, monkeypatch):
         prof = profile_cache(2.0)
         assert 0.0 <= prof.quad_error < 1e-9
-        with pytest.raises(QuadratureError):
-            sigma_profile(2.0, tol=1e-16)
+        monkeypatch.setattr(supersol, "_QUAD_TOL", 1e-16)
+        with pytest.raises(ProfileError, match="profile quadrature failed"):
+            sigma_profile(2.0)
 
-    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
-    def test_invalid_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            sigma_profile(2.0, tol=tol)
+    def test_tail_size_bounded(self, monkeypatch):
+        # The left tail needs about 376 p nodes: 3.8 million at p = 1e4.
+        with pytest.raises(ProfileError, match="profile tails need"):
+            sigma_profile(1e4)
+        monkeypatch.setattr(supersol, "_MAX_TAIL_NODES", 1000)
+        with pytest.raises(ProfileError, match="more than 1000"):
+            sigma_profile(2.0)
 
     def test_span_request(self, profile_cache):
         prof = profile_cache(2.0)
@@ -183,23 +185,15 @@ class TestProp21:
 
 
 class TestBuildAndResiduals:
-    def test_build_structure(self, profile_cache):
-        cand = SupersolCandidate(p=2.0, a=1.0)
-        table = build_supersolution(cand, profile_cache(2.0))
-        assert np.all(table.phi <= table.psi)
-        assert np.all(np.diff(table.phi) > 0)
-        assert table.phi[0] < 1e-12 and table.phi[-1] > 1.0 - 1e-6
-        assert np.allclose(table.phi, table.psi**2)
-
     def test_build_requires_matching_exponent(self, profile_cache):
-        with pytest.raises(ParameterError):
-            build_supersolution(SupersolCandidate(p=3.0, a=1.0), profile_cache(2.0))
+        with pytest.raises(ParameterError, match="does not match candidate p=3.0"):
+            residuals_IJ(SupersolCandidate(p=3.0, a=1.0), profile_cache(2.0),
+                         validate(1, 1, 3, 2))
 
     def test_certified_when_conditions_hold(self, profile_cache):
         params = validate(11, 1, 3, 3)
         cand = choose_p_a(params)
-        table = build_supersolution(cand, profile_cache(cand.p, points_per_decade=400))
-        report = residuals_IJ(table, params)
+        report = residuals_IJ(cand, profile_cache(cand.p), params)
         assert report.certified
         assert report.max_I <= 1e-8 and report.max_J <= 1e-8
         assert report.jump_phi is None
@@ -207,13 +201,10 @@ class TestBuildAndResiduals:
     def test_translation_invariance(self, profile_cache):
         params = validate(11, 1, 3, 3)
         cand = choose_p_a(params)
-        prof = profile_cache(cand.p, points_per_decade=400)
-        table = build_supersolution(cand, prof)
-        shifted = type(table)(
-            xs=table.xs + 17.0, phi=table.phi, psi=table.psi, p=table.p, a=table.a,
-        )
-        r1 = residuals_IJ(table, params)
-        r2 = residuals_IJ(shifted, params)
+        prof = profile_cache(cand.p)
+        shifted = dataclasses.replace(prof, xs=prof.xs + 17.0 * cand.a)
+        r1 = residuals_IJ(cand, prof, params)
+        r2 = residuals_IJ(cand, shifted, params)
         assert r1.max_I == r2.max_I and r1.max_J == r2.max_J
         assert r1.certified == r2.certified
 
@@ -226,18 +217,18 @@ class TestBuildAndResiduals:
             params.ratio * (p - 1) * (p + 4)
         )
         cand = SupersolCandidate(p=p, a=math.sqrt(0.5 * d_lo))
-        table = build_supersolution(cand, profile_cache(p, points_per_decade=400))
-        report = residuals_IJ(table, params)
+        report = residuals_IJ(cand, profile_cache(p), params)
         assert report.max_J > 1e-8
         assert not report.certified
 
-    def test_coarse_grid_rejected(self, profile_cache):
+    def test_coarse_grid_rejected(self, monkeypatch):
         params = validate(11, 1, 3, 3)
         cand = choose_p_a(params)
-        coarse = sigma_profile(cand.p, points_per_decade=12, tol=1e-3)
-        table = build_supersolution(cand, coarse)
-        with pytest.raises(GridResolutionError):
-            residuals_IJ(table, params)
+        monkeypatch.setattr(supersol, "_POINTS_PER_DECADE", 12)
+        monkeypatch.setattr(supersol, "_QUAD_TOL", 1e-3)
+        coarse = sigma_profile(cand.p)
+        with pytest.raises(ProfileError, match="finite-difference check"):
+            residuals_IJ(cand, coarse, params)
 
 
 class TestChoosePA:
@@ -385,12 +376,13 @@ class TestDegenerateFamily:
         report = degenerate_residuals(ds, params)
         assert report.jump_phi > 1e-3
 
-    def test_psi_jump_always_nonnegative(self):
+    def test_psi_jump_always_nonnegative(self, monkeypatch):
+        monkeypatch.setattr(supersol, "_HALF_NODES", 801)
         rng = np.random.default_rng(14)
         for _ in range(50):
             k2 = 1.0 + 10 ** rng.uniform(-1, 0.4)
             k1 = k2 * k2 * (1.0 + 10 ** rng.uniform(-1, 0.6))
             params = validate(0.01, 1.0, k1, k2)
             ds = degenerate_build(params)
-            report = degenerate_residuals(ds, params, n=801)
+            report = degenerate_residuals(ds, params)
             assert report.jump_psi >= 0.0

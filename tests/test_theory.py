@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +269,14 @@ class TestKstarBounds:
             k2 = 1.0 + 10.0 ** rng.uniform(-2, 1)
             b = kstar_bounds(d, r, k2)
             assert 1.0 < b.k_lower < b.k_upper
+
+    def test_large_k2_warns_nothing(self):
+        # pos1_margin's discarded k2 <= 2 branch overflows from k2 ~ 1.4e154.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = kstar_bounds(1.0, 1.0, 1e155)
+        assert b.k_lower == pytest.approx(0.25e155)
+        assert math.isfinite(b.k_upper)
 
     def test_bracket_is_effective(self):
         rng = np.random.default_rng(37)
