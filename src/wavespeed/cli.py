@@ -10,7 +10,7 @@ Exit codes
 
 All floating output uses 12 significant digits so reruns are reproducible
 byte for byte.  Configuration precedence: flags > config file > defaults;
-the output directory additionally honors the WAVESPEED_OUT environment
+scan's output directory additionally honors the WAVESPEED_OUT environment
 variable (flags > WAVESPEED_OUT > config file > current directory).
 """
 
@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .model import ParameterError, validate
+from .model import CompetitionParams, ParameterError, validate
 from . import theory, supersol, pde, scan as scan_mod
 
 EXIT_NEGATIVE = 0
@@ -41,8 +41,8 @@ another command's options are ignored, so one file can serve all four; a
 key that is no command's option exits 64.  Switches take 1/true/yes/on
 for on, anything else for off.  A malformed value exits 64, as a malformed
 flag does.  Precedence: command-line flags > config file > defaults.
-Output directory: --output-dir > WAVESPEED_OUT environment variable >
-config file > current directory.
+Directory for scan's CSV and SVG: --output-dir > WAVESPEED_OUT environment
+variable > config file > current directory.
 """
 
 _TRUE = ("1", "true", "yes", "on")
@@ -77,7 +77,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="flat key = value config file")
     common.add_argument("--output-dir", default=argparse.SUPPRESS,
-                        help="directory for emitted files")
+                        help="directory for scan's CSV and SVG")
     parser = _Parser(
         prog="wavespeed",
         description="Sign of the propagation speed of bistable competition fronts.",
@@ -173,6 +173,11 @@ def _set_config_defaults(parser: _Parser, values: dict[str, str]) -> None:
     parser.set_defaults(**defaults)
 
 
+def _print_parameters(params: CompetitionParams) -> None:
+    print(f"parameters: d={_fmt(params.d)} r={_fmt(params.r)} "
+          f"k1={_fmt(params.k1)} k2={_fmt(params.k2)}")
+
+
 def _verdict_lines(verdict: theory.SignVerdict) -> list[str]:
     labels = {row.id: row.label for row in theory.CRITERIA}
     names = []
@@ -189,8 +194,7 @@ def _verdict_lines(verdict: theory.SignVerdict) -> list[str]:
 def cmd_classify(args) -> int:
     params = validate(args.d, args.r, args.k1, args.k2)
     verdict = theory.classify(params)
-    print(f"parameters: d={_fmt(params.d)} r={_fmt(params.r)} "
-          f"k1={_fmt(params.k1)} k2={_fmt(params.k2)}")
+    _print_parameters(params)
     for line in _verdict_lines(verdict):
         print(line)
     bounds = theory.kstar_bounds(params.d, params.r, params.k2)
@@ -218,8 +222,7 @@ def cmd_speed(args) -> int:
     else:
         estimate = pde.estimate_speed(params, sim_config)
     verdict = theory.classify(params)
-    print(f"parameters: d={_fmt(params.d)} r={_fmt(params.r)} "
-          f"k1={_fmt(params.k1)} k2={_fmt(params.k2)}")
+    _print_parameters(params)
     print(f"c_hat = {_fmt(estimate.c_hat)} +/- {_fmt(estimate.stderr)}")
     print(f"converged: {'yes' if estimate.converged else 'no'}")
     if not estimate.converged:

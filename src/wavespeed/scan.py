@@ -144,19 +144,18 @@ class Plane(Sequence):
     """A swept plane, held by column.
 
     ``hits`` has one (ny, nx) bool array per criterion row, read directly
-    and at the reflection; ``signs`` the verdict of each cell as a code of
-    ``theory.SIGN_OF_CODE``; ``c_num`` the oracle estimates by row-major cell
-    index.  On the k1d plane ``hits`` keeps the symmetric-only rows too,
-    since they count in the verdict on the diagonal, though they are no
-    CSV column.  As a sequence the plane holds one :class:`RegionSample`
-    per cell, row-major over (y, x), built on access.
+    and at the reflection, and ``hits.signs()`` folds them into a code of
+    ``theory.SIGN_OF_CODE`` per cell; ``c_num`` the oracle estimates by
+    row-major cell index.  On the k1d plane ``hits`` keeps the symmetric-only
+    rows too, since they count in the verdict on the diagonal, though they
+    are no CSV column.  As a sequence the plane holds one
+    :class:`RegionSample` per cell, row-major over (y, x), built on access.
     """
 
     spec: ScanSpec
     xs: np.ndarray
     ys: np.ndarray
     hits: theory.CriterionHits
-    signs: np.ndarray
     c_num: dict[int, "pde.SpeedEstimate"]
 
     def __len__(self) -> int:
@@ -199,7 +198,7 @@ def scan_plane(spec: ScanSpec) -> Plane:
     ys = spec.y_values()
     params = _plane_params(spec, xs, ys)
     hits = theory.evaluate_criteria(params)
-    signs = hits.signs()
+    hits.signs()  # fold once here, so a polarity conflict raises from the sweep
     c_num = {}
     if spec.with_pde:
         for iy in range(0, ys.size, spec.pde_stride):
@@ -209,7 +208,7 @@ def scan_plane(spec: ScanSpec) -> Plane:
                 except pde.SimulationError:
                     est = pde.SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")
                 c_num[iy * xs.size + ix] = est
-    return Plane(spec, xs, ys, hits, signs, c_num)
+    return Plane(spec, xs, ys, hits, c_num)
 
 
 def mask_counts(plane: Plane) -> dict[str, int]:
@@ -233,7 +232,7 @@ def emit_csv(plane: Plane, path) -> None:
     chars[:, ::2] = ord("0") + np.stack(hits, axis=-1).reshape(len(plane), -1)
     text = chars.tobytes().decode("ascii")
     flags = [text[i:i + width] for i in range(0, len(text), width)]
-    signs = [_SIGN_TEXT[code] for code in plane.signs.ravel().tolist()]
+    signs = [_SIGN_TEXT[code] for code in plane.hits.signs().ravel().tolist()]
     xs = [f"{x:.12g}" for x in plane.xs.tolist()]
     lines = [",".join(header)]
     index = 0

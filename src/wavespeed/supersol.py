@@ -17,9 +17,9 @@ Certification evaluates the residuals
 which must be nonpositive everywhere (piecewise profiles must additionally
 lose no slope across the matching point x = 0).  Second derivatives are
 obtained in closed form from the defining first integrals, never by
-differencing the tabulated data; a finite-difference cross-check guards the
-tables against construction bugs.  The certificate therefore reflects the
-analytic inequalities, with the stated tolerance absorbing only rounding.
+differencing the tabulated data; a finite-difference check at unit scale,
+the same for every a (a^2 finite and nonzero), guards the tables against
+construction bugs.  The stated tolerance absorbs only rounding.
 """
 
 from __future__ import annotations
@@ -196,15 +196,16 @@ def sigma_profile(p: float) -> SigmoidProfile:
 
 @dataclass(frozen=True)
 class SupersolCandidate:
-    """Exponent p > 1 and spatial scaling a > 0 for the smooth family."""
+    """Exponent p > 1 and spatial scaling a > 0, a^2 finite and nonzero, for the smooth family."""
 
     p: float
     a: float
 
     def __post_init__(self):
-        if not (1.0 < self.p < math.inf and 0.0 < self.a < math.inf):
+        if not (1.0 < self.p < math.inf and 0.0 < self.a and 0.0 < self.a * self.a < math.inf):
             raise ParameterError(
-                f"candidate requires finite p > 1 and a > 0, got p={self.p!r}, a={self.a!r}"
+                f"candidate requires finite p > 1 and a > 0 with a^2 finite and nonzero, "
+                f"got p={self.p!r}, a={self.a!r}"
             )
 
 
@@ -340,9 +341,9 @@ def residuals_IJ(cand: SupersolCandidate, profile: SigmoidProfile,
         psi'' = -a^2 h_p(s)
 
     so I = phi'' + f(s^p, s) and J = (d/r) psi'' + g(s^p, s) contain no
-    differencing error.  A centered-difference reconstruction of phi'' is
-    compared against the closed form; disagreement beyond
-    ``_DERIV_CHECK_TOL`` raises :class:`ProfileError`.
+    differencing error.  The guard differences sigma^p on the unit-scale
+    nodes ``profile.xs`` against p [(p-1) s^(p-2) G - s^(p-1) h_p], whatever
+    a; a gap beyond ``_DERIV_CHECK_TOL`` raises :class:`ProfileError`.
     """
     if profile.p != cand.p:
         raise ParameterError(
@@ -354,12 +355,13 @@ def residuals_IJ(cand: SupersolCandidate, profile: SigmoidProfile,
     G = np.maximum(first_integral(s, p), 0.0)
     hp = h_p(s, p)
 
-    phi_dd = a2 * p * ((p - 1.0) * np.power(s, p - 2.0) * G - np.power(s, p - 1.0) * hp)
+    bracket = (p - 1.0) * np.power(s, p - 2.0) * G - np.power(s, p - 1.0) * hp
+    phi_dd = a2 * p * bracket
     I = phi_dd + reaction_f(phi, s, params)
     J = -params.ratio * a2 * hp + reaction_g(phi, s, params)
 
-    fd = _fd_second_derivative(xs, phi)
-    fd_err = float(np.max(np.abs(fd - phi_dd[1:-1])))
+    fd = _fd_second_derivative(profile.xs, phi)
+    fd_err = float(np.max(np.abs(fd - p * bracket[1:-1])))
     if not fd_err <= _DERIV_CHECK_TOL:
         raise ProfileError(
             f"finite-difference check of phi'' failed: {fd_err:.3e} > {_DERIV_CHECK_TOL:.3e}"

@@ -23,9 +23,9 @@ The inventory is the single table :data:`CRITERIA`; its report labels:
                 regions (iv)-(vi) carry no quantitative data and have no row
 
 Each row holds its predicate once, on numpy values: :func:`evaluate_criteria`
-reads the table at one point or on broadcast arrays (a :class:`ParamArrays`),
-so :func:`classify` and the plane sweeps of ``scan`` run the same code.  The
-two bounds that raise to a power stay scalar; see :func:`_pairwise`.
+reads the table at one point or on broadcast arrays, and the one fold,
+:meth:`CriterionHits.signs`, turns the hits into signs, so :func:`classify`
+and ``scan`` run the same code.  Two bounds stay scalar; see :func:`_pairwise`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -379,49 +380,40 @@ class CriterionHits:
     def signs(self) -> np.ndarray:
         """The verdict's sign at every point, as codes of :data:`SIGN_OF_CODE`.
 
-        Folds the hits as :meth:`verdict` does, and raises
-        :class:`PolarityConflictError` where it would.
+        The one fold of the hits: a direct hit votes for its row's polarity,
+        a reflected hit for the opposite one; votes both ways at a point raise
+        :class:`PolarityConflictError`.  Folded once and shared: do not write.
         """
-        votes = {-1: np.zeros(self.params.shape, bool), +1: np.zeros(self.params.shape, bool)}
+        return self._signs
+
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        votes = {-1: [], +1: []}
         for row in CRITERIA:
-            votes[row.polarity] |= self.direct[row.id]
-            votes[-row.polarity] |= self.reflected[row.id]
-        negative, positive = votes[-1], votes[+1]
+            votes[row.polarity].append(self.direct[row.id])
+            votes[-row.polarity].append(self.reflected[row.id])
+        # One reduce per polarity: at a single point, in-place ors cost more.
+        negative, positive = np.logical_or.reduce(votes[-1]), np.logical_or.reduce(votes[+1])
         conflict = negative & positive
         if conflict.any():
-            raise self._conflict(np.unravel_index(np.argmax(conflict), conflict.shape))
+            at = self.params.at(np.unravel_index(np.argmax(conflict), conflict.shape))
+            raise PolarityConflictError(f"criteria of both polarities fired at {at}")
         return positive.astype(np.int8) - negative.astype(np.int8)
 
     def verdict(self, index: tuple[int, ...] = ()) -> SignVerdict:
-        """Fold the hits at one point into a sign verdict.
+        """The sign verdict at one point, read off :meth:`signs`.
 
         ``index`` picks the point in the points' shape; the default () is
-        the point of a single-point evaluation.  A reflected hit certifies
-        the opposite of its row's polarity.  Hits of both polarities at once
-        are impossible for correct criteria, so that case raises
-        :class:`PolarityConflictError`.
+        the point of a single-point evaluation.  ``fired`` lists the rows
+        that voted for the sign: direct hits of that polarity, then
+        reflected hits of the opposite one, each in table order.
         """
-        direct = {-1: [], +1: []}
-        mirrored = {-1: [], +1: []}
-        for row in CRITERIA:
-            if self.direct[row.id][index]:
-                direct[row.polarity].append(row.id)
-            if self.reflected[row.id][index]:
-                mirrored[-row.polarity].append(row.id)
-        negative = tuple(direct[-1] + mirrored[-1])
-        positive = tuple(direct[+1] + mirrored[+1])
-        if negative and positive:
-            raise self._conflict(index, f": negative={negative}, positive={positive}")
-        if negative:
-            return SignVerdict(Sign.NEGATIVE, negative, tuple(mirrored[-1]))
-        if positive:
-            return SignVerdict(Sign.POSITIVE, positive, tuple(mirrored[+1]))
-        return SignVerdict(Sign.INCONCLUSIVE, ())
-
-    def _conflict(self, index: tuple[int, ...], detail: str = "") -> PolarityConflictError:
-        return PolarityConflictError(
-            f"criteria of both polarities fired at {self.params.at(index)}{detail}"
-        )
+        code = int(self.signs()[index])
+        direct = tuple(row.id for row in CRITERIA
+                       if row.polarity == code and self.direct[row.id][index])
+        mirrored = tuple(row.id for row in CRITERIA
+                         if row.polarity == -code and self.reflected[row.id][index])
+        return SignVerdict(SIGN_OF_CODE[code], direct + mirrored, mirrored)
 
 
 def evaluate_criteria(params: CompetitionParams | ParamArrays) -> CriterionHits:
@@ -482,15 +474,19 @@ def _covers_all_ratios(k1: float, k2: float) -> bool:
     return _n1_threshold(k1, k2) < degenerate_ratio_bound(k1, k2)
 
 
-def _sampled_coverage_check(k1: float, k2: float, n: int = 25) -> bool:
+# Relative tolerance of the determinacy threshold searches, the largest k1
+# the negative-side search tries, and the rungs of the d/r ladder that
+# spot-checks its result.
+_RTOL = 1e-6
+_SEARCH_CAP = 1e4
+_LADDER_POINTS = 25
+
+
+def _sampled_coverage_check(k1: float, k2: float) -> bool:
     """Safety net: spot-check the verdict over a log-uniform ratio ladder."""
-    ratios = [10.0 ** (-6.0 + 12.0 * i / (n - 1)) for i in range(n)]
+    ratios = [10.0 ** (-6.0 + 12.0 * i / (_LADDER_POINTS - 1)) for i in range(_LADDER_POINTS)]
     signs = evaluate_criteria(ParamArrays(ratios, 1.0, k1, k2)).signs()
     return bool(np.all(signs == -1))
-
-
-# Relative tolerance of the determinacy threshold searches.
-_RTOL = 1e-6
 
 
 def _halve(covers: Callable[[float], bool], good: float, bad: float) -> float:
@@ -505,7 +501,7 @@ def _halve(covers: Callable[[float], bool], good: float, bad: float) -> float:
     return good
 
 
-def determinacy_thresholds(k2: float, search_cap: float = 1e4) -> tuple[float, float]:
+def determinacy_thresholds(k2: float) -> tuple[float, float]:
     """Competition levels beyond which the speed sign is fixed for every d, r.
 
     Returns (k1_star, k1_dstar) with 1 < k1_star < k1_dstar such that the
@@ -519,20 +515,19 @@ def determinacy_thresholds(k2: float, search_cap: float = 1e4) -> tuple[float, f
     are sufficient, not necessary.
 
     Raises :class:`SearchCapExceeded` if coverage is never achieved for
-    k1 <= search_cap.
+    k1 <= ``_SEARCH_CAP``.
     """
     if not 1.0 < k2 < math.inf:
         raise ValueError("determinacy_thresholds requires k2 > 1")
-    check_positive(search_cap=search_cap)
 
     # Negative side: smallest k1 with full-ratio coverage at (k1, k2).
     lo = max(k2 * k2, m_of_k(k2))  # coverage fails here (degenerate bound is 0)
     hi = max(2.0 * lo, 2.0)
     while not _covers_all_ratios(hi, k2):
         hi *= 2.0
-        if hi > search_cap:
+        if hi > _SEARCH_CAP:
             raise SearchCapExceeded(
-                f"no k1 <= {search_cap:g} certifies c < 0 for all d/r at k2={k2:g}"
+                f"no k1 <= {_SEARCH_CAP:g} certifies c < 0 for all d/r at k2={k2:g}"
             )
     k1_dstar = _halve(lambda k1: _covers_all_ratios(k1, k2), hi, lo)
 

@@ -190,7 +190,7 @@ def test_09_region_figure_reproduction():
 
 def test_10_determinacy_thresholds():
     t0 = time.perf_counter()
-    k1_star, k1_dstar = theory.determinacy_thresholds(2.0, search_cap=1e4)
+    k1_star, k1_dstar = theory.determinacy_thresholds(2.0)
     ok = 1.0 < k1_star < k1_dstar
     for rho in (1e-4, 1.0, 1e4):
         verdict = theory.classify(validate(rho, 1.0, k1_dstar * 1.01, 2.0))

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from wavespeed import cli
+from wavespeed import cli, supersol
 from wavespeed.cli import main
 
 
@@ -189,17 +189,32 @@ class TestCertify:
         assert err.startswith("error: profile quadrature failed: position quadrature error")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--p", "2", "--a", "100"],
-         "finite-difference check of phi'' failed: 1.884e-03 > 1.000e-04"),
-        (["--p", "1e308", "--a", "1"],
+    @pytest.mark.parametrize("flags, coarse, message", [
+        ([], True, "finite-difference check of phi'' failed: 2.009e-03 > 1.000e-04"),
+        (["--p", "1e308", "--a", "1"], False,
          "profile quadrature failed: position quadrature error nan exceeds tol 1.000e-09"),
     ], ids=["fd-check", "nan-quadrature"])
-    def test_profile_failure_is_not_certified(self, capsys, flags, message):
+    def test_profile_failure_is_not_certified(self, capsys, monkeypatch, flags, coarse, message):
+        if coarse:
+            # A table too coarse for the finite-difference check of phi''.
+            monkeypatch.setattr(supersol, "_POINTS_PER_DECADE", 12)
+            monkeypatch.setattr(supersol, "_QUAD_TOL", 1e-3)
         code, out, err = run(capsys, "certify", "11", "1", "3", "3", *flags)
         assert code == 5
         assert err == f"error: {message}\n"
         assert "certified:" not in out
+
+    @pytest.mark.parametrize("point, flags", [
+        (["11", "1", "3", "3"], ["--p", "2", "--a", "100"]),
+        (["11", "1", "60", "3"], ["--p", "50", "--a", "5"]),
+    ], ids=["p2-a100", "p50-a5"])
+    def test_accurate_table_passes_guard_at_any_scale(self, capsys, point, flags):
+        # The finite-difference check runs at unit scale, so a large a
+        # reaches the residuals, which refuse the candidate.
+        code, out, err = run(capsys, "certify", *point, *flags)
+        assert code == 5
+        assert "certified: no" in out
+        assert err == ""
 
     def test_explicit_candidate(self, capsys):
         code, out, _ = run(
@@ -447,6 +462,8 @@ class TestNonFiniteInputs:
         (["scan", "--plane", "k1d", "--k2", "inf"], "need finite k2 > 1 and pde_stride >= 1"),
         (["scan", "--plane", "k1d", "--xrange", "1.5:inf"],
          "ranges must be finite, positive and increasing"),
+        (["certify", *_POINT, "--p", "2", "--a", "1e-200"], "candidate requires finite p > 1"),
+        (["certify", *_POINT, "--p", "2", "--a", "1e300"], "candidate requires finite p > 1"),
     ])
     def test_exit_64_with_message(self, capsys, tmp_path, argv, message):
         code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path))

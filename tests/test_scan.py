@@ -1,15 +1,24 @@
 import csv
 import hashlib
 import math
+import re
+from dataclasses import replace
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
-from wavespeed import cli
+from wavespeed import cli, theory
 from wavespeed.model import ParameterError, validate
 from wavespeed.pde import default_config
-from wavespeed.theory import CRITERIA, CriterionId, Sign, classify, degenerate_ratio_bound
+from wavespeed.theory import (
+    CRITERIA,
+    CriterionId,
+    PolarityConflictError,
+    Sign,
+    classify,
+    degenerate_ratio_bound,
+)
 from wavespeed.scan import (
     _SVG_STYLE,
     ScanSpec,
@@ -56,6 +65,18 @@ class TestScanPlane:
                 votes[row.polarity] |= s.verdicts[row.id]
                 votes[-row.polarity] |= s.reflected_verdicts[row.id]
             assert not (votes[-1] and votes[+1])
+
+    def test_polarity_conflict_raises_from_the_sweep(self, monkeypatch):
+        # pos1 forced on votes both ways at every cell, directly and reflected.
+        rows = tuple(
+            replace(row, predicate=lambda p: np.ones(p.shape, bool))
+            if row.id is CriterionId.POS1 else row
+            for row in CRITERIA
+        )
+        monkeypatch.setattr(theory, "CRITERIA", rows)
+        with pytest.raises(PolarityConflictError, match=re.escape(
+                "at CompetitionParams(d=1.0, r=1.0, k1=1.000000001, k2=1.000000001)")):
+            scan_plane(plane_spec("sym", nx=3, ny=3))
 
     def test_combined_consistent_with_masks(self, sym_samples):
         for s in sym_samples:

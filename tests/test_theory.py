@@ -292,7 +292,7 @@ class TestKstarBounds:
 
 class TestDeterminacy:
     def test_thresholds_for_k2_two(self):
-        k1_star, k1_dstar = determinacy_thresholds(2.0, search_cap=1e4)
+        k1_star, k1_dstar = determinacy_thresholds(2.0)
         assert 1.0 < k1_star < k1_dstar
         assert k1_dstar >= 4.0
         # Regression constants from the first verified computation.
@@ -308,9 +308,10 @@ class TestDeterminacy:
             verdict = classify(validate(rho, 1.0, k1_star * 0.99, 2.0))
             assert verdict.sign is Sign.POSITIVE
 
-    def test_search_cap(self):
+    def test_search_cap(self, monkeypatch):
+        monkeypatch.setattr(theory, "_SEARCH_CAP", 100.0)
         with pytest.raises(SearchCapExceeded):
-            determinacy_thresholds(3.0, search_cap=100.0)
+            determinacy_thresholds(3.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -320,7 +321,6 @@ class TestDeterminacy:
 @pytest.mark.parametrize("fn, args, message", [
     (determinacy_thresholds, (math.nan,), "determinacy_thresholds requires k2 > 1"),
     (determinacy_thresholds, (math.inf,), "determinacy_thresholds requires k2 > 1"),
-    (determinacy_thresholds, (3.0, math.nan), "search_cap must be positive and finite, got nan"),
     (kstar_bounds, (math.nan, 1.0, 2.0), "d must be positive and finite, got nan"),
     (kstar_bounds, (1.0, math.inf, 2.0), "r must be positive and finite, got inf"),
     (kstar_bounds, (1.0, 1.0, math.nan), "kstar_bounds requires d, r > 0 and k2 > 1"),
@@ -329,7 +329,7 @@ class TestDeterminacy:
     (supersol.alpha_p, (math.nan,), "alpha_p requires p > 1, got nan"),
     (supersol.sigma_profile, (math.nan,), "sigma_profile requires p > 1, got nan"),
     (supersol.sigma_profile, (math.inf,), "sigma_profile requires p > 1, got inf"),
-], ids=["determinacy-nan", "determinacy-inf", "determinacy-cap-nan", "kstar-d-nan",
+], ids=["determinacy-nan", "determinacy-inf", "kstar-d-nan",
         "kstar-r-inf", "kstar-k2-nan", "kstar-k2-inf", "m_of_k-nan", "alpha_p-nan",
         "sigma_profile-nan", "sigma_profile-inf"])
 def test_threshold_entry_points_reject_non_finite(fn, args, message):
