@@ -4,7 +4,8 @@ Exit codes
     classify: 0 Negative, 1 Positive, 2 Inconclusive
     speed:    0 measured, 3 not converged
     certify:  0 certified, 4 no candidate found, 5 residuals not certified
-              (also when the profile fails its quadrature or derivative check)
+              (also when p is too large for the residuals' s grid, and with
+              --export when the profile fails its quadrature or tail size)
     scan:     0 on success
     64 invalid parameters or usage, 74 output I/O failure
 
@@ -21,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .model import CompetitionParams, ParameterError, validate
+from .model import CompetitionParams, ParameterError, check_positive, validate
 from . import theory, supersol, pde, scan as scan_mod
 
 EXIT_NEGATIVE = 0
@@ -245,8 +246,12 @@ def cmd_speed(args) -> int:
 
 
 def _print_report(report: supersol.ResidualReport) -> None:
-    print(f"max I = {_fmt(report.max_I)} at x = {_fmt(report.x_at_max_I)}")
-    print(f"max J = {_fmt(report.max_J)} at x = {_fmt(report.x_at_max_J)}")
+    for name, value, at in (("I", report.max_I, report.at_max_I),
+                            ("J", report.max_J, report.at_max_J)):
+        # Near s = 1 only 1 - s has digits to show.
+        near_one = report.coordinate == "s" and at > 0.5
+        where = f"1 - s = {_fmt(1.0 - at)}" if near_one else f"{report.coordinate} = {_fmt(at)}"
+        print(f"max {name} = {_fmt(value)} at {where}")
     if report.jump_phi is not None:
         print(f"phi' jump at 0 = {_fmt(report.jump_phi)}")
         print(f"psi' jump at 0 = {_fmt(report.jump_psi)}")
@@ -263,6 +268,7 @@ def cmd_certify(args) -> int:
     if (args.p is None) != (args.a is None):
         raise ParameterError("--p and --a must be given together")
     given = {"tol": args.tol} if "tol" in args else {}
+    check_positive(**given)
 
     if args.degenerate:
         ds = supersol.degenerate_build(params, args.delta)
@@ -286,18 +292,18 @@ def cmd_certify(args) -> int:
                       "try certifying the reflected parameters: "
                       f"certify {_fmt(rp.d)} {_fmt(rp.r)} {_fmt(rp.k1)} {_fmt(rp.k2)}")
             return EXIT_NO_CANDIDATE
+    try:
+        report = supersol.residuals_IJ(cand, params, **given)
+        profile = supersol.sigma_profile(cand.p) if args.export else None
+    except supersol.ProfileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     conds = supersol.admissibility_conditions(cand, params)
     print(f"candidate: p = {_fmt(cand.p)}, a = {_fmt(cand.a)} "
           f"(a^2 = {_fmt(cand.a * cand.a)})")
     print("conditions (a)(b)(c)(d): " + " ".join(str(c) for c in conds))
-    try:
-        profile = supersol.sigma_profile(cand.p)
-        report = supersol.residuals_IJ(cand, profile, params, **given)
-    except supersol.ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CERTIFIED
     _print_report(report)
-    if args.export:
+    if profile is not None:
         supersol.save_tables(cand, profile, args.export)
         print(f"profile tables written to {args.export}_phi.txt / _psi.txt")
     return 0 if report.certified else EXIT_NOT_CERTIFIED

@@ -17,9 +17,10 @@ Certification evaluates the residuals
 which must be nonpositive everywhere (piecewise profiles must additionally
 lose no slope across the matching point x = 0).  Second derivatives are
 obtained in closed form from the defining first integrals, never by
-differencing the tabulated data; a finite-difference check at unit scale,
-the same for every a (a^2 finite and nonzero), guards the tables against
-construction bugs.  The stated tolerance absorbs only rounding.
+differencing tabulated data.  The smooth family's residuals depend on x
+only through s = sigma_p(a x) in (0, 1), so they are sampled on a grid in
+s; sigma_p is tabulated in x (``sigma_profile``) only for export.  The
+piecewise family is sampled in x.  The tolerance absorbs only rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .theory import m_of_k
 
 
 class ProfileError(RuntimeError):
-    """A tabulated profile failed its quadrature, size or finite-difference check."""
+    """A tabulated profile failed a check, or the s grid cannot resolve s^p."""
 
 
 def _scalar_or_array(x, out):
@@ -111,6 +112,14 @@ def _cumulative_positions(s: np.ndarray, p: float, order: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
+def _graded_nodes(floor: float, gap: float, per_decade: int) -> np.ndarray:
+    """s nodes log-graded from ``floor`` up to 1/2, then in 1 - s down to ``gap``."""
+    n_lo = math.ceil(per_decade * math.log10(0.5 / floor))
+    n_hi = math.ceil(per_decade * math.log10(0.5 / gap))
+    return np.concatenate([np.geomspace(floor, 0.5, n_lo + 1),
+                           1.0 - np.geomspace(0.5, gap, n_hi + 1)[1:]])
+
+
 # sigma level below which (and 1 - sigma level above which) the profile
 # follows its linearized exponential tails.
 _SPLICE = 1e-4
@@ -144,11 +153,8 @@ def sigma_profile(p: float) -> SigmoidProfile:
     if not 1.0 < p < math.inf:
         raise ValueError(f"sigma_profile requires p > 1, got {p!r}")
 
-    decades = math.log10(0.5 / _SPLICE)
-    n_side = max(8, math.ceil(_POINTS_PER_DECADE * decades))
-    s_lo = np.geomspace(_SPLICE, 0.5, n_side + 1)
-    s_hi = 1.0 - np.geomspace(0.5, _SPLICE, n_side + 1)
-    s = np.concatenate([s_lo, s_hi[1:]])
+    s = _graded_nodes(_SPLICE, _SPLICE, _POINTS_PER_DECADE)
+    n_side = len(s) // 2  # s[n_side] = 1/2
 
     # A G that vanishes inside (0, 1) makes positions infinite and the error
     # NaN; the guard below rejects both.
@@ -290,22 +296,25 @@ def save_tables(cand: SupersolCandidate, profile: SigmoidProfile, prefix) -> Non
 class ResidualReport:
     """Pointwise residual maxima, matching-point slope jumps, and the verdict.
 
+    The maxima sit at ``at_max_I``/``at_max_J`` in ``coordinate`` ("s" or "x").
     ``certified`` is True when max_I <= tol, max_J <= tol, and every
     applicable jump is >= -tol.  Jump fields are None for smooth profiles.
     """
 
     max_I: float
-    x_at_max_I: float
+    at_max_I: float
     max_J: float
-    x_at_max_J: float
+    at_max_J: float
     certified: bool
     tol: float
+    coordinate: str
     jump_phi: float | None = None
     jump_psi: float | None = None
 
 
-def _report(xs, I, J, tol: float, jumps: tuple[float, ...] = ()) -> ResidualReport:
-    """The maxima of residuals I and J sampled at ``xs`` and the verdict at
+def _report(coordinate: str, nodes, I, J, tol: float,
+            jumps: tuple[float, ...] = ()) -> ResidualReport:
+    """The maxima of residuals I and J sampled at ``nodes`` and the verdict at
     ``tol``; a piecewise profile adds its slope ``jumps`` (phi', psi')."""
     check_positive(tol=tol)
     i_max = int(np.argmax(I))
@@ -313,61 +322,46 @@ def _report(xs, I, J, tol: float, jumps: tuple[float, ...] = ()) -> ResidualRepo
     max_I = float(I[i_max])
     max_J = float(J[j_max])
     certified = max_I <= tol and max_J <= tol and all(jump >= -tol for jump in jumps)
-    return ResidualReport(max_I, float(xs[i_max]), max_J, float(xs[j_max]), certified, tol, *jumps)
+    return ResidualReport(max_I, float(nodes[i_max]), max_J, float(nodes[j_max]),
+                          certified, tol, coordinate, *jumps)
 
 
-# Largest disagreement allowed between the centered-difference and the
-# closed-form phi'' before a table is rejected as too coarse.
-_DERIV_CHECK_TOL = 1e-4
+# s nodes of the smooth residuals, 250 a decade, past the profile's sigma range.
+_S_NODES = _graded_nodes(1e-12, 1e-13, 250)
+# Largest p (1 - s) at the top node, so that s^p comes within 1e-8 of 1 as
+# the profile's tails come within 1e-8 of their limits: p up to about 1e5.
+_MAX_TOP_GAP = 1e-8
 
 
-def _fd_second_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Centered second derivative on a non-uniform grid (interior points)."""
-    h1 = xs[1:-1] - xs[:-2]
-    h2 = xs[2:] - xs[1:-1]
-    return 2.0 * (h1 * ys[2:] - (h1 + h2) * ys[1:-1] + h2 * ys[:-2]) / (
-        h1 * h2 * (h1 + h2)
-    )
-
-
-def residuals_IJ(cand: SupersolCandidate, profile: SigmoidProfile,
-                 params: CompetitionParams, tol: float = 1e-8) -> ResidualReport:
-    """Certify (phi, psi) = (sigma^p, sigma)(a x) by evaluating I and J on
-    the grid ``profile.xs / a``, where sigma(a x) is exact at every node.
-
-    Both residuals reduce to explicit functions of s = sigma(a x):
+def residuals_IJ(cand: SupersolCandidate, params: CompetitionParams,
+                 tol: float = 1e-8) -> ResidualReport:
+    """Certify (phi, psi) = (sigma^p, sigma)(a x) by evaluating I and J at
+    the nodes ``_S_NODES`` of s = sigma(a x), of which both are functions:
 
         phi'' = a^2 p [(p-1) s^(p-2) G(s) - s^(p-1) h_p(s)]
         psi'' = -a^2 h_p(s)
 
-    so I = phi'' + f(s^p, s) and J = (d/r) psi'' + g(s^p, s) contain no
-    differencing error.  The guard differences sigma^p on the unit-scale
-    nodes ``profile.xs`` against p [(p-1) s^(p-2) G - s^(p-1) h_p], whatever
-    a; a gap beyond ``_DERIV_CHECK_TOL`` raises :class:`ProfileError`.
+    with I = phi'' + f(s^p, s) and J = (d/r) psi'' + g(s^p, s).  Raises
+    ParameterError when (d/r) a^2 or p a^2 is not finite, and ProfileError
+    when p is too large for s^p to reach 1 on the grid.
     """
-    if profile.p != cand.p:
-        raise ParameterError(
-            f"profile exponent {profile.p!r} does not match candidate p={cand.p!r}"
-        )
     p, a2 = cand.p, cand.a * cand.a
-    xs, s = profile.xs / cand.a, profile.sigma
+    ratio_a2, p_a2 = params.ratio * a2, p * a2
+    if not (ratio_a2 < math.inf and p_a2 < math.inf):
+        raise ParameterError("residual scale factors must be finite, got "
+                             f"(d/r) a^2 = {ratio_a2!r}, p a^2 = {p_a2!r}")
+    s = _S_NODES
+    top_gap = p * (1.0 - s[-1])
+    if not top_gap <= _MAX_TOP_GAP:
+        raise ProfileError(f"exponent p={p!r} is too large for the s grid: p (1 - s) = "
+                           f"{top_gap:.3e} at its top node exceeds {_MAX_TOP_GAP:.0e}")
     phi = s**p
     G = np.maximum(first_integral(s, p), 0.0)
     hp = h_p(s, p)
-
-    bracket = (p - 1.0) * np.power(s, p - 2.0) * G - np.power(s, p - 1.0) * hp
-    phi_dd = a2 * p * bracket
+    phi_dd = p_a2 * ((p - 1.0) * np.power(s, p - 2.0) * G - np.power(s, p - 1.0) * hp)
     I = phi_dd + reaction_f(phi, s, params)
-    J = -params.ratio * a2 * hp + reaction_g(phi, s, params)
-
-    fd = _fd_second_derivative(profile.xs, phi)
-    fd_err = float(np.max(np.abs(fd - p * bracket[1:-1])))
-    if not fd_err <= _DERIV_CHECK_TOL:
-        raise ProfileError(
-            f"finite-difference check of phi'' failed: {fd_err:.3e} > {_DERIV_CHECK_TOL:.3e}"
-        )
-
-    return _report(xs, I, J, tol)
+    J = -ratio_a2 * hp + reaction_g(phi, s, params)
+    return _report("s", s, I, J, tol)
 
 
 def choose_p_a(params: CompetitionParams) -> SupersolCandidate | None:
@@ -613,5 +607,5 @@ def degenerate_residuals(ds: DegenerateSupersol, params: CompetitionParams,
     I_r = phi_dd_r + reaction_f(phi_r, 1.0, params)
     # psi'' = 0 here; adding it turns the -0.0 zeros of g into +0.0.
     J_r = ratio * 0.0 + reaction_g(phi_r, 1.0, params)
-    return _report(np.concatenate([xl, xr]), np.concatenate([I_l, I_r]),
+    return _report("x", np.concatenate([xl, xr]), np.concatenate([I_l, I_r]),
                    np.concatenate([J_l, J_r]), tol, _degenerate_jumps(ds))

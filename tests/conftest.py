@@ -1,6 +1,14 @@
-"""Shared helpers: deterministic parameter samples inside the blocking regions."""
+"""Shared helpers: deterministic parameter samples inside the blocking regions,
+and the hypothesis profile every test runs under."""
+
+from hypothesis import settings
 
 from wavespeed.theory import m_of_k
+
+# Every run draws the same examples: the seed comes from each test itself,
+# no example database replays earlier failures, and no deadline applies.
+settings.register_profile("wavespeed", derandomize=True, deadline=None, database=None)
+settings.load_profile("wavespeed")
 
 
 def blocking_sample_points():

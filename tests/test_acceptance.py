@@ -55,7 +55,6 @@ def test_02_balance_and_first_integral():
 
 def test_03_smooth_certification_soundness():
     t0 = time.perf_counter()
-    profiles = {}
     ok = True
     for d, r, k1, k2 in blocking_sample_points():
         params = validate(d, r, k1, k2)
@@ -63,9 +62,7 @@ def test_03_smooth_certification_soundness():
         ok &= cand is not None
         A, B, C, D = supersol.abc_coefficients(cand, params)
         ok &= abs(A + B + C + D) <= 1e-14
-        if cand.p not in profiles:
-            profiles[cand.p] = supersol.sigma_profile(cand.p)
-        report = supersol.residuals_IJ(cand, profiles[cand.p], params)
+        report = supersol.residuals_IJ(cand, params)
         ok &= report.certified and report.max_I <= 1e-8 and report.max_J <= 1e-8
     elapsed = time.perf_counter() - t0
     _report(3, "smooth-family certification on 20 tuples", ok and elapsed < 10.0)

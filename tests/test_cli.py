@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from wavespeed import cli, supersol
+from wavespeed import cli
 from wavespeed.cli import main
 
 
@@ -181,40 +181,49 @@ class TestCertify:
         assert code == 5
         assert "certified: no" in out
 
-    def test_quadrature_failure_is_not_certified(self, capsys):
+    def test_quadrature_failure_is_not_certified(self, capsys, tmp_path):
         # p = k1 = 1.1: sigma_profile misses its 1e-9 position tolerance.
-        code, out, err = run(capsys, "certify", "5", "1", "1.1", "1.02")
+        # Only --export builds the profile; the verdict needs none.
+        point = ["certify", "5", "1", "1.1", "1.02"]
+        code, out, err = run(capsys, *point, "--export", str(tmp_path / "prof"))
         assert code == 5
-        assert "candidate: p = 1.1," in out
+        assert out == ""
         assert err.startswith("error: profile quadrature failed: position quadrature error")
-        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        code, out, err = run(capsys, *point)
+        assert code == 0
+        assert "candidate: p = 1.1," in out and "certified: yes" in out
+        assert err == ""
 
-    @pytest.mark.parametrize("flags, coarse, message", [
-        ([], True, "finite-difference check of phi'' failed: 2.009e-03 > 1.000e-04"),
-        (["--p", "1e308", "--a", "1"], False,
-         "profile quadrature failed: position quadrature error nan exceeds tol 1.000e-09"),
-    ], ids=["fd-check", "nan-quadrature"])
-    def test_profile_failure_is_not_certified(self, capsys, monkeypatch, flags, coarse, message):
-        if coarse:
-            # A table too coarse for the finite-difference check of phi''.
-            monkeypatch.setattr(supersol, "_POINTS_PER_DECADE", 12)
-            monkeypatch.setattr(supersol, "_QUAD_TOL", 1e-3)
-        code, out, err = run(capsys, "certify", "11", "1", "3", "3", *flags)
+    @pytest.mark.parametrize("p", ["2e5", "1e308"])
+    def test_unresolvable_p_is_not_certified(self, capsys, p):
+        # s^p no longer reaches 1 on the residuals' s grid.
+        code, out, err = run(capsys, "certify", "11", "1", "3", "3", "--p", p, "--a", "1")
         assert code == 5
-        assert err == f"error: {message}\n"
-        assert "certified:" not in out
+        assert err.startswith(f"error: exponent p={float(p)!r} is too large for the s grid")
+        assert err.count("\n") == 1
+        assert out == ""
 
     @pytest.mark.parametrize("point, flags", [
         (["11", "1", "3", "3"], ["--p", "2", "--a", "100"]),
         (["11", "1", "60", "3"], ["--p", "50", "--a", "5"]),
     ], ids=["p2-a100", "p50-a5"])
     def test_accurate_table_passes_guard_at_any_scale(self, capsys, point, flags):
-        # The finite-difference check runs at unit scale, so a large a
-        # reaches the residuals, which refuse the candidate.
+        # A large a reaches the residuals, which refuse the candidate.
         code, out, err = run(capsys, "certify", *point, *flags)
         assert code == 5
         assert "certified: no" in out
         assert err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["1", "1", "3", "2", "--p", "2", "--a", "1", "--tol", "nan"],
+        ["--degenerate", "0.05", "1", "8", "2", "--tol", "-1"],
+    ], ids=["smooth-nan", "degenerate-negative"])
+    def test_tol_checked_before_output(self, capsys, argv):
+        code, out, err = run(capsys, "certify", *argv)
+        assert code == 64
+        assert out == ""
+        assert err == f"error: tol must be positive and finite, got {float(argv[-1])!r}\n"
 
     def test_explicit_candidate(self, capsys):
         code, out, _ = run(
@@ -407,8 +416,8 @@ CERTIFY_RUNS = [
     ["--degenerate", "--delta", "0.1", "0.05", "1", "8", "2"],
     ["--p", "2", "--a", "1", "1", "1", "3", "2"],
 ]
-CERTIFY_GOLDEN = "dec93cd51119d3c2645a289e9c4fe5dbc537c0ea26aa93970fd7ba4a7f6f3976"
-EXPORT_GOLDEN = "a83ae31157a6b518ff30ae9452e405df9f95ebb66cb6116cf948ebcaa12085c5"
+CERTIFY_GOLDEN = "10a968d311b4af1cdf1ae219b1ba682cdfa573f14a2bc2c38388d7df1ec15854"
+EXPORT_GOLDEN = "9b09eddaa9bdc4510fb72569934ee82dba367d0915c5bb8e8ba587ec1fa09c64"
 DUMP_GOLDEN = "0bdbba1641745a00b31d284106c51b578e4eeca09c21c0106b8f4ae7b2ff993e"
 
 
@@ -464,6 +473,10 @@ class TestNonFiniteInputs:
          "ranges must be finite, positive and increasing"),
         (["certify", *_POINT, "--p", "2", "--a", "1e-200"], "candidate requires finite p > 1"),
         (["certify", *_POINT, "--p", "2", "--a", "1e300"], "candidate requires finite p > 1"),
+        (["certify", "1e10", "1", "3", "3", "--p", "2", "--a", "1e150"],
+         "residual scale factors must be finite, got (d/r) a^2 = inf"),
+        (["certify", *_POINT, "--p", "1e10", "--a", "1e150"],
+         "residual scale factors must be finite, got (d/r) a^2 = 1.1e+301, p a^2 = inf"),
     ])
     def test_exit_64_with_message(self, capsys, tmp_path, argv, message):
         code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path))
