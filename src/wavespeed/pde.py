@@ -8,8 +8,9 @@ The cooperative system
 is integrated on a truncated line with a semi-implicit scheme: backward
 Euler in the (linear) diffusion, forward Euler in the reaction.  The two
 species' diffusion systems are stacked as one tridiagonal matrix over the
-interior [u; v], factored once per run (LAPACK ``dgttrf``) and solved once
-per step (``dgttrs``).  That removes the d-dependent
+interior [u; v], a symmetric positive definite matrix: it is factored
+once per run as L D L^T (LAPACK ``dpttrf``) and solved once per step
+(``dpttrs``).  The implicit diffusion removes the d-dependent
 stability restriction, which matters for both the small-d and large-d
 parameter sweeps; the explicit reaction only requires dt below the
 reaction's relaxation scale.  Boundaries are clamped to the initial
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import CompetitionParams, ParameterError, check_positive, reaction_f, reaction_g
 
@@ -143,29 +144,33 @@ def step_profile(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factor_diffusion(n_interior: int, rc_u: float, rc_v: float) -> tuple:
-    """LU factors (``dgttrf``) of I - dt*D*Laplacian on the stacked interior [u; v].
+    """L D L^T factors (``dpttrf``) of I - dt*D*Laplacian on the stacked interior [u; v].
 
-    The u rows use ``rc_u``, the v rows ``rc_v``; the two blocks are not
-    coupled, so the sub- and super-diagonal hold 0 at the junction.
+    The matrix is symmetric positive definite: diagonal 1 + 2*rc, off-diagonal
+    -rc.  The u rows use ``rc_u``, the v rows ``rc_v``; the two blocks are not
+    coupled, so the off-diagonal holds 0 at the junction.  Returns ``(d, e)``.
     """
     rc = np.repeat([rc_u, rc_v], n_interior)
-    off = -rc[1:]
-    off[n_interior - 1] = 0.0
-    dl, d, du, du2, ipiv, info = dgttrf(off, 1.0 + 2.0 * rc, off.copy(), overwrite_dl=True,
-                                        overwrite_d=True, overwrite_du=True)
+    e = -rc[1:]
+    e[n_interior - 1] = 0.0
+    d, e, info = dpttrf(1.0 + 2.0 * rc, e, overwrite_d=True, overwrite_e=True)
     if info != 0:
-        raise SimulationError(f"diffusion matrix is singular (dgttrf info={info})")
-    return dl, d, du, du2, ipiv
+        raise SimulationError(f"diffusion matrix is not positive definite (dpttrf info={info})")
+    return d, e
 
 
 def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Overwrite ``rhs`` (shape (m, 1)) with the solution for the stored factors.
+    """Overwrite ``rhs`` (shape (m,)) with the solution for the ``dpttrs`` factors.
 
     The per-step solve keeps this module-level name so that tools which
     time it by rebinding ``pde.solve_banded`` (``bench/spans.py``) still see it.
     """
-    x, _ = dgttrs(*factors, rhs, overwrite_b=True)
+    x, _ = dpttrs(*factors, rhs, overwrite_b=True)
     return x
+
+
+# Field values outside [FIELD_LO, FIELD_HI] signal an unstable step.
+FIELD_LO, FIELD_HI = -0.01, 1.01
 
 
 def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
@@ -174,7 +179,7 @@ def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
         hi = float(arr.max())
         if math.isnan(lo) or math.isnan(hi):
             raise SimulationError(f"{name} became NaN at t={t:g}")
-        if lo < -0.01 or hi > 1.01:
+        if lo < FIELD_LO or hi > FIELD_HI:
             raise SimulationError(
                 f"instability: {name} in [{lo:.4g}, {hi:.4g}] at t={t:g}"
             )
@@ -188,15 +193,19 @@ def _march(params: CompetitionParams, config: SimConfig,
 
     The diffusion matrix of the stacked interior [u; v] is factored once;
     each step writes both right-hand sides into one buffer and solves them
-    with one ``solve_banded`` call.  Yields (k, t) after every step k.
+    with one ``solve_banded`` call.  The solution is checked against the
+    box in one pass; the boundary nodes lie in [0, 1] (``simulate`` and
+    ``step_profile`` see to it), so only a failed pass needs
+    ``_check_fields`` to name the field and raise.  Yields (k, t) after
+    every step k.
     """
     dt, dx = config.dt, config.grid.dx
     rc_u = dt / (dx * dx)
     rc_v = params.d * dt / (dx * dx)
     n = config.grid.n_points - 2
     factors = _factor_diffusion(n, rc_u, rc_v)
-    rhs = np.empty((2 * n, 1))
-    rhs_u, rhs_v = rhs[:n, 0], rhs[n:, 0]
+    rhs = np.empty(2 * n)
+    rhs_u, rhs_v = rhs[:n], rhs[n:]
     u_in, v_in = u[1:-1], v[1:-1]
     for k in range(1, config.n_steps + 1):
         np.add(u_in, dt * reaction_f(u_in, v_in, params), out=rhs_u)
@@ -206,10 +215,12 @@ def _march(params: CompetitionParams, config: SimConfig,
         rhs_v[0] += rc_v * v[0]
         rhs_v[-1] += rc_v * v[-1]
         x = solve_banded(factors, rhs)
-        u_in[:] = x[:n, 0]
-        v_in[:] = x[n:, 0]
+        u_in[:] = x[:n]
+        v_in[:] = x[n:]
         t = k * config.dt
-        _check_fields(u, v, t)
+        # A NaN fails both comparisons.
+        if not (x.min() >= FIELD_LO and x.max() <= FIELD_HI):
+            _check_fields(u, v, t)
         yield k, t
 
 
@@ -231,8 +242,9 @@ def simulate(
 ) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
     """Evolve the cooperative system; return sampled frames (t, x, u, v).
 
-    Every frame shares the grid's ``x`` array.  ``init`` must lie
-    componentwise in [0, 1].  The scheme preserves that box (the reaction
+    Every frame shares the grid's ``x`` array.  ``init`` must be finite
+    and lie componentwise in [0, 1]; :func:`_march` relies on its end
+    values doing so.  The scheme preserves that box (the reaction
     pushes inward on its faces and the implicit diffusion solve is an
     M-matrix inverse), so any visible excursion signals instability and
     raises :class:`SimulationError`.
@@ -241,7 +253,8 @@ def simulate(
     n = config.grid.n_points
     if len(u0) != n or len(v0) != n:
         raise ParameterError("initial fields do not match the grid")
-    if min(u0.min(), v0.min()) < 0.0 or max(u0.max(), v0.max()) > 1.0:
+    # NaN fails every comparison, so it is rejected with the out-of-box values.
+    if not all(0.0 <= f.min() and f.max() <= 1.0 for f in (u0, v0)):
         raise ParameterError("initial fields must lie in [0, 1]^2")
 
     if record_every is None:

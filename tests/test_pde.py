@@ -106,6 +106,16 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             simulate(params, cfg, (np.zeros(n - 1), np.zeros(n - 1)))
 
+    @pytest.mark.parametrize("field, node", [(0, 7), (1, 7), (0, 0)],
+                             ids=["u", "v", "boundary"])
+    def test_nan_init_rejected(self, field, node):
+        params = validate(1, 1, 2, 2)
+        cfg = coarse_config(t_end=1.0)
+        init = step_profile(cfg.grid)
+        init[field][node] = np.nan
+        with pytest.raises(ParameterError, match=r"initial fields must lie in \[0, 1\]\^2"):
+            simulate(params, cfg, init)
+
     def test_instability_detected(self):
         # A reaction-unstable step size blows the explicit part up.
         params = validate(1, 1, 9, 9)
@@ -248,21 +258,69 @@ class TestReflectionIdentity:
         assert abs(a.c_hat + math.sqrt(params.d * params.r) * b.c_hat) <= 0.03
 
 
-class TestMarch:
-    """``_march`` against the two-solve reference loop of ``reference_pde``."""
+MARCH_POINTS = [(1, 1, 2, 1.5), (7, 1, 1.8, 2), (0.05, 1, 8, 2), (1, 30, 2, 2)]
 
-    @pytest.mark.parametrize("point", [(1, 1, 2, 1.5), (7, 1, 1.8, 2), (0.05, 1, 8, 2),
-                                       (1, 30, 2, 2)])
-    def test_bit_identical_to_reference(self, point):
+
+def _outcome(run) -> str | None:
+    """The message of the SimulationError that ``run()`` raises, or None."""
+    try:
+        run()
+    except SimulationError as err:
+        return str(err)
+    return None
+
+
+class TestMarch:
+    """``_march`` against the two-solve reference loops of ``reference_pde``."""
+
+    @staticmethod
+    def _both(point, reference):
         params = validate(*point)
         cfg = default_config(L=20.0, t_end=6.0)
         assert cfg.n_steps == 300
         u, v = step_profile(cfg.grid)
         u_ref, v_ref = u.copy(), v.copy()
-        reference_pde.march(params, cfg, u_ref, v_ref, cfg.n_steps)
+        reference(params, cfg, u_ref, v_ref, cfg.n_steps)
         steps = [k for k, _ in _march(params, cfg, u, v)]
         assert steps == list(range(1, 301))
+        return u, v, u_ref, v_ref
+
+    @pytest.mark.parametrize("point", MARCH_POINTS)
+    def test_bit_identical_to_reference(self, point):
+        u, v, u_ref, v_ref = self._both(point, reference_pde.march)
         assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("point", MARCH_POINTS)
+    def test_within_rounding_of_the_pivoting_lu(self, point):
+        u, v, u_ref, v_ref = self._both(point, reference_pde.march_gtsv)
+        assert np.abs(u - u_ref).max() <= 1e-12 and np.abs(v - v_ref).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        st.lists(st.floats(-0.05, 1.05), min_size=2 * (n - 2), max_size=2 * (n - 2)),
+        st.none() | st.tuples(st.integers(0, 1), st.integers(0, n - 3)),
+    )))
+    def test_one_check_per_step_raises_as_check_fields(self, case):
+        # The step checks the solved interior once and calls _check_fields
+        # only when that fails; with end values in [0, 1] it must raise
+        # exactly when, and exactly what, _check_fields raises.
+        ends, interior, nan_at = case
+        x = np.array(interior)
+        m = len(x) // 2
+        if nan_at is not None:
+            x[nan_at[0] * m + nan_at[1]] = np.nan
+        cfg = default_config(L=1.0, dx=2.0 / (m + 1), dt=0.01, t_end=0.02)
+        u = np.array([ends[0], *np.full(m, 0.5), ends[1]])
+        v = np.array([ends[2], *np.full(m, 0.5), ends[3]])
+        expected_u = np.concatenate([u[:1], x[:m], u[-1:]])
+        expected_v = np.concatenate([v[:1], x[m:], v[-1:]])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "solve_banded", lambda factors, rhs: x.copy())
+            step = _outcome(lambda: next(_march(validate(1, 1, 2, 2), cfg, u, v)))
+        assert step == _outcome(lambda: pde._check_fields(expected_u, expected_v, cfg.dt))
+        assert np.array_equal(u, expected_u, equal_nan=True)
+        assert np.array_equal(v, expected_v, equal_nan=True)
 
     def test_stiff_anchor_message(self):
         with pytest.raises(SimulationError) as info:
