@@ -13,14 +13,8 @@ plus ``scan`` for parameter-plane maps and a ``wavespeed`` CLI.
 
 from .model import (
     CompetitionParams,
-    Equilibria,
-    Lv1Params,
     ParameterError,
     coexistence,
-    equilibria,
-    from_cooperative,
-    lv1_to_lv2,
-    lv2_to_lv1,
     reaction_f,
     reaction_g,
     to_cooperative,

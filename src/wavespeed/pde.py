@@ -47,6 +47,9 @@ class SimulationError(RuntimeError):
     """The time integration produced NaN or left the invariant region badly."""
 
 
+_MAX_GRID_POINTS = 1_000_000  # 8 MB a field, about 1250 times the default 801 nodes
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid on [-half_length, half_length] with n_points nodes."""
@@ -56,8 +59,8 @@ class Grid1D:
 
     def __post_init__(self):
         check_positive(half_length=self.half_length)
-        if self.n_points < 3:
-            raise ParameterError("n_points must be at least 3")
+        if not 3 <= self.n_points <= _MAX_GRID_POINTS:
+            raise ParameterError(f"need 3 <= n_points <= {_MAX_GRID_POINTS}, got {self.n_points}")
 
     @property
     def dx(self) -> float:
@@ -103,6 +106,8 @@ class SimConfig:
 def default_config(L: float = 40.0, dx: float = 0.1, **settings) -> SimConfig:
     """Grid of half-length ``L`` and spacing ``dx``; ``settings`` are SimConfig fields."""
     check_positive(L=L, dx=dx)
+    if not 2.0 * L / dx < _MAX_GRID_POINTS:  # the ratio may overflow to inf
+        raise ParameterError(f"dx={dx!r} on [-{L!r}, {L!r}] needs over {_MAX_GRID_POINTS} nodes")
     return SimConfig(grid=Grid1D(L, int(round(2.0 * L / dx)) + 1), **settings)
 
 

@@ -24,10 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError, check_positive
+from .model import CompetitionParams, ParameterError, check_positive
 from . import theory
 from .theory import CriterionId, SignVerdict
 from . import pde
+
+
+_MAX_CELLS = 10_000_000  # a 1000 x 1000 sweep takes about 100 MB
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,8 @@ class ScanSpec:
             raise ParameterError(f"unknown plane {self.plane!r}")
         if self.nx < 2 or self.ny < 2:
             raise ParameterError("nx and ny must be at least 2")
+        if self.nx * self.ny > _MAX_CELLS:
+            raise ParameterError(f"nx * ny = {self.nx * self.ny} exceeds {_MAX_CELLS} cells")
         for scale in (self.x_scale, self.y_scale):
             if scale not in ("linear", "log"):
                 raise ParameterError(f"unknown scale {scale!r}")
@@ -66,10 +71,10 @@ class ScanSpec:
         check_positive(r=self.r)
         if not (1.0 < self.k2 < math.inf and self.pde_stride >= 1):
             raise ParameterError("need finite k2 > 1 and pde_stride >= 1")
-        if self.plane == "sym" and ylo <= 1.0:
-            raise ParameterError("symmetric plane requires k > 1")
-        if self.plane == "k1d" and xlo <= 1.0:
-            raise ParameterError("k1d plane requires k1 > 1")
+        # Two corner cells hold the extreme d, d/r and k: both must be valid points.
+        for x, y in zip(self.x_range, self.y_range):
+            sym = self.plane == "sym"
+            CompetitionParams(*((x, 1.0, y, y) if sym else (y * self.r, self.r, x, self.k2)))
 
     def x_values(self) -> np.ndarray:
         return _axis(self.x_range, self.nx, self.x_scale)

@@ -20,7 +20,7 @@ obtained in closed form from the defining first integrals, never by
 differencing tabulated data.  The smooth family's residuals depend on x
 only through s = sigma_p(a x) in (0, 1), so they are sampled on a grid in
 s; sigma_p is tabulated in x (``sigma_profile``) only for export.  The
-piecewise family is sampled in x.  The tolerance absorbs only rounding.
+piecewise family is graded in its logistics.  The tolerance absorbs rounding.
 """
 
 from __future__ import annotations
@@ -259,8 +259,7 @@ def abc_coefficients(
 
     They always satisfy A + B + C + D = 0, so the residual vanishes at
     s = 1; conditions (a)-(c) are equivalent to A < 0,
-    p A + (p-1) B + C <= 0 and p A + (p-2) B <= 0 (see
-    :func:`proof_condition_flags`).
+    p A + (p-1) B + C <= 0 and p A + (p-2) B <= 0.
     """
     p, a2 = cand.p, cand.a * cand.a
     k1 = params.k1
@@ -270,19 +269,6 @@ def abc_coefficients(
     C = -p * (3.0 * p - 1.0) * a2 / (p + 1.0)
     D = 3.0 * p * p * a2 / (p + 2.0) - 1.0
     return A, B, C, D
-
-
-def proof_condition_flags(
-    cand: SupersolCandidate, params: CompetitionParams
-) -> tuple[bool, bool, bool]:
-    """The coefficient-form conditions (A) A < 0, (B) pA+(p-1)B+C <= 0, (C) pA+(p-2)B <= 0."""
-    p = cand.p
-    A, B, C, _ = abc_coefficients(cand, params)
-    return (
-        A < 0.0,
-        p * A + (p - 1.0) * B + C <= 0.0,
-        p * A + (p - 2.0) * B <= 0.0,
-    )
 
 
 def save_tables(cand: SupersolCandidate, profile: SigmoidProfile, prefix) -> None:
@@ -576,36 +562,32 @@ def _degenerate_jumps(ds: DegenerateSupersol) -> tuple[float, float]:
     return left - right, ds.k2 * left
 
 
-# Sample points of the residuals on each half-line of a piecewise profile.
-_HALF_NODES = 4001
-
-
 def degenerate_residuals(ds: DegenerateSupersol, params: CompetitionParams,
                          tol: float = 1e-8) -> ResidualReport:
     """Certify the piecewise profile: residuals on both half-lines plus slope jumps.
 
     On x < 0 the profile solves I = 0 exactly and J <= 0 reduces to
     d/r <= H*(delta); on x > 0, I = 0 exactly and J vanishes identically.
-    All second derivatives come from the logistic closed forms; the
-    reactions are evaluated through the model, so residuals are measured
-    against the actual nonlinearities rather than their simplified forms.
+    Nodes sit at mu = mu(0) f and 1 - lam = (1 - lam(0)) f, f in ``_S_NODES``,
+    and at x = 0, near which J peaks.  Second derivatives come from the
+    logistic closed forms and the reactions from the model, so residuals are
+    measured against the actual nonlinearities.
     """
     if ds.k1 != params.k1 or ds.k2 != params.k2:
         raise ParameterError("profile was built for different competition coefficients")
-    ratio = params.ratio
 
-    span_l = abs(ds.xi) + 40.0 / ds.gamma_ + 10.0
-    xl = np.linspace(-span_l, 0.0, _HALF_NODES)
+    mu = _S_NODES / (1.0 + math.exp(ds.gamma_ * ds.xi))
+    xl = np.append(ds.xi + (np.log(mu) - np.log1p(-mu)) / ds.gamma_, 0.0)
     phi_l, phi_dd_l = ds._left_piece(xl)
     psi_l = ds.k2 * phi_l + ds.delta
     I_l = phi_dd_l + reaction_f(phi_l, psi_l, params)
-    J_l = ratio * ds.k2 * phi_dd_l + reaction_g(phi_l, psi_l, params)
+    J_l = params.ratio * ds.k2 * phi_dd_l + reaction_g(phi_l, psi_l, params)
 
-    span_r = abs(ds.eta) + 40.0 + 10.0
-    xr = np.linspace(0.0, span_r, _HALF_NODES)
+    eps = _S_NODES[::-1] / (1.0 + math.exp(-ds.eta))
+    xr = np.insert(ds.eta + np.log1p(-eps) - np.log(eps), 0, 0.0)
     phi_r, phi_dd_r = ds._right_piece(xr)
     I_r = phi_dd_r + reaction_f(phi_r, 1.0, params)
     # psi'' = 0 here; adding it turns the -0.0 zeros of g into +0.0.
-    J_r = ratio * 0.0 + reaction_g(phi_r, 1.0, params)
+    J_r = params.ratio * 0.0 + reaction_g(phi_r, 1.0, params)
     return _report("x", np.concatenate([xl, xr]), np.concatenate([I_l, I_r]),
                    np.concatenate([J_l, J_r]), tol, _degenerate_jumps(ds))

@@ -181,6 +181,16 @@ class TestCertify:
         assert code == 5
         assert "certified: no" in out
 
+    @pytest.mark.parametrize("point", [
+        ["0.0048", "1", "180", "6"],  # H* = 0.00479527
+        ["0.0006065", "1", "6400", "8"],  # 1% above H*
+    ], ids=["k1-180", "k1-6400"])
+    def test_degenerate_fails_just_above_bound(self, capsys, point):
+        # J > 0 only within about 0.01 of x = 0, where the nodes crowd.
+        code, out, _ = run(capsys, "certify", "--degenerate", *point)
+        assert code == 5
+        assert "certified: no" in out
+
     def test_quadrature_failure_is_not_certified(self, capsys, tmp_path):
         # p = k1 = 1.1: sigma_profile misses its 1e-9 position tolerance.
         # Only --export builds the profile; the verdict needs none.
@@ -416,7 +426,7 @@ CERTIFY_RUNS = [
     ["--degenerate", "--delta", "0.1", "0.05", "1", "8", "2"],
     ["--p", "2", "--a", "1", "1", "1", "3", "2"],
 ]
-CERTIFY_GOLDEN = "10a968d311b4af1cdf1ae219b1ba682cdfa573f14a2bc2c38388d7df1ec15854"
+CERTIFY_GOLDEN = "785e89d19730127140e7955b8b51bcd24b0614e9a15df32132304c854d3bc1b7"
 EXPORT_GOLDEN = "9b09eddaa9bdc4510fb72569934ee82dba367d0915c5bb8e8ba587ec1fa09c64"
 DUMP_GOLDEN = "0bdbba1641745a00b31d284106c51b578e4eeca09c21c0106b8f4ae7b2ff993e"
 
@@ -447,6 +457,7 @@ class TestCertifyGoldenOutput:
 
 
 _POINT = ["11", "1", "3", "3"]
+_TINY_D = "d and its reciprocal must be positive and finite, got 1e-320"
 
 
 class TestNonFiniteInputs:
@@ -477,9 +488,17 @@ class TestNonFiniteInputs:
          "residual scale factors must be finite, got (d/r) a^2 = inf"),
         (["certify", *_POINT, "--p", "1e10", "--a", "1e150"],
          "residual scale factors must be finite, got (d/r) a^2 = 1.1e+301, p a^2 = inf"),
+        # The exchange of species inverts d; the grid is capped before it is built.
+        (["classify", "1e-320", "1", "3", "3"], _TINY_D),
+        (["certify", "1e-320", "1", "3", "3"], _TINY_D),
+        (["speed", "1e-320", "1", "3", "3"], _TINY_D),
+        (["scan", "--plane", "sym", "--xrange", "1e-320:1"], _TINY_D),
+        (["speed", *_POINT, "--dx", "1e-300"],
+         "dx=1e-300 on [-40.0, 40.0] needs over 1000000 nodes"),
     ])
     def test_exit_64_with_message(self, capsys, tmp_path, argv, message):
-        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path))
+        code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
         assert code == 64
-        assert f"error: {message}" in err
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "scan.csv").exists()

@@ -1,17 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from wavespeed.model import (
     CompetitionParams,
-    Lv1Params,
     ParameterError,
     coexistence,
-    equilibria,
-    from_cooperative,
-    lv1_to_lv2,
-    lv2_to_lv1,
     reaction_f,
     reaction_g,
     to_cooperative,
@@ -37,6 +30,19 @@ class TestValidate:
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ParameterError):
             validate(bad, 1, 2, 2)
+
+    @pytest.mark.parametrize("bad, name, value", [
+        ((1e-320, 1, 3, 3), "d", "1e-320"),
+        ((1, 1e-320, 3, 3), "r", "1e-320"),
+        ((1e-300, 1e10, 3, 3), "d/r", "1e-310"),
+        ((1e300, 1e-10, 3, 3), "d/r", "inf"),
+    ], ids=["d", "r", "ratio-small", "ratio-large"])
+    def test_reflection_must_be_finite(self, bad, name, value):
+        # The exchange of species maps (d, r) to (1/d, 1/r).
+        with pytest.raises(ParameterError) as exc:
+            validate(*bad)
+        message = f"{name} and its reciprocal must be positive and finite, got {value}"
+        assert str(exc.value) == message
 
     def test_symmetric_point_from_literature(self):
         p = validate(11 / 2, 1, 11 / 6, 11 / 6)
@@ -99,51 +105,3 @@ class TestCooperativeTransform:
     def test_stable_state_mapping(self):
         assert to_cooperative(0.0, 1.0) == (0.0, 0.0)
         assert to_cooperative(1.0, 0.0) == (1.0, 1.0)
-
-    def test_involution(self):
-        rng = np.random.default_rng(11)
-        for U, V in rng.uniform(0, 1, size=(50, 2)):
-            u, v = to_cooperative(U, V)
-            assert from_cooperative(u, v) == pytest.approx((U, V))
-
-    def test_coexistence_image(self):
-        p = validate(1, 1, 2, 4)
-        eq = equilibria(p)
-        k1, k2 = p.k1, p.k2
-        expected_v = k2 * (k1 - 1) / (k1 * k2 - 1)
-        assert eq.coexistence_coop == pytest.approx((coexistence(p)[0], expected_v))
-
-
-class TestLv1Correspondence:
-    def test_example_mapping(self):
-        p = lv1_to_lv2(Lv1Params(d=1.0, alpha=2.0, beta=6.0, gamma=1.0))
-        assert (p.r, p.k1, p.k2) == pytest.approx((2.0, 2.0, 3.0))
-
-    def test_identity_slice(self):
-        p = lv1_to_lv2(Lv1Params(d=2.0, alpha=1.0, beta=3.0, gamma=2.5))
-        assert (p.r, p.k1, p.k2) == pytest.approx((1.0, 2.5, 3.0))
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            gamma = rng.uniform(0.2, 5.0)
-            alpha = 1.0 / gamma + rng.uniform(1e-3, 4.0)
-            beta = alpha + rng.uniform(1e-3, 5.0)
-            d = 10.0 ** rng.uniform(-2, 2)
-            q = Lv1Params(d=d, alpha=alpha, beta=beta, gamma=gamma)
-            back = lv2_to_lv1(lv1_to_lv2(q))
-            assert back.d == pytest.approx(q.d)
-            assert back.alpha == pytest.approx(q.alpha)
-            assert back.beta == pytest.approx(q.beta)
-            assert back.gamma == pytest.approx(q.gamma)
-
-    def test_condition_sets_equivalent(self):
-        # Any valid Lv1Params maps to a valid CompetitionParams (the
-        # constructor would raise otherwise) and vice versa.
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            k1, k2 = 1.0 + 10.0 ** rng.uniform(-2, 1, size=2)
-            r = 10.0 ** rng.uniform(-1, 1)
-            p = validate(1.0, r, k1, k2)
-            q = lv2_to_lv1(p)
-            assert 1.0 / q.gamma < q.alpha < q.beta

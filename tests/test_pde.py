@@ -40,6 +40,14 @@ class TestGridConfig:
         with pytest.raises(ParameterError):
             Grid1D(1.0, 2)
 
+    def test_grid_size_capped(self):
+        Grid1D(1.0, pde._MAX_GRID_POINTS)
+        with pytest.raises(ParameterError, match="need 3 <= n_points <= 1000000, got 1000001"):
+            Grid1D(1.0, pde._MAX_GRID_POINTS + 1)
+        for dx in (1e-5, 1e-300):
+            with pytest.raises(ParameterError, match="needs over 1000000 nodes"):
+                default_config(dx=dx)
+
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
             SimConfig(grid=Grid1D(10.0, 101), dt=-0.1)

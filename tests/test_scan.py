@@ -344,6 +344,26 @@ class TestPlaneSequence:
         with pytest.raises(ParameterError, match="pde_stride >= 1"):
             plane_spec("k1d", with_pde=True, pde_stride=0)
 
+    def test_cell_count_capped(self):
+        # The check runs before any axis is built.
+        with pytest.raises(ParameterError, match="exceeds 10000000 cells"):
+            plane_spec("sym", nx=10**6, ny=10**6)
+        with pytest.raises(ParameterError, match="exceeds 10000000 cells"):
+            plane_spec("k1d", nx=10**7 // 2, ny=3)
+        assert plane_spec("k1d", nx=10**7 // 2, ny=2).nx == 5 * 10**6
+
+    @pytest.mark.parametrize("plane, fields, message", [
+        ("sym", {"x_range": (1e-320, 1.0)}, "d and its reciprocal must be positive"),
+        ("k1d", {"y_range": (1e-320, 1.0)}, "d and its reciprocal must be positive"),
+        ("k1d", {"y_range": (1e-320, 1.0), "r": 1e100}, "d/r and its reciprocal must be positive"),
+        ("k1d", {"y_range": (1.0, 1e10), "r": 1e300}, "d must be a finite real, got inf"),
+        ("sym", {"y_range": (1.0, 4.0)}, "strong competition violated"),
+        ("k1d", {"x_range": (0.5, 4.0)}, "strong competition violated"),
+    ], ids=["sym-d", "k1d-d", "k1d-ratio", "k1d-d-overflow", "sym-k", "k1d-k1"])
+    def test_corner_cells_must_be_points(self, plane, fields, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            plane_spec(plane, **fields)
+
     def test_oracle_estimate_on_its_cell_only(self):
         spec = ScanSpec(
             plane="k1d", x_range=(4.0, 6.0), y_range=(0.8, 1.2), nx=3, ny=3,

@@ -23,7 +23,6 @@ from wavespeed.supersol import (
     h_p,
     h_star,
     matching_mismatch,
-    proof_condition_flags,
     admissibility_conditions,
     residuals_IJ,
     sigma_profile,
@@ -180,7 +179,10 @@ class TestProp21:
             )
             cand = SupersolCandidate(p=rng.uniform(1.1, 6.0), a=rng.uniform(0.05, 2.0))
             a, b, c, _ = admissibility_conditions(cand, params)
-            assert (a, b, c) == proof_condition_flags(cand, params)
+            A, B, C, _ = abc_coefficients(cand, params)
+            p = cand.p
+            assert (a, b, c) == (A < 0.0, p * A + (p - 1.0) * B + C <= 0.0,
+                                 p * A + (p - 2.0) * B <= 0.0)
 
 
 class TestBuildAndResiduals:
@@ -365,6 +367,32 @@ class TestDegenerateFamily:
         assert report.max_J > 1e-8
         assert not report.certified
 
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3], ids=["below", "above"])
+    def test_residual_J_resolves_h_star(self, factor):
+        # On x < 0, J is a quadratic in w = mu (1 - mu) on (0, m0], largest at
+        # w = min(1/12 + delta / (12 (d/r) gamma^2), m0); that maximum is 0 at
+        # d/r = H*(delta).  On x > 0, J = 0.  The sampled J may exceed
+        # neither, and may certify only when the exact maximum is within tol.
+        rng = np.random.default_rng(18)
+        certified = 0
+        for _ in range(1000):
+            k2 = 1.0 + 10 ** rng.uniform(-1, 1)
+            k1 = k2 * k2 * (1.0 + 10 ** rng.uniform(-2, 2))
+            shape = validate(1.0, 1.0, k1, k2)
+            _, delta2, delta3 = delta_candidates(shape)
+            delta = delta3 if rng.uniform() < 0.5 else rng.uniform(0.0, delta2)
+            params = validate(factor * h_star(shape, delta), 1.0, k1, k2)
+            ds = degenerate_build(params, delta)
+            report = degenerate_residuals(ds, params)
+            a = params.ratio * k2 * ds.beta_ * ds.gamma_**2
+            w = min(1.0 / 12.0 + delta / (12.0 * params.ratio * ds.gamma_**2), ds.m0)
+            exact = -6.0 * a * w * w + (a + delta * k2 * ds.beta_) * w - delta * (1.0 - delta)
+            assert report.max_J <= max(exact, 0.0) + 1e-12
+            assert report.max_J > report.tol or exact <= report.tol
+            certified += report.max_J <= report.tol
+        if factor < 1.0:
+            assert certified == 1000
+
     def test_jump_positive_below_delta3(self):
         params = validate(0.05, 1, 8, 2)
         _, _, delta3 = delta_candidates(params)
@@ -372,8 +400,7 @@ class TestDegenerateFamily:
         report = degenerate_residuals(ds, params)
         assert report.jump_phi > 1e-3
 
-    def test_psi_jump_always_nonnegative(self, monkeypatch):
-        monkeypatch.setattr(supersol, "_HALF_NODES", 801)
+    def test_psi_jump_always_nonnegative(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             k2 = 1.0 + 10 ** rng.uniform(-1, 0.4)
