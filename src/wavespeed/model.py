@@ -48,7 +48,8 @@ class CompetitionParams:
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ParameterError(f"{name} must be a finite real, got {value!r}")
         # The exchange of species maps d, r and d/r to their reciprocals.
-        for name, value in (("d", self.d), ("r", self.r), ("d/r", self.d / self.r)):
+        for name in ("d", "r", "d/r"):  # d/r is formed only once d and r have passed
+            value = self.d / self.r if name == "d/r" else getattr(self, name)
             if not (0.0 < value < math.inf and 1.0 / value < math.inf):
                 raise ParameterError(f"{name} and its reciprocal must be positive and "
                                      f"finite, got {value!r}")

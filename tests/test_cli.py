@@ -493,6 +493,12 @@ class TestNonFiniteInputs:
         (["certify", "1e-320", "1", "3", "3"], _TINY_D),
         (["speed", "1e-320", "1", "3", "3"], _TINY_D),
         (["scan", "--plane", "sym", "--xrange", "1e-320:1"], _TINY_D),
+        (["classify", "1", "0", "3", "3"],
+         "r and its reciprocal must be positive and finite, got 0.0"),
+        (["speed", "1", "0", "3", "3"],
+         "r and its reciprocal must be positive and finite, got 0.0"),
+        (["certify", "1", "-0", "3", "3"],
+         "r and its reciprocal must be positive and finite, got -0.0"),
         (["speed", *_POINT, "--dx", "1e-300"],
          "dx=1e-300 on [-40.0, 40.0] needs over 1000000 nodes"),
     ])

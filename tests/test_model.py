@@ -21,7 +21,8 @@ class TestValidate:
         with pytest.raises(ParameterError, match="strong competition"):
             validate(1, 1, 1, 2)
 
-    @pytest.mark.parametrize("bad", [(0, 1, 2, 2), (1, -1, 2, 2), (1, 1, 0.5, 2)])
+    @pytest.mark.parametrize("bad", [(0, 1, 2, 2), (1, -1, 2, 2), (1, 0, 2, 2),
+                                     (1, -0.0, 2, 2), (1, 1, 0.5, 2)])
     def test_invalid_tuples_rejected(self, bad):
         with pytest.raises(ParameterError):
             validate(*bad)
