@@ -20,7 +20,9 @@ obtained in closed form from the defining first integrals, never by
 differencing tabulated data.  The smooth family's residuals depend on x
 only through s = sigma_p(a x) in (0, 1), so they are sampled on a grid in
 s; sigma_p is tabulated in x (``sigma_profile``) only for export.  The
-piecewise family is graded in its logistics.  The tolerance absorbs rounding.
+piecewise family's residuals depend on x only through its two logistics
+and are sampled in them, at the vertex of J too, so their maxima are exact;
+x only reports where they sit.  The tolerance absorbs rounding.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ class ProfileError(RuntimeError):
     """A tabulated profile failed a check, or the s grid cannot resolve s^p."""
 
 
-def _scalar_or_array(x, out):
-    """``out`` as a float when ``x`` is a scalar, else the array itself."""
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def alpha_p(p: float) -> float:
     """Balance coefficient 6 / ((p + 1)(p + 2)), in (0, 1) for p > 1.
 
@@ -56,17 +53,11 @@ def alpha_p(p: float) -> float:
 
 
 def h_p(s, p: float):
-    """Balanced bistable nonlinearity.
+    """Balanced bistable nonlinearity h_p(s) = s (1 - s) (s^(p-1) - alpha_p) on [0, 1].
 
-    h_p(s) = s (1 - s) (s^(p-1) - alpha_p) for s >= 0 and -alpha_p * s for
-    s < 0; continuously differentiable at 0, with zeroes at 0,
-    alpha_p^(1/(p-1)) and 1.  Accepts scalars or arrays.
+    Its zeroes are 0, alpha_p^(1/(p-1)) and 1.  Accepts numbers or arrays.
     """
-    a = alpha_p(p)
-    s_arr = np.asarray(s, dtype=float)
-    s_pos = np.maximum(s_arr, 0.0)
-    pos = s_arr * (1.0 - s_arr) * (np.power(s_pos, p - 1.0) - a)
-    return _scalar_or_array(s, np.where(s_arr >= 0.0, pos, -a * s_arr))
+    return s * (1.0 - s) * (np.power(s, p - 1.0) - alpha_p(p))
 
 
 def first_integral(s, p: float):
@@ -76,13 +67,12 @@ def first_integral(s, p: float):
     i.e. -2 * integral of h_p from 0 to s.  Vanishes at s = 0 and s = 1.
     """
     a = alpha_p(p)
-    s_arr = np.asarray(s, dtype=float)
-    return _scalar_or_array(s, (
-        a * s_arr**2
-        - (2.0 / 3.0) * a * s_arr**3
-        - 2.0 * np.power(s_arr, p + 1.0) / (p + 1.0)
-        + 2.0 * np.power(s_arr, p + 2.0) / (p + 2.0)
-    ))
+    return (
+        a * s**2
+        - (2.0 / 3.0) * a * s**3
+        - 2.0 * np.power(s, p + 1.0) / (p + 1.0)
+        + 2.0 * np.power(s, p + 2.0) / (p + 2.0)
+    )
 
 
 @dataclass(frozen=True)
@@ -430,46 +420,20 @@ class DegenerateSupersol:
         """Common value of both pieces at the matching point."""
         return (1.0 - self.delta) / self.k2
 
-    def _left_piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, phi'') of the x < 0 piece: beta w, w = mu (1 - mu)."""
-        with np.errstate(over="ignore"):  # far left exp -> inf: mu = 0, the exact limit
-            mu = 1.0 / (1.0 + np.exp(-self.gamma_ * (x - self.xi)))
-        w = mu * (1.0 - mu)
-        return self.beta_ * w, self.beta_ * self.gamma_**2 * w * (1.0 - 6.0 * w)
 
-    def _right_piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, phi'') of the x >= 0 piece: 1 - 6 w, w = lam (1 - lam)."""
-        with np.errstate(over="ignore"):  # far left exp -> inf: lam = 0, the exact limit
-            lam = 1.0 / (1.0 + np.exp(-(x - self.eta)))
-        w = lam * (1.0 - lam)
-        return 1.0 - 6.0 * w, -6.0 * w * (1.0 - 6.0 * w)
+def delta_candidates(params: CompetitionParams) -> tuple[float, float]:
+    """The two offset levels (delta2, delta3) bounding admissibility.
 
-    def phi(self, x):
-        """Evaluate phi at scalar or array x."""
-        x_arr = np.asarray(x, dtype=float)
-        left, right = self._left_piece(x_arr)[0], self._right_piece(x_arr)[0]
-        return _scalar_or_array(x, np.where(x_arr < 0.0, left, right))
-
-    def psi(self, x):
-        """Evaluate psi at scalar or array x."""
-        x_arr = np.asarray(x, dtype=float)
-        left = self.k2 * self._left_piece(x_arr)[0] + self.delta
-        return _scalar_or_array(x, np.where(x_arr < 0.0, left, 1.0))
-
-
-def delta_candidates(params: CompetitionParams) -> tuple[float, float, float]:
-    """The three offset levels (delta1, delta2, delta3) bounding admissibility.
-
-    delta1 = 1 - 1/k1 keeps the left-piece rate real, delta2 =
-    1 - 3 k2/(k1 k2 + 2) keeps the matching level below the left piece's
-    maximum, and delta3 = 1 - (k2^2/k1)^(1/3) is the largest offset with a
-    nonnegative slope jump (defined only for k1 > k2^2).
+    delta2 = 1 - 3 k2/(k1 k2 + 2) keeps the matching level at most 1/4, the
+    left piece's largest w, and delta3 = 1 - (k2^2/k1)^(1/3) is the largest
+    offset with a nonnegative slope jump (defined only for k1 > k2^2).  The
+    left piece's rate gamma^2 = k1 (1 - delta) - 1 is positive below delta2,
+    because delta2 < 1 - 1/k1 whenever k1 k2 > 1.
     """
     k1, k2 = params.k1, params.k2
-    delta1 = 1.0 - 1.0 / k1
     delta2 = 1.0 - 3.0 * k2 / (k1 * k2 + 2.0)
     delta3 = 1.0 - (k2 * k2 / k1) ** (1.0 / 3.0) if k1 > k2 * k2 else float("nan")
-    return delta1, delta2, delta3
+    return delta2, delta3
 
 
 def degenerate_build(
@@ -491,7 +455,7 @@ def degenerate_build(
         )
     if k1 <= 3.0 - 2.0 / k2:
         raise ParameterError("degenerate construction requires k1 > 3 - 2/k2")
-    _, delta2, delta3 = delta_candidates(params)
+    delta2, delta3 = delta_candidates(params)
     if delta is None:
         delta = delta3
     if not (0.0 < delta < delta2):
@@ -566,28 +530,39 @@ def degenerate_residuals(ds: DegenerateSupersol, params: CompetitionParams,
                          tol: float = 1e-8) -> ResidualReport:
     """Certify the piecewise profile: residuals on both half-lines plus slope jumps.
 
-    On x < 0 the profile solves I = 0 exactly and J <= 0 reduces to
-    d/r <= H*(delta); on x > 0, I = 0 exactly and J vanishes identically.
-    Nodes sit at mu = mu(0) f and 1 - lam = (1 - lam(0)) f, f in ``_S_NODES``,
-    and at x = 0, near which J peaks.  Second derivatives come from the
-    logistic closed forms and the reactions from the model, so residuals are
-    measured against the actual nonlinearities.
+    Each half depends on x only through w = mu (1 - mu) or w = lam (1 - lam),
+    so phi, phi'' and psi are formed from w in closed form and I, J from the
+    model's reactions.  I vanishes on both halves and J on x >= 0; on x < 0,
+    J is a quadratic in w, largest at w* = 1/12 + delta / (12 (d/r) gamma^2)
+    when w* < m0 and else at x = 0.  Nodes sit at mu = mu(0) f and 1 - lam =
+    (1 - lam(0)) f, f in ``_S_NODES``, at both matching values and at the
+    vertex w*, so the maximum of J is exact up to rounding.  Positions are
+    reported in x, exactly 0 at the matching point.
     """
     if ds.k1 != params.k1 or ds.k2 != params.k2:
         raise ParameterError("profile was built for different competition coefficients")
 
-    mu = _S_NODES / (1.0 + math.exp(ds.gamma_ * ds.xi))
-    xl = np.append(ds.xi + (np.log(mu) - np.log1p(-mu)) / ds.gamma_, 0.0)
-    phi_l, phi_dd_l = ds._left_piece(xl)
+    w_top = 1.0 / 12.0 + ds.delta / (12.0 * params.ratio * ds.gamma_**2)
+    tops = np.array([w_top, ds.m0] if w_top < ds.m0 else [ds.m0])
+    mu_top = 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * tops))  # mu(0) last
+    mu = np.concatenate([mu_top[-1] * _S_NODES, mu_top])
+    w = mu * (1.0 - mu)
+    phi_l = ds.beta_ * w
+    phi_dd_l = ds.beta_ * ds.gamma_**2 * w * (1.0 - 6.0 * w)
     psi_l = ds.k2 * phi_l + ds.delta
     I_l = phi_dd_l + reaction_f(phi_l, psi_l, params)
     J_l = params.ratio * ds.k2 * phi_dd_l + reaction_g(phi_l, psi_l, params)
+    xl = ds.xi + (np.log(mu) - np.log1p(-mu)) / ds.gamma_
+    xl[-1] = 0.0
 
-    eps = _S_NODES[::-1] / (1.0 + math.exp(-ds.eta))
-    xr = np.insert(ds.eta + np.log1p(-eps) - np.log(eps), 0, 0.0)
-    phi_r, phi_dd_r = ds._right_piece(xr)
-    I_r = phi_dd_r + reaction_f(phi_r, 1.0, params)
+    eps0 = 0.5 * (1.0 - math.sqrt((1.0 + 2.0 * ds.phi0) / 3.0))
+    eps = np.append(eps0, eps0 * _S_NODES[::-1])
+    w = eps * (1.0 - eps)
+    phi_r = 1.0 - 6.0 * w
+    I_r = -6.0 * w * (1.0 - 6.0 * w) + reaction_f(phi_r, 1.0, params)
     # psi'' = 0 here; adding it turns the -0.0 zeros of g into +0.0.
     J_r = params.ratio * 0.0 + reaction_g(phi_r, 1.0, params)
+    xr = ds.eta + np.log1p(-eps) - np.log(eps)
+    xr[0] = 0.0
     return _report("x", np.concatenate([xl, xr]), np.concatenate([I_l, I_r]),
                    np.concatenate([J_l, J_r]), tol, _degenerate_jumps(ds))

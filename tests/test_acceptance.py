@@ -71,7 +71,7 @@ def test_03_smooth_certification_soundness():
 def test_04_degenerate_construction():
     t0 = time.perf_counter()
     params_shape = validate(1.0, 1.0, 8.0, 2.0)
-    _, _, delta3 = supersol.delta_candidates(params_shape)
+    _, delta3 = supersol.delta_candidates(params_shape)
     ds = supersol.degenerate_build(params_shape, delta3)
 
     kappa = 16.0 ** (1.0 / 3.0)

@@ -426,7 +426,7 @@ CERTIFY_RUNS = [
     ["--degenerate", "--delta", "0.1", "0.05", "1", "8", "2"],
     ["--p", "2", "--a", "1", "1", "1", "3", "2"],
 ]
-CERTIFY_GOLDEN = "785e89d19730127140e7955b8b51bcd24b0614e9a15df32132304c854d3bc1b7"
+CERTIFY_GOLDEN = "e5b0840ce9a958e0d87a408bd384b6efa8933c88e8746ff8298fe0bcfd653475"
 EXPORT_GOLDEN = "9b09eddaa9bdc4510fb72569934ee82dba367d0915c5bb8e8ba587ec1fa09c64"
 DUMP_GOLDEN = "0bdbba1641745a00b31d284106c51b578e4eeca09c21c0106b8f4ae7b2ff993e"
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import blocking_sample_points
@@ -10,7 +11,6 @@ from wavespeed.model import ParameterError, validate
 from wavespeed import supersol
 from wavespeed.theory import degenerate_ratio_bound, m_of_k
 from wavespeed.supersol import (
-    DegenerateSupersol,
     ProfileError,
     SupersolCandidate,
     abc_coefficients,
@@ -72,10 +72,6 @@ class TestHp:
     def test_balanced(self, p):
         integral, err = quad(lambda s: h_p(s, p), 0.0, 1.0, epsabs=1e-14)
         assert abs(integral) < 1e-12
-
-    def test_negative_branch_linear(self):
-        p = 2.5
-        assert h_p(-0.3, p) == pytest.approx(0.3 * alpha_p(p))
 
     def test_first_integral_endpoints(self):
         for p in (1.5, 2.0, 3.0, 5.0):
@@ -282,6 +278,16 @@ class TestMatchingMismatch:
             assert hi == pytest.approx(k2 * k2, abs=1e-10)
 
 
+def _exact_max_J(params, delta):
+    """Closed-form max of J over both halves: 0 on x > 0, and on x < 0 the
+    quadratic J(w) on (0, m0] at w = min(1/12 + delta / (12 (d/r) gamma^2), m0)."""
+    ds = degenerate_build(params, delta)
+    a = params.ratio * ds.k2 * ds.beta_ * ds.gamma_**2
+    w = min(1.0 / 12.0 + delta / (12.0 * params.ratio * ds.gamma_**2), ds.m0)
+    left = -6.0 * a * w * w + (a + delta * ds.k2 * ds.beta_) * w - delta * (1.0 - delta)
+    return max(left, 0.0)
+
+
 class TestDegenerateFamily:
     def test_build_at_default_offset(self):
         params = validate(0.05, 1, 8, 2)
@@ -293,34 +299,39 @@ class TestDegenerateFamily:
         )
         assert 1.0 / 6.0 < ds.m0 <= 0.25
         assert ds.xi > 0.0 and ds.eta < 0.0
-        # continuity of both pieces at the matching point
-        assert ds.phi(-1e-12) == pytest.approx(ds.phi0, abs=1e-9)
-        assert ds.phi(0.0) == pytest.approx(ds.phi0, abs=1e-12)
-        assert ds.psi(-1e-12) == pytest.approx(1.0, abs=1e-9)
+        # Both pieces take phi0 at the matching point, where psi = 1.
+        lam0 = 1.0 / (1.0 + math.exp(ds.eta))
+        assert ds.beta_ * ds.m0 == pytest.approx(ds.phi0, rel=1e-14)
+        assert 1.0 - 6.0 * lam0 * (1.0 - lam0) == pytest.approx(ds.phi0, rel=1e-14)
+        assert ds.k2 * ds.phi0 + ds.delta == pytest.approx(1.0, rel=1e-15)
 
     def test_monotone_pieces(self):
-        # Strictly increasing on both half-lines; stop the right check where
-        # phi saturates to 1 at double precision.
+        # phi = beta mu (1 - mu) on x < 0 and 1 - 6 lam (1 - lam) on x >= 0,
+        # with mu and lam increasing in x: both rise iff mu0 < 1/2 < lam0.
         ds = degenerate_build(validate(0.05, 1, 8, 2))
-        xl = np.linspace(-30.0, -1e-9, 800)
-        xr = np.linspace(1e-9, 20.0, 800)
-        assert np.all(np.diff(ds.phi(xl)) > 0)
-        assert np.all(np.diff(ds.phi(xr)) > 0)
+        mu0 = 1.0 / (1.0 + math.exp(ds.gamma_ * ds.xi))
+        lam0 = 1.0 / (1.0 + math.exp(ds.eta))
+        assert mu0 < 0.5 < lam0
+        mu = np.linspace(1e-9, mu0, 800)
+        lam = np.linspace(lam0, 1.0 - 1e-9, 800)
+        assert np.all(np.diff(ds.beta_ * mu * (1.0 - mu)) > 0)
+        assert np.all(np.diff(1.0 - 6.0 * lam * (1.0 - lam)) > 0)
 
     @pytest.mark.filterwarnings("error")
     def test_far_field_without_overflow_warning(self):
-        # Each exponential overflows on the far left; the limits are exact.
-        ds = degenerate_build(validate(0.05, 1, 8, 2))
-        assert ds.phi(-800.0) == 0.0
-        assert ds.psi(-800.0) == ds.delta
-        assert ds.phi(800.0) == 1.0
-        np.testing.assert_array_equal(ds.phi(np.array([-800.0, 800.0])), [0.0, 1.0])
+        # The far-field nodes sit at logistic values down to 1e-12 of the
+        # matching ones; their reported positions stay finite and warn-free.
+        for params, delta in ((validate(0.05, 1, 8, 2), None),
+                              (validate(1e-4, 1, 6400, 8), 1e-6),
+                              (validate(1e-4, 1, 1.0201 * 1.05**2, 1.05), 1e-3)):
+            report = degenerate_residuals(degenerate_build(params, delta), params)
+            assert math.isfinite(report.at_max_I) and math.isfinite(report.at_max_J)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             degenerate_build(validate(0.05, 1, 4, 2))  # k1 = k2^2 boundary
         params = validate(0.05, 1, 8, 2)
-        _, delta2, _ = delta_candidates(params)
+        delta2, _ = delta_candidates(params)
         with pytest.raises(ParameterError):
             degenerate_build(params, delta2)
         with pytest.raises(ParameterError):
@@ -332,13 +343,13 @@ class TestDegenerateFamily:
             k2 = 1.0 + 10 ** rng.uniform(-1, 0.5)
             k1 = k2 * k2 * (1.0 + 10 ** rng.uniform(-1.5, 0.8))
             params = validate(1.0, 1.0, k1, k2)
-            _, delta2, _ = delta_candidates(params)
+            delta2, _ = delta_candidates(params)
             delta = rng.uniform(0.05, 0.95) * delta2
             h_star(params, delta)  # raises if the two closed forms disagree
 
     def test_h_star_at_delta3_matches_criterion_bound(self):
         params = validate(0.05, 1, 8, 2)
-        _, _, delta3 = delta_candidates(params)
+        _, delta3 = delta_candidates(params)
         assert h_star(params, delta3) == pytest.approx(
             degenerate_ratio_bound(8.0, 2.0), rel=1e-12
         )
@@ -346,7 +357,7 @@ class TestDegenerateFamily:
 
     def test_h_star_monotone_in_delta(self):
         params = validate(0.05, 1, 8, 2)
-        _, delta2, _ = delta_candidates(params)
+        delta2, _ = delta_candidates(params)
         deltas = np.linspace(0.02, 0.98, 30) * delta2
         vals = [h_star(params, d) for d in deltas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -367,35 +378,52 @@ class TestDegenerateFamily:
         assert report.max_J > 1e-8
         assert not report.certified
 
-    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3], ids=["below", "above"])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3, 1.0 + 1e-5],
+                             ids=["below", "above", "just-above"])
     def test_residual_J_resolves_h_star(self, factor):
-        # On x < 0, J is a quadratic in w = mu (1 - mu) on (0, m0], largest at
-        # w = min(1/12 + delta / (12 (d/r) gamma^2), m0); that maximum is 0 at
-        # d/r = H*(delta).  On x > 0, J = 0.  The sampled J may exceed
-        # neither, and may certify only when the exact maximum is within tol.
+        # The sampled max of J is the exact one: on x > 0 J = 0, and on x < 0
+        # the nodes include the vertex of the quadratic J(w), or mu(0).
         rng = np.random.default_rng(18)
         certified = 0
         for _ in range(1000):
             k2 = 1.0 + 10 ** rng.uniform(-1, 1)
             k1 = k2 * k2 * (1.0 + 10 ** rng.uniform(-2, 2))
             shape = validate(1.0, 1.0, k1, k2)
-            _, delta2, delta3 = delta_candidates(shape)
+            delta2, delta3 = delta_candidates(shape)
             delta = delta3 if rng.uniform() < 0.5 else rng.uniform(0.0, delta2)
             params = validate(factor * h_star(shape, delta), 1.0, k1, k2)
-            ds = degenerate_build(params, delta)
-            report = degenerate_residuals(ds, params)
-            a = params.ratio * k2 * ds.beta_ * ds.gamma_**2
-            w = min(1.0 / 12.0 + delta / (12.0 * params.ratio * ds.gamma_**2), ds.m0)
-            exact = -6.0 * a * w * w + (a + delta * k2 * ds.beta_) * w - delta * (1.0 - delta)
-            assert report.max_J <= max(exact, 0.0) + 1e-12
-            assert report.max_J > report.tol or exact <= report.tol
+            report = degenerate_residuals(degenerate_build(params, delta), params)
+            exact = _exact_max_J(params, delta)
+            # Rounding in g(phi, k2 phi + delta) is about 1e-16 absolute.
+            assert report.max_J == pytest.approx(exact, rel=1e-12, abs=1e-15)
+            assert (report.max_J <= report.tol) == (exact <= report.tol)
             certified += report.max_J <= report.tol
         if factor < 1.0:
             assert certified == 1000
 
+    # Relative offset t of d/r from H*(delta), |t| <= 1e-3, on a bounded box.
+    # The example lies where graded nodes alone miss the vertex of J.
+    @settings(max_examples=100)
+    @example(k2=1.5, excess=1.5, frac=0.25, t=1e-5)
+    @given(k2=st.floats(1.05, 10.0), excess=st.floats(1.01, 100.0),
+           frac=st.floats(1e-6, 1.0 - 1e-6), t=st.floats(-1e-3, 1e-3))
+    def test_verdict_is_the_closed_form_one(self, k2, excess, frac, t):
+        k1 = excess * k2 * k2
+        shape = validate(1.0, 1.0, k1, k2)
+        delta = frac * delta_candidates(shape)[0]
+        params = validate((1.0 + t) * h_star(shape, delta), 1.0, k1, k2)
+        ds = degenerate_build(params, delta)
+        report = degenerate_residuals(ds, params)
+        assert report.max_I <= 1e-12
+        # phi'(0-) from the left logistic, phi'(0+) from the right one.
+        left = ds.beta_ * ds.gamma_ * ds.m0 * math.sqrt(1.0 - 4.0 * ds.m0)
+        right = (1.0 - ds.phi0) * math.sqrt((1.0 + 2.0 * ds.phi0) / 3.0)
+        tol = report.tol
+        assert report.certified == (_exact_max_J(params, delta) <= tol and left - right >= -tol)
+
     def test_jump_positive_below_delta3(self):
         params = validate(0.05, 1, 8, 2)
-        _, _, delta3 = delta_candidates(params)
+        _, delta3 = delta_candidates(params)
         ds = degenerate_build(params, 0.8 * delta3)
         report = degenerate_residuals(ds, params)
         assert report.jump_phi > 1e-3
