@@ -5,7 +5,7 @@ Exit codes
     speed:    0 measured, 3 not converged
     certify:  0 certified, 4 no candidate found, 5 residuals not certified
               (also when p is too large for the residuals' s grid, and with
-              --export when the profile fails its quadrature or tail size)
+              --export when the profile fails its quadrature)
     scan:     0 on success
     64 invalid parameters or usage, 74 output I/O failure
 

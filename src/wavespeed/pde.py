@@ -48,6 +48,7 @@ class SimulationError(RuntimeError):
 
 
 _MAX_GRID_POINTS = 1_000_000  # 8 MB a field, about 1250 times the default 801 nodes
+_MAX_STEPS = 100_000_000  # 5000 times the default 20 000 steps
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,8 @@ class SimConfig:
         check_positive(dt=self.dt, t_end=self.t_end)
         if self.t_end <= self.dt:
             raise ParameterError("need 0 < dt < t_end")
+        if not self.t_end / self.dt < _MAX_STEPS:  # the ratio may overflow to inf
+            raise ParameterError(f"need t_end / dt < {_MAX_STEPS}, got {self.t_end / self.dt!r}")
         if not (0.0 < self.front_level < 1.0):
             raise ParameterError("front_level must be in (0, 1)")
         if not (0.0 < self.fit_window <= 1.0):

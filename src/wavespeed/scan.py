@@ -287,7 +287,7 @@ def _reference_k1(spec: ScanSpec) -> dict[str, float]:
     sym plane."""
     if spec.plane != "k1d":
         return {}
-    return {"sqrt_k2": math.sqrt(spec.k2), "k2": spec.k2, "k2_squared": spec.k2 ** 2}
+    return {"sqrt_k2": math.sqrt(spec.k2), "k2": spec.k2, "k2_squared": spec.k2 * spec.k2}
 
 
 def emit_svg(plane: Plane, path) -> None:

@@ -19,10 +19,11 @@ lose no slope across the matching point x = 0).  Second derivatives are
 obtained in closed form from the defining first integrals, never by
 differencing tabulated data.  The smooth family's residuals depend on x
 only through s = sigma_p(a x) in (0, 1), so they are sampled on a grid in
-s; sigma_p is tabulated in x (``sigma_profile``) only for export.  The
-piecewise family's residuals depend on x only through its two logistics
-and are sampled in them, at the vertex of J too, so their maxima are exact;
-x only reports where they sit.  The tolerance absorbs rounding.
+s; sigma_p is tabulated in x (``sigma_profile``) only for export, its tails
+at the same s nodes.  The piecewise family's residuals depend on x only
+through its two logistics and are sampled in them, at the vertex of J too,
+so their maxima are exact; x only reports where they sit.  The tolerance
+absorbs rounding.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ def first_integral(s, p: float):
 class SigmoidProfile:
     """Tabulated standing profile sigma_p with sigma(0) = 1/2.
 
-    ``xs`` is strictly increasing, with sigma below 1e-6 at the left end and
-    above 1 - 1e-6 at the right end; ``dsigma`` holds sigma' at the nodes.
+    ``xs`` is strictly increasing and sigma runs over the span of
+    ``_S_NODES``; ``dsigma`` holds sigma' at the nodes.
     ``quad_error`` is the measured quadrature error bound.
     """
 
@@ -113,15 +114,12 @@ def _graded_nodes(floor: float, gap: float, per_decade: int) -> np.ndarray:
 # sigma level below which (and 1 - sigma level above which) the profile
 # follows its linearized exponential tails.
 _SPLICE = 1e-4
-# Least half-width of the tabulated profile, and the x-spacing of its tails.
-_SPAN = 40.0
-_TAIL_DX = 0.01
 # Bound on the position quadrature error; sigma nodes per decade of the core.
 _QUAD_TOL = 1e-9
 _POINTS_PER_DECADE = 2000
-# Most tail nodes a profile may hold (8 MB an array).  The left tail needs
-# about 376 p nodes, so this admits p up to about 2600.
-_MAX_TAIL_NODES = 1_000_000
+# s nodes of the smooth residuals and of the profile's tails, 250 a decade,
+# from 1e-12 up to 1 - 1e-13.
+_S_NODES = _graded_nodes(1e-12, 1e-13, 250)
 
 
 def sigma_profile(p: float) -> SigmoidProfile:
@@ -133,12 +131,10 @@ def sigma_profile(p: float) -> SigmoidProfile:
     uniform.  Beyond the splice levels the integrand is nearly singular, so
     the profile is continued by the linearized exponential tails, matched in
     value and slope; their rates approach sqrt(alpha_p) on the left and the
-    linearization rate at 1 on the right.  Tails extend to at least
-    +/- _SPAN and until sigma is within 1e-8 of its limit, except that the
-    right tail stops where 1 - sigma would saturate at double precision.
+    linearization rate at 1 on the right.  The tails are tabulated at the
+    nodes of ``_S_NODES`` beyond the splice, so every p gives the same rows.
 
-    Raises ProfileError when the quadrature misses ``_QUAD_TOL`` on positions
-    or the tails would need more than ``_MAX_TAIL_NODES`` nodes.
+    Raises ProfileError when the quadrature misses ``_QUAD_TOL`` on positions.
     """
     if not 1.0 < p < math.inf:
         raise ValueError(f"sigma_profile requires p > 1, got {p!r}")
@@ -161,33 +157,16 @@ def sigma_profile(p: float) -> SigmoidProfile:
 
     ds = np.sqrt(np.maximum(first_integral(s, p), 0.0))
 
-    # Left tail: sigma = s0 exp(lam (x - x0)), matched in value and slope.
-    lam_l = ds[0] / s[0]
-    x_left_end = min(-_SPAN, x[0] + math.log(1e-8 / s[0]) / lam_l)
-    n_l = max(2, math.ceil((x[0] - x_left_end) / _TAIL_DX))
-
-    # Right tail: 1 - sigma = e0 exp(-lam (x - x1)).  Stop before 1 - sigma
-    # shrinks under ~1e-13/lam, where consecutive tabulated values would
-    # collide at double precision and break strict monotonicity.
-    eps_r = 1.0 - s[-1]
-    lam_r = ds[-1] / eps_r
-    x_right_end = max(_SPAN, x[-1] + math.log(eps_r / 1e-8) / lam_r)
-    x_saturate = x[-1] + math.log(eps_r * lam_r / 1e-13) / lam_r
-    x_right_end = min(x_right_end, x_saturate)
-    n_r = max(2, math.ceil((x_right_end - x[-1]) / _TAIL_DX))
-    if n_l + n_r > _MAX_TAIL_NODES:
-        raise ProfileError(f"profile tails need {n_l + n_r} nodes, more than {_MAX_TAIL_NODES}")
-
-    xs_l = x[0] - _TAIL_DX * np.arange(n_l, 0, -1)
-    sig_l = s[0] * np.exp(lam_l * (xs_l - x[0]))
-    xs_r = x[-1] + _TAIL_DX * np.arange(1, n_r + 1)
-    eps = eps_r * np.exp(-lam_r * (xs_r - x[-1]))
-    sig_r = 1.0 - eps
-
-    xs = np.concatenate([xs_l, x, xs_r])
-    sigma = np.concatenate([sig_l, s, sig_r])
-    dsigma = np.concatenate([lam_l * sig_l, ds, lam_r * eps])
-    return SigmoidProfile(p=float(p), xs=xs, sigma=sigma, dsigma=dsigma, quad_error=quad_error)
+    # Left tail sigma = s0 exp(lam (x - x0)) and right tail 1 - sigma =
+    # e0 exp(-lam (x - x1)), at the s nodes beyond the splice.
+    sig_l = _S_NODES[_S_NODES < _SPLICE]
+    sig_r = _S_NODES[_S_NODES > 1.0 - _SPLICE]
+    eps_r, eps = 1.0 - s[-1], 1.0 - sig_r
+    lam_l, lam_r = ds[0] / s[0], ds[-1] / eps_r
+    xs = np.concatenate([x[0] + np.log(sig_l / s[0]) / lam_l, x,
+                         x[-1] - np.log(eps / eps_r) / lam_r])
+    return SigmoidProfile(float(p), xs, np.concatenate([sig_l, s, sig_r]),
+                          np.concatenate([lam_l * sig_l, ds, lam_r * eps]), quad_error)
 
 
 @dataclass(frozen=True)
@@ -302,10 +281,8 @@ def _report(coordinate: str, nodes, I, J, tol: float,
                           certified, tol, coordinate, *jumps)
 
 
-# s nodes of the smooth residuals, 250 a decade, past the profile's sigma range.
-_S_NODES = _graded_nodes(1e-12, 1e-13, 250)
-# Largest p (1 - s) at the top node, so that s^p comes within 1e-8 of 1 as
-# the profile's tails come within 1e-8 of their limits: p up to about 1e5.
+# Largest p (1 - s) at the top node, so that s^p comes within 1e-8 of its
+# limit 1 on the grid: p up to about 1e5.
 _MAX_TOP_GAP = 1e-8
 
 

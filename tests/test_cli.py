@@ -267,6 +267,17 @@ class TestCertify:
         assert (tmp_path / "prof_phi.txt").exists()
         assert (tmp_path / "prof_psi.txt").exists()
 
+    def test_export_large_p(self, capsys, tmp_path):
+        # The tails sit at the residuals' s nodes, so any p that the residuals
+        # accept gets tables of the usual size, however wide the profile is.
+        prefix = tmp_path / "P"
+        code, out, err = run(capsys, "certify", "11", "1", "3", "3",
+                             "--p", "3000", "--a", "0.001", "--export", str(prefix))
+        assert code == 5
+        assert "certified: no" in out and err == ""
+        for name in ("P_phi.txt", "P_psi.txt"):
+            assert len((tmp_path / name).read_text().splitlines()) == 19049
+
     @pytest.mark.parametrize("argv, message", [
         (["--degenerate", "--export", "prof", "0.05", "1", "8", "2"],
          "--p, --a and --export do not apply with --degenerate"),
@@ -406,6 +417,14 @@ class TestScan:
         assert f"wavespeed: error: unknown config key '{key}'" in err
         assert not (tmp_path / "scan.csv").exists()
 
+    def test_reference_line_off_the_plane(self, capsys, tmp_path):
+        # k2^2 overflows to inf; it falls off the plane, so no dashed line is drawn.
+        code, _, err = run(capsys, "scan", "--plane", "k1d", "--k2", "1e300",
+                           "--nx", "5", "--ny", "3", "--output-dir", str(tmp_path))
+        assert code == 0 and err == ""
+        assert (tmp_path / "scan.csv").exists()
+        assert "<line" not in (tmp_path / "scan.svg").read_text()
+
     def test_config_key_of_another_command_is_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("L = 60\nnx = 4\nny = 3\n")
@@ -427,7 +446,7 @@ CERTIFY_RUNS = [
     ["--p", "2", "--a", "1", "1", "1", "3", "2"],
 ]
 CERTIFY_GOLDEN = "e5b0840ce9a958e0d87a408bd384b6efa8933c88e8746ff8298fe0bcfd653475"
-EXPORT_GOLDEN = "9b09eddaa9bdc4510fb72569934ee82dba367d0915c5bb8e8ba587ec1fa09c64"
+EXPORT_GOLDEN = "97eb81c97e267ad10bb6697e578fae3520fc687fbc47efda636f7cf815e70b9f"
 DUMP_GOLDEN = "0bdbba1641745a00b31d284106c51b578e4eeca09c21c0106b8f4ae7b2ff993e"
 
 
@@ -501,6 +520,9 @@ class TestNonFiniteInputs:
          "r and its reciprocal must be positive and finite, got -0.0"),
         (["speed", *_POINT, "--dx", "1e-300"],
          "dx=1e-300 on [-40.0, 40.0] needs over 1000000 nodes"),
+        (["speed", *_POINT, "--dt", "1e-310"], "need t_end / dt < 100000000, got inf"),
+        (["speed", *_POINT, "--t-end", "1e300", "--dt", "1e-10"],
+         "need t_end / dt < 100000000, got inf"),
     ])
     def test_exit_64_with_message(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))

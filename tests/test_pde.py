@@ -48,6 +48,14 @@ class TestGridConfig:
             with pytest.raises(ParameterError, match="needs over 1000000 nodes"):
                 default_config(dx=dx)
 
+    def test_step_count_capped(self):
+        # 4e11 steps would run for days; the cap refuses them before any is taken.
+        with pytest.raises(ParameterError, match="need t_end / dt < 100000000, got 4000"):
+            default_config(dt=1e-9)
+        with pytest.raises(ParameterError, match="got 100000000.0"):
+            default_config(dt=4e-6)
+        assert default_config(dt=4.000001e-6).n_steps == 99_999_975
+
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
             SimConfig(grid=Grid1D(10.0, 101), dt=-0.1)

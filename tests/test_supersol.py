@@ -116,17 +116,19 @@ class TestSigmaProfile:
         with pytest.raises(ProfileError, match="profile quadrature failed"):
             sigma_profile(2.0)
 
-    def test_tail_size_bounded(self, monkeypatch):
-        # The left tail needs about 376 p nodes: 3.8 million at p = 1e4.
-        with pytest.raises(ProfileError, match="profile tails need"):
-            sigma_profile(1e4)
-        monkeypatch.setattr(supersol, "_MAX_TAIL_NODES", 1000)
-        with pytest.raises(ProfileError, match="more than 1000"):
-            sigma_profile(2.0)
-
-    def test_span_request(self, profile_cache):
-        prof = profile_cache(2.0)
-        assert prof.xs[0] <= -supersol._SPAN and prof.xs[-1] >= supersol._SPAN
+    @pytest.mark.parametrize("p", [1.2, 2.0, 2600.0, 1e4, 1e5])
+    def test_tails_on_s_nodes(self, profile_cache, p):
+        # The tails sit at the residuals' s nodes, so the table size does not
+        # depend on p, however wide the profile is in x.
+        prof = profile_cache(p)
+        assert len(prof.xs) == len(profile_cache(2.0).xs)
+        assert np.all(np.diff(prof.xs) > 0)
+        assert np.all(np.diff(prof.sigma) > 0)
+        assert prof.sigma[0] == supersol._S_NODES[0]
+        assert prof.sigma[-1] == supersol._S_NODES[-1]
+        assert np.max(np.abs(prof.dsigma**2 - first_integral(prof.sigma, p))) < 1e-8
+        if p == 2.0:  # the window that acceptance test 01 compares with the logistic
+            assert prof.xs[0] < -30.0 and prof.xs[-1] > 30.0
 
 
 class TestProp21:
