@@ -4,8 +4,7 @@ Exit codes
     classify: 0 Negative, 1 Positive, 2 Inconclusive
     speed:    0 measured, 3 not converged
     certify:  0 certified, 4 no candidate found, 5 residuals not certified
-              (also when p is too large for the residuals' s grid, and with
-              --export when the profile fails its quadrature)
+              (also with --export when the profile fails its quadrature)
     scan:     0 on success
     64 invalid parameters or usage, 74 output I/O failure
 
@@ -292,8 +291,8 @@ def cmd_certify(args) -> int:
                       "try certifying the reflected parameters: "
                       f"certify {_fmt(rp.d)} {_fmt(rp.r)} {_fmt(rp.k1)} {_fmt(rp.k2)}")
             return EXIT_NO_CANDIDATE
+    report = supersol.residuals_IJ(cand, params, **given)
     try:
-        report = supersol.residuals_IJ(cand, params, **given)
         profile = supersol.sigma_profile(cand.p) if args.export else None
     except supersol.ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Certified blocking profiles for the cooperative competition system.
 
 Two families of time-independent profiles (phi, psi) connecting (0, 0) to
-(1, 1) are constructed and certified numerically:
+(1, 1) are constructed and certified:
 
 * the smooth family (phi, psi)(x) = (sigma_p(a x)^p, sigma_p(a x)), built on
   the standing profile sigma_p of the balanced bistable equation
@@ -9,36 +9,33 @@ Two families of time-independent profiles (phi, psi) connecting (0, 0) to
 * a piecewise family for small diffusion ratio, with psi slaved to
   k2 phi + delta on x < 0 and constant 1 on x >= 0.
 
-Certification evaluates the residuals
+A profile blocks when its residuals
 
     I(x) = phi''(x) + f(phi(x), psi(x))
     J(x) = (d/r) psi''(x) + g(phi(x), psi(x))
 
-which must be nonpositive everywhere (piecewise profiles must additionally
-lose no slope across the matching point x = 0).  Second derivatives are
-obtained in closed form from the defining first integrals, never by
-differencing tabulated data.  The smooth family's residuals depend on x
-only through s = sigma_p(a x) in (0, 1), so they are sampled on a grid in
-s; sigma_p is tabulated in x (``sigma_profile``) only for export, its tails
-at the same s nodes.  The piecewise family's residuals depend on x only
-through its two logistics and are sampled in them, at the vertex of J too,
-so their maxima are exact; x only reports where they sit.  The tolerance
-absorbs rounding.
+are nonpositive everywhere (piecewise profiles must also lose no slope at
+x = 0).  Both verdicts are decided from closed forms of I and J, never by
+sampling or differencing; sigma_p is tabulated (``sigma_profile``) only
+for export.  The tolerance absorbs rounding.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+# No verdict calls reaction_f; it is imported because bench/spans.py binds
+# both reactions in this module.
 from .model import CompetitionParams, ParameterError, check_positive, reaction_f, reaction_g
 from .theory import m_of_k
 
 
 class ProfileError(RuntimeError):
-    """A tabulated profile failed a check, or the s grid cannot resolve s^p."""
+    """A tabulated profile failed a check."""
 
 
 def alpha_p(p: float) -> float:
@@ -117,8 +114,7 @@ _SPLICE = 1e-4
 # Bound on the position quadrature error; sigma nodes per decade of the core.
 _QUAD_TOL = 1e-9
 _POINTS_PER_DECADE = 2000
-# s nodes of the smooth residuals and of the profile's tails, 250 a decade,
-# from 1e-12 up to 1 - 1e-13.
+# s nodes of the profile's tails, 250 a decade, from 1e-12 up to 1 - 1e-13.
 _S_NODES = _graded_nodes(1e-12, 1e-13, 250)
 
 
@@ -249,11 +245,12 @@ def save_tables(cand: SupersolCandidate, profile: SigmoidProfile, prefix) -> Non
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Pointwise residual maxima, matching-point slope jumps, and the verdict.
+    """Residual maxima, matching-point slope jumps, and the verdict.
 
-    The maxima sit at ``at_max_I``/``at_max_J`` in ``coordinate`` ("s" or "x").
-    ``certified`` is True when max_I <= tol, max_J <= tol, and every
-    applicable jump is >= -tol.  Jump fields are None for smooth profiles.
+    The maxima, at ``at_max_I``/``at_max_J`` in ``coordinate`` ("s" or "x"),
+    are scale-free margins for the smooth family and I, J for the piecewise
+    one.  ``certified``: max_I <= tol, max_J <= tol and every applicable
+    jump >= -tol.  Jump fields are None for smooth profiles.
     """
 
     max_I: float
@@ -267,54 +264,75 @@ class ResidualReport:
     jump_psi: float | None = None
 
 
-def _report(coordinate: str, nodes, I, J, tol: float,
-            jumps: tuple[float, ...] = ()) -> ResidualReport:
-    """The maxima of residuals I and J sampled at ``nodes`` and the verdict at
-    ``tol``; a piecewise profile adds its slope ``jumps`` (phi', psi')."""
-    check_positive(tol=tol)
-    i_max = int(np.argmax(I))
-    j_max = int(np.argmax(J))
-    max_I = float(I[i_max])
-    max_J = float(J[j_max])
-    certified = max_I <= tol and max_J <= tol and all(jump >= -tol for jump in jumps)
-    return ResidualReport(max_I, float(nodes[i_max]), max_J, float(nodes[j_max]),
-                          certified, tol, coordinate, *jumps)
+def _q_peaks(coeffs: tuple[float, float, float, float], cand: SupersolCandidate,
+             k1: float) -> list[tuple[float, float, float]]:
+    """(q, s, largest term) at s = 0, s = 1 and each interior maximum of
+    q(s) = A + B s + C s^(p-1) + D s^p, (A, B, C, D) = ``coeffs`` scaled to 1.
 
+    q'' = (p-1) s^(p-3) ((p-2) C + p D s) changes sign at most once, so q'
+    falls through 0 at most once on each piece; bisection in log u finds it,
+    u = -p log s.  q and s q' are formed with C + D = -(A + B) and
+    q'(1) = k1 - p (1 - a^2) - 6 a^2 p / ((p+1)(p+2)), so no p is too large.
+    """
+    p, a2 = cand.p, cand.a * cand.a
+    scale = max(map(abs, coeffs))
+    A, B, C, D = (c / scale for c in coeffs)
+    dq1 = (k1 - p * (1.0 - a2) - 6.0 * a2 * p / ((p + 1.0) * (p + 2.0))) / scale
 
-# Largest p (1 - s) at the top node, so that s^p comes within 1e-8 of its
-# limit 1 on the grid: p up to about 1e5.
-_MAX_TOP_GAP = 1e-8
+    def dq(u):  # s q'(s)
+        s = math.exp(-u / p)
+        return B * s + math.exp(-u) / s * (dq1 - B + p * D * math.expm1(-u / p))
+
+    def peak(u):
+        e, s = math.exp(-u), math.exp(-u / p)
+        return (A + B * s + e / s * (D * math.expm1(-u / p) - A - B), s,
+                max(abs(A), abs(B) * s, abs(C) * e / s, abs(D) * e))
+
+    ends = [1e-300, -p * math.log(sys.float_info.min)]  # to the least normal s
+    gap = (p * (A + B) + 2.0 * C) / (p * D) if D else 0.0  # s - 1 where q'' = 0
+    if -1.0 < gap < 0.0 and ends[0] < -p * math.log1p(gap) < ends[1]:
+        ends.insert(1, -p * math.log1p(gap))
+    peaks = [(A, 0.0, abs(A)), (0.0, 1.0, 1.0)]
+    for lo, hi in zip(ends, ends[1:]):
+        if not dq(lo) < 0.0 <= dq(hi):  # q' < 0 nearer s = 1: a maximum between
+            continue
+        lo, hi = math.log(lo), math.log(hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if dq(math.exp(mid)) < 0.0 else (lo, mid)
+        peaks += [peak(math.exp(lo)), peak(math.exp(hi))]
+    return peaks
 
 
 def residuals_IJ(cand: SupersolCandidate, params: CompetitionParams,
                  tol: float = 1e-8) -> ResidualReport:
-    """Certify (phi, psi) = (sigma^p, sigma)(a x) by evaluating I and J at
-    the nodes ``_S_NODES`` of s = sigma(a x), of which both are functions:
+    """Certify (phi, psi) = (sigma^p, sigma)(a x) from the closed forms of its residuals.
 
-        phi'' = a^2 p [(p-1) s^(p-2) G(s) - s^(p-1) h_p(s)]
-        psi'' = -a^2 h_p(s)
+    With s = sigma(a x) in (0, 1) and rho = d/r,
 
-    with I = phi'' + f(s^p, s) and J = (d/r) psi'' + g(s^p, s).  Raises
-    ParameterError when (d/r) a^2 or p a^2 is not finite, and ProfileError
-    when p is too large for s^p to reach 1 on the grid.
+        I = phi'' + f(s^p, s) = s^p q(s),   q = A + B s + C s^(p-1) + D s^p,
+        J = rho psi'' + g(s^p, s) = s (1 - s) L(s),
+        L = (k2 - rho a^2) s^(p-1) + rho a^2 alpha_p - 1,
+
+    (A, B, C, D) from ``abc_coefficients``.  A margin is a value over the
+    largest term summing to it.  max_I, >= 0, is q's largest margin where
+    it can peak; max_J is the larger margin of L(0) and L(1), the two sides
+    of condition (d), as L is monotone.  Raises ParameterError when rho a^2
+    or a coefficient of q is not finite.
     """
+    check_positive(tol=tol)
     p, a2 = cand.p, cand.a * cand.a
-    ratio_a2, p_a2 = params.ratio * a2, p * a2
-    if not (ratio_a2 < math.inf and p_a2 < math.inf):
+    ratio_a2 = params.ratio * a2
+    coeffs = abc_coefficients(cand, params)
+    if not all(map(math.isfinite, (ratio_a2, *coeffs))):
         raise ParameterError("residual scale factors must be finite, got "
-                             f"(d/r) a^2 = {ratio_a2!r}, p a^2 = {p_a2!r}")
-    s = _S_NODES
-    top_gap = p * (1.0 - s[-1])
-    if not top_gap <= _MAX_TOP_GAP:
-        raise ProfileError(f"exponent p={p!r} is too large for the s grid: p (1 - s) = "
-                           f"{top_gap:.3e} at its top node exceeds {_MAX_TOP_GAP:.0e}")
-    phi = s**p
-    G = np.maximum(first_integral(s, p), 0.0)
-    hp = h_p(s, p)
-    phi_dd = p_a2 * ((p - 1.0) * np.power(s, p - 2.0) * G - np.power(s, p - 1.0) * hp)
-    I = phi_dd + reaction_f(phi, s, params)
-    J = -ratio_a2 * hp + reaction_g(phi, s, params)
-    return _report("s", s, I, J, tol)
+                             f"(d/r) a^2 = {ratio_a2!r}, p a^2 = {p * a2!r}, "
+                             f"6 p^2 a^2 = {6.0 * p * p * a2!r}")
+    max_I, at_I = max((q / term if q else 0.0, s)
+                      for q, s, term in _q_peaks(coeffs, cand, params.k1))
+    L0 = ratio_a2 * alpha_p(p) - 1.0  # L(0), from its terms L0 + 1 and 1
+    max_J, at_J = max((L0 / max(L0 + 1.0, 1.0), 0.0),
+                      ((params.k2 - ratio_a2 + L0) / max(params.k2, ratio_a2), 1.0))
+    return ResidualReport(max_I, at_I, max_J, at_J, max_I <= tol and max_J <= tol, tol, "s")
 
 
 def choose_p_a(params: CompetitionParams) -> SupersolCandidate | None:
@@ -505,41 +523,23 @@ def _degenerate_jumps(ds: DegenerateSupersol) -> tuple[float, float]:
 
 def degenerate_residuals(ds: DegenerateSupersol, params: CompetitionParams,
                          tol: float = 1e-8) -> ResidualReport:
-    """Certify the piecewise profile: residuals on both half-lines plus slope jumps.
+    """Certify the piecewise profile from its closed forms, plus its slope jumps.
 
-    Each half depends on x only through w = mu (1 - mu) or w = lam (1 - lam),
-    so phi, phi'' and psi are formed from w in closed form and I, J from the
-    model's reactions.  I vanishes on both halves and J on x >= 0; on x < 0,
-    J is a quadratic in w, largest at w* = 1/12 + delta / (12 (d/r) gamma^2)
-    when w* < m0 and else at x = 0.  Nodes sit at mu = mu(0) f and 1 - lam =
-    (1 - lam(0)) f, f in ``_S_NODES``, at both matching values and at the
-    vertex w*, so the maximum of J is exact up to rounding.  Positions are
-    reported in x, exactly 0 at the matching point.
+    I = 0 on both halves (reported at x = 0) and J = 0 on x >= 0.  On x < 0,
+    J is a concave quadratic in w = mu (1 - mu) in (0, m0], largest at
+    w = min(w*, m0), w* = 1/12 + delta / (12 (d/r) gamma^2); max J is the
+    larger of J there and 0, at x(w) or x = 0.
     """
+    check_positive(tol=tol)
     if ds.k1 != params.k1 or ds.k2 != params.k2:
         raise ParameterError("profile was built for different competition coefficients")
-
-    w_top = 1.0 / 12.0 + ds.delta / (12.0 * params.ratio * ds.gamma_**2)
-    tops = np.array([w_top, ds.m0] if w_top < ds.m0 else [ds.m0])
-    mu_top = 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * tops))  # mu(0) last
-    mu = np.concatenate([mu_top[-1] * _S_NODES, mu_top])
-    w = mu * (1.0 - mu)
-    phi_l = ds.beta_ * w
-    phi_dd_l = ds.beta_ * ds.gamma_**2 * w * (1.0 - 6.0 * w)
-    psi_l = ds.k2 * phi_l + ds.delta
-    I_l = phi_dd_l + reaction_f(phi_l, psi_l, params)
-    J_l = params.ratio * ds.k2 * phi_dd_l + reaction_g(phi_l, psi_l, params)
-    xl = ds.xi + (np.log(mu) - np.log1p(-mu)) / ds.gamma_
-    xl[-1] = 0.0
-
-    eps0 = 0.5 * (1.0 - math.sqrt((1.0 + 2.0 * ds.phi0) / 3.0))
-    eps = np.append(eps0, eps0 * _S_NODES[::-1])
-    w = eps * (1.0 - eps)
-    phi_r = 1.0 - 6.0 * w
-    I_r = -6.0 * w * (1.0 - 6.0 * w) + reaction_f(phi_r, 1.0, params)
-    # psi'' = 0 here; adding it turns the -0.0 zeros of g into +0.0.
-    J_r = params.ratio * 0.0 + reaction_g(phi_r, 1.0, params)
-    xr = ds.eta + np.log1p(-eps) - np.log(eps)
-    xr[0] = 0.0
-    return _report("x", np.concatenate([xl, xr]), np.concatenate([I_l, I_r]),
-                   np.concatenate([J_l, J_r]), tol, _degenerate_jumps(ds))
+    w = min(1.0 / 12.0 + ds.delta / (12.0 * params.ratio * ds.gamma_**2), ds.m0)
+    phi = ds.beta_ * w
+    J = (params.ratio * ds.k2 * ds.beta_ * ds.gamma_**2 * w * (1.0 - 6.0 * w)
+         + reaction_g(phi, ds.k2 * phi + ds.delta, params))
+    max_J = J if J > 0.0 else 0.0
+    mu = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * w))
+    at_J = ds.xi + (math.log(mu) - math.log1p(-mu)) / ds.gamma_ if J > 0.0 and w < ds.m0 else 0.0
+    jumps = _degenerate_jumps(ds)
+    certified = max_J <= tol and all(jump >= -tol for jump in jumps)
+    return ResidualReport(0.0, 0.0, max_J, at_J, certified, tol, "x", *jumps)

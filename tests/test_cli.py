@@ -186,7 +186,7 @@ class TestCertify:
         ["0.0006065", "1", "6400", "8"],  # 1% above H*
     ], ids=["k1-180", "k1-6400"])
     def test_degenerate_fails_just_above_bound(self, capsys, point):
-        # J > 0 only within about 0.01 of x = 0, where the nodes crowd.
+        # J > 0 only within about 0.01 of x = 0.
         code, out, _ = run(capsys, "certify", "--degenerate", *point)
         assert code == 5
         assert "certified: no" in out
@@ -207,12 +207,17 @@ class TestCertify:
 
     @pytest.mark.parametrize("p", ["2e5", "1e308"])
     def test_unresolvable_p_is_not_certified(self, capsys, p):
-        # s^p no longer reaches 1 on the residuals' s grid.
+        # A large p gets a verdict from the closed forms; at 1e308 the
+        # coefficients of q overflow and the candidate is refused.
         code, out, err = run(capsys, "certify", "11", "1", "3", "3", "--p", p, "--a", "1")
-        assert code == 5
-        assert err.startswith(f"error: exponent p={float(p)!r} is too large for the s grid")
-        assert err.count("\n") == 1
-        assert out == ""
+        assert "nan" not in out + err
+        if p == "2e5":
+            assert code == 5
+            assert "certified: no" in out and err == ""
+        else:
+            assert code == 64
+            assert err.startswith("error: residual scale factors must be finite")
+            assert err.count("\n") == 1 and out == ""
 
     @pytest.mark.parametrize("point, flags", [
         (["11", "1", "3", "3"], ["--p", "2", "--a", "100"]),
@@ -268,8 +273,8 @@ class TestCertify:
         assert (tmp_path / "prof_psi.txt").exists()
 
     def test_export_large_p(self, capsys, tmp_path):
-        # The tails sit at the residuals' s nodes, so any p that the residuals
-        # accept gets tables of the usual size, however wide the profile is.
+        # The tails sit at fixed s nodes, so any p gets tables of the usual
+        # size, however wide the profile is.
         prefix = tmp_path / "P"
         code, out, err = run(capsys, "certify", "11", "1", "3", "3",
                              "--p", "3000", "--a", "0.001", "--export", str(prefix))
@@ -445,8 +450,8 @@ CERTIFY_RUNS = [
     ["--degenerate", "--delta", "0.1", "0.05", "1", "8", "2"],
     ["--p", "2", "--a", "1", "1", "1", "3", "2"],
 ]
-CERTIFY_GOLDEN = "e5b0840ce9a958e0d87a408bd384b6efa8933c88e8746ff8298fe0bcfd653475"
-EXPORT_GOLDEN = "97eb81c97e267ad10bb6697e578fae3520fc687fbc47efda636f7cf815e70b9f"
+CERTIFY_GOLDEN = "f62cc01d0fd43f14ce7d6eb74c870d23d065d755cedce953de89f0d52e7c9faf"
+EXPORT_GOLDEN = "0f1b17c48fede0d931ea8327d7b120dc8f3555123921470a3ff9ebeed5397b2a"
 DUMP_GOLDEN = "0bdbba1641745a00b31d284106c51b578e4eeca09c21c0106b8f4ae7b2ff993e"
 
 
@@ -523,6 +528,9 @@ class TestNonFiniteInputs:
         (["speed", *_POINT, "--dt", "1e-310"], "need t_end / dt < 100000000, got inf"),
         (["speed", *_POINT, "--t-end", "1e300", "--dt", "1e-10"],
          "need t_end / dt < 100000000, got inf"),
+        (["certify", *_POINT, "--p", "1e300", "--a", "1"],
+         "residual scale factors must be finite, got (d/r) a^2 = 11.0, p a^2 = 1e+300, "
+         "6 p^2 a^2 = inf"),
     ])
     def test_exit_64_with_message(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))

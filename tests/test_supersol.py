@@ -190,7 +190,7 @@ class TestBuildAndResiduals:
         report = residuals_IJ(cand, params)
         assert report.certified
         assert report.max_I <= 1e-8 and report.max_J <= 1e-8
-        assert report.coordinate == "s" and 0.0 < report.at_max_J < 1.0
+        assert report.coordinate == "s" and report.at_max_J in (0.0, 1.0)
         assert report.jump_phi is None
 
     def test_violation_detected(self):
@@ -212,13 +212,25 @@ class TestBuildAndResiduals:
         assert s[0] < 1e-8 and 1.0 - s[-1] <= 1.001e-13
         assert np.all(np.diff(s) > 0)
 
-    def test_exponent_beyond_the_grid_refused(self):
-        # phi = s^p must reach within 1e-8 of 1 at the top node: p up to ~1e5.
+    def test_exponent_overflow_refused(self):
+        # Any p gets a verdict while the coefficients of q are finite; beyond
+        # p ~ 5e153, 6 p^2 overflows and they are not.
         params = validate(11, 1, 3, 3)
-        assert residuals_IJ(SupersolCandidate(p=9e4, a=1.0), params).max_I > 0.0
-        for p in (2e5, 1e308):
-            with pytest.raises(ProfileError, match="too large for the s grid"):
+        for p in (2e5, 1e150):
+            report = residuals_IJ(SupersolCandidate(p=p, a=1.0), params)
+            assert report.max_I > 0.0 and not report.certified
+        for p in (1e154, 1e300, 1e308):
+            with pytest.raises(ParameterError, match="residual scale factors must be finite") \
+                    as info:
                 residuals_IJ(SupersolCandidate(p=p, a=1.0), params)
+            assert "nan" not in str(info.value)
+
+    def test_positive_layer_next_to_one_refused(self):
+        # At p = 1e17, a = 1, q = 3 (1 - e^-u (1 + u)) + O(1/p) in u = -p log s:
+        # positive within about 1e-15 of s = 1, where C and D (3e17) cancel.
+        report = residuals_IJ(SupersolCandidate(p=1e17, a=1.0), validate(10, 1, 11, 3))
+        assert not report.certified
+        assert report.max_I == pytest.approx(3.0 / 7.0, rel=1e-9)  # q = 3 over B s = 7
 
     @pytest.mark.parametrize("d, p, a", [(1e10, 2.0, 1e150), (1.0, 1e10, 1e150)],
                              ids=["ratio-a2", "p-a2"])
