@@ -4,7 +4,8 @@ Exit codes
     classify: 0 Negative, 1 Positive, 2 Inconclusive
     speed:    0 measured, 3 not converged
     certify:  0 certified, 4 no candidate found, 5 residuals not certified
-              (also with --export when the profile fails its quadrature)
+              (also with --export when the profile fails its quadrature,
+              as for p within about 3e-6 of 1 or above about 2.5e6)
     scan:     0 on success
     64 invalid parameters or usage, 74 output I/O failure
 
@@ -245,11 +246,12 @@ def cmd_speed(args) -> int:
 
 
 def _print_report(report: supersol.ResidualReport) -> None:
-    for name, value, at in (("I", report.max_I, report.at_max_I),
-                            ("J", report.max_J, report.at_max_J)):
+    rests = report.from_one or (None, None)
+    for name, value, at, rest in (("I", report.max_I, report.at_max_I, rests[0]),
+                                  ("J", report.max_J, report.at_max_J, rests[1])):
         # Near s = 1 only 1 - s has digits to show.
-        near_one = report.coordinate == "s" and at > 0.5
-        where = f"1 - s = {_fmt(1.0 - at)}" if near_one else f"{report.coordinate} = {_fmt(at)}"
+        near_one = rest is not None and at > 0.5
+        where = f"1 - s = {_fmt(rest)}" if near_one else f"{report.coordinate} = {_fmt(at)}"
         print(f"max {name} = {_fmt(value)} at {where}")
     if report.jump_phi is not None:
         print(f"phi' jump at 0 = {_fmt(report.jump_phi)}")

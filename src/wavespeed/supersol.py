@@ -16,8 +16,9 @@ A profile blocks when its residuals
 
 are nonpositive everywhere (piecewise profiles must also lose no slope at
 x = 0).  Both verdicts are decided from closed forms of I and J, never by
-sampling or differencing; sigma_p is tabulated (``sigma_profile``) only
-for export.  The tolerance absorbs rounding.
+sampling or differencing; sigma_p is tabulated (``sigma_profile``, by
+quadrature outward from sigma(0) = 1/2) only for export.  The tolerance
+absorbs rounding.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def first_integral(s, p: float):
 class SigmoidProfile:
     """Tabulated standing profile sigma_p with sigma(0) = 1/2.
 
-    ``xs`` is strictly increasing and sigma runs over the span of
-    ``_S_NODES``; ``dsigma`` holds sigma' at the nodes.
-    ``quad_error`` is the measured quadrature error bound.
+    ``sigma`` runs over ``_D_NODES`` and 1 minus them, the same rows for every
+    p; ``xs`` is strictly increasing and ``dsigma`` holds sigma' there.
+    ``quad_error`` is the largest gap between order-12 and order-24 positions.
     """
 
     p: float
@@ -89,80 +90,70 @@ class SigmoidProfile:
     quad_error: float
 
 
-def _cumulative_positions(s: np.ndarray, p: float, order: int) -> np.ndarray:
-    """Positions x(s) - x(s[0]) by per-interval Gauss-Legendre on dx/ds = G^(-1/2)."""
+def _first_integral_from_one(e: np.ndarray, p: float) -> np.ndarray:
+    """G(1 - e), free of cancellation where e (p - 1) <= 1 as 12-point Gauss-Legendre of
+    2 e^2 int_0^1 tau (1 - e tau) [1 - alpha_p + expm1((p-1) log1p(-e tau))] dtau."""
+    G = first_integral(1.0 - e, p)
+    near = e * (p - 1.0) <= 1.0
+    t, w = np.polynomial.legendre.leggauss(12)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    et = e[near][:, None] * t
+    gap = (p - 1.0) * (p + 4.0) / ((p + 1.0) * (p + 2.0))  # 1 - alpha_p
+    G[near] = 2.0 * e[near] ** 2 * (
+        ((1.0 - et) * (gap + np.expm1((p - 1.0) * np.log1p(-et)))) @ (t * w))
+    return G
+
+
+def _position_steps(d: np.ndarray, G, order: int) -> np.ndarray:
+    """dd / sqrt(G(d)) integrated by ``order``-point Gauss-Legendre over each interval of ``d``."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (s[1:] + s[:-1])
-    half = 0.5 * (s[1:] - s[:-1])
-    se = mid[None, :] + half[None, :] * nodes[:, None]
-    vals = 1.0 / np.sqrt(np.maximum(first_integral(se, p), 0.0))
-    seg = half * (weights @ vals)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    half = 0.5 * (d[:-1] - d[1:])
+    vals = 1.0 / np.sqrt(np.maximum(G(d[1:] + half * (1.0 + nodes[:, None])), 0.0))
+    return half * (weights @ vals)
 
 
-def _graded_nodes(floor: float, gap: float, per_decade: int) -> np.ndarray:
-    """s nodes log-graded from ``floor`` up to 1/2, then in 1 - s down to ``gap``."""
-    n_lo = math.ceil(per_decade * math.log10(0.5 / floor))
-    n_hi = math.ceil(per_decade * math.log10(0.5 / gap))
-    return np.concatenate([np.geomspace(floor, 0.5, n_lo + 1),
-                           1.0 - np.geomspace(0.5, gap, n_hi + 1)[1:]])
-
-
-# sigma level below which (and 1 - sigma level above which) the profile
-# follows its linearized exponential tails.
-_SPLICE = 1e-4
-# Bound on the position quadrature error; sigma nodes per decade of the core.
+# Bound on the position quadrature error.
 _QUAD_TOL = 1e-9
-_POINTS_PER_DECADE = 2000
-# s nodes of the profile's tails, 250 a decade, from 1e-12 up to 1 - 1e-13.
-_S_NODES = _graded_nodes(1e-12, 1e-13, 250)
+# Distances of sigma from the nearer end, uniform in log-odds at 250 a
+# decade: 1/2 down to about 1e-13.
+_D_NODES = 1.0 / (1.0 + np.exp(np.arange(3252) * (math.log(10.0) / 250.0)))
 
 
 def sigma_profile(p: float) -> SigmoidProfile:
     """Tabulate the monotone standing profile of sigma'' + h_p(sigma) = 0.
 
-    The core region _SPLICE <= sigma <= 1 - _SPLICE is parameterized by sigma
-    (log-graded toward both ends) and positions come from quadrature of
-    dx = dsigma / sqrt(G(sigma)); the grading keeps the x-spacing roughly
-    uniform.  Beyond the splice levels the integrand is nearly singular, so
-    the profile is continued by the linearized exponential tails, matched in
-    value and slope; their rates approach sqrt(alpha_p) on the left and the
-    linearization rate at 1 on the right.  The tails are tabulated at the
-    nodes of ``_S_NODES`` beyond the splice, so every p gives the same rows.
+    Positions come from quadrature of dx = dsigma / sqrt(G(sigma)), outward
+    from sigma(0) = 1/2 on each half, over the distances ``_D_NODES`` from
+    the nearer end: sigma = d on the left, sigma = 1 - d on the right.
+    Near sigma = 1, G is formed without cancellation, so every row is exact
+    to quadrature accuracy and no tail is linearised.
 
     Raises ProfileError when the quadrature misses ``_QUAD_TOL`` on positions.
     """
     if not 1.0 < p < math.inf:
         raise ValueError(f"sigma_profile requires p > 1, got {p!r}")
 
-    s = _graded_nodes(_SPLICE, _SPLICE, _POINTS_PER_DECADE)
-    n_side = len(s) // 2  # s[n_side] = 1/2
-
-    # A G that vanishes inside (0, 1) makes positions infinite and the error
-    # NaN; the guard below rejects both.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = _cumulative_positions(s, p, order=12)
-        x_hi = _cumulative_positions(s, p, order=24)
-        quad_error = float(np.max(np.abs(x - x_hi)))
+    e = 1.0 - (1.0 - _D_NODES)  # the distance from 1 of the stored sigma = 1 - d
+    quad_error, xs, ds = 0.0, [], []
+    for d, G in ((_D_NODES, lambda d: first_integral(d, p)),
+                 (e, lambda d: _first_integral_from_one(d, p))):
+        # A G that vanishes inside (0, 1) makes positions infinite and the
+        # error NaN; the guard below rejects both.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seg = _position_steps(d, G, order=24)
+            gap = np.cumsum(_position_steps(d, G, order=12) - seg)
+            quad_error = np.maximum(quad_error, np.max(np.abs(gap)))
+        xs.append(np.concatenate([[0.0], np.cumsum(seg)]))
+        ds.append(np.sqrt(np.maximum(G(d), 0.0)))
     if not quad_error <= _QUAD_TOL:
         raise ProfileError(
             f"profile quadrature failed: position quadrature error {quad_error:.3e} "
             f"exceeds tol {_QUAD_TOL:.3e}"
         )
-    x = x_hi - x_hi[n_side]  # pin sigma(0) = 1/2
-
-    ds = np.sqrt(np.maximum(first_integral(s, p), 0.0))
-
-    # Left tail sigma = s0 exp(lam (x - x0)) and right tail 1 - sigma =
-    # e0 exp(-lam (x - x1)), at the s nodes beyond the splice.
-    sig_l = _S_NODES[_S_NODES < _SPLICE]
-    sig_r = _S_NODES[_S_NODES > 1.0 - _SPLICE]
-    eps_r, eps = 1.0 - s[-1], 1.0 - sig_r
-    lam_l, lam_r = ds[0] / s[0], ds[-1] / eps_r
-    xs = np.concatenate([x[0] + np.log(sig_l / s[0]) / lam_l, x,
-                         x[-1] - np.log(eps / eps_r) / lam_r])
-    return SigmoidProfile(float(p), xs, np.concatenate([sig_l, s, sig_r]),
-                          np.concatenate([lam_l * sig_l, ds, lam_r * eps]), quad_error)
+    # The row sigma = 1/2 is the right half's first.
+    return SigmoidProfile(float(p), np.concatenate([-xs[0][:0:-1], xs[1]]),
+                          np.concatenate([_D_NODES[:0:-1], 1.0 - e]),
+                          np.concatenate([ds[0][:0:-1], ds[1]]), float(quad_error))
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,8 @@ class ResidualReport:
     The maxima, at ``at_max_I``/``at_max_J`` in ``coordinate`` ("s" or "x"),
     are scale-free margins for the smooth family and I, J for the piecewise
     one.  ``certified``: max_I <= tol, max_J <= tol and every applicable
-    jump >= -tol.  Jump fields are None for smooth profiles.
+    jump >= -tol.  Jump fields are None for smooth profiles, ``from_one``
+    (1 - s at both maxima, s unrounded) for piecewise ones.
     """
 
     max_I: float
@@ -262,16 +254,18 @@ class ResidualReport:
     coordinate: str
     jump_phi: float | None = None
     jump_psi: float | None = None
+    from_one: tuple[float, float] | None = None
 
 
 def _q_peaks(coeffs: tuple[float, float, float, float], cand: SupersolCandidate,
              k1: float) -> list[tuple[float, float, float]]:
-    """(q, s, largest term) at s = 0, s = 1 and each interior maximum of
-    q(s) = A + B s + C s^(p-1) + D s^p, (A, B, C, D) = ``coeffs`` scaled to 1.
+    """(q, u, largest term), u = -p log s, at s = 0 (u = inf), s = 1 (u = 0)
+    and each interior maximum of q(s) = A + B s + C s^(p-1) + D s^p,
+    (A, B, C, D) = ``coeffs`` scaled to 1.
 
     q'' = (p-1) s^(p-3) ((p-2) C + p D s) changes sign at most once, so q'
-    falls through 0 at most once on each piece; bisection in log u finds it,
-    u = -p log s.  q and s q' are formed with C + D = -(A + B) and
+    falls through 0 at most once on each piece; bisection in log u finds it.
+    q and s q' are formed with C + D = -(A + B) and
     q'(1) = k1 - p (1 - a^2) - 6 a^2 p / ((p+1)(p+2)), so no p is too large.
     """
     p, a2 = cand.p, cand.a * cand.a
@@ -285,14 +279,14 @@ def _q_peaks(coeffs: tuple[float, float, float, float], cand: SupersolCandidate,
 
     def peak(u):
         e, s = math.exp(-u), math.exp(-u / p)
-        return (A + B * s + e / s * (D * math.expm1(-u / p) - A - B), s,
+        return (A + B * s + e / s * (D * math.expm1(-u / p) - A - B), u,
                 max(abs(A), abs(B) * s, abs(C) * e / s, abs(D) * e))
 
     ends = [1e-300, -p * math.log(sys.float_info.min)]  # to the least normal s
     gap = (p * (A + B) + 2.0 * C) / (p * D) if D else 0.0  # s - 1 where q'' = 0
     if -1.0 < gap < 0.0 and ends[0] < -p * math.log1p(gap) < ends[1]:
         ends.insert(1, -p * math.log1p(gap))
-    peaks = [(A, 0.0, abs(A)), (0.0, 1.0, 1.0)]
+    peaks = [(A, math.inf, abs(A)), (0.0, 0.0, 1.0)]
     for lo, hi in zip(ends, ends[1:]):
         if not dq(lo) < 0.0 <= dq(hi):  # q' < 0 nearer s = 1: a maximum between
             continue
@@ -327,12 +321,14 @@ def residuals_IJ(cand: SupersolCandidate, params: CompetitionParams,
         raise ParameterError("residual scale factors must be finite, got "
                              f"(d/r) a^2 = {ratio_a2!r}, p a^2 = {p * a2!r}, "
                              f"6 p^2 a^2 = {6.0 * p * p * a2!r}")
-    max_I, at_I = max((q / term if q else 0.0, s)
-                      for q, s, term in _q_peaks(coeffs, cand, params.k1))
+    max_I, u = max(((q / term if q else 0.0, u)
+                    for q, u, term in _q_peaks(coeffs, cand, params.k1)),
+                   key=lambda peak: (peak[0], -peak[1]))  # a tie goes to the larger s
     L0 = ratio_a2 * alpha_p(p) - 1.0  # L(0), from its terms L0 + 1 and 1
     max_J, at_J = max((L0 / max(L0 + 1.0, 1.0), 0.0),
                       ((params.k2 - ratio_a2 + L0) / max(params.k2, ratio_a2), 1.0))
-    return ResidualReport(max_I, at_I, max_J, at_J, max_I <= tol and max_J <= tol, tol, "s")
+    return ResidualReport(max_I, math.exp(-u / p), max_J, at_J, max_I <= tol and max_J <= tol,
+                          tol, "s", from_one=(-math.expm1(-u / p), 1.0 - at_J))
 
 
 def choose_p_a(params: CompetitionParams) -> SupersolCandidate | None:

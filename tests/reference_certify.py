@@ -13,13 +13,19 @@ closed forms of phi'' and f, where s^p is not negligible.
 
 ``supersol.residuals_IJ`` decides the same signs from the closed forms of
 q and L; the tests compare its verdict and margins with these.
+
+``profile_position`` is the position of one row of the standing profile,
+by scipy's ``quad`` of dx = ds / sqrt(G(s)) in log distance from the
+nearer end, with G itself by ``quad`` of h_p from that end.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from wavespeed.model import CompetitionParams, reaction_f, reaction_g
 from wavespeed.supersol import (SigmoidProfile, SupersolCandidate, abc_coefficients,
@@ -112,3 +118,30 @@ def dense_margins(cand: SupersolCandidate, params: CompetitionParams):
     mL = L / np.maximum(max(params.k2, rho_a2) * sp1, max(rho_a2 * alpha_p(p), 1.0))
     i, j = int(np.argmax(mq)), int(np.argmax(mL))
     return mq[i], s[i], mL[j], s[j]
+
+
+def _quad(f, lo, hi):
+    return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def profile_position(sigma: float, p: float) -> float:
+    """x at which the standing profile sigma_p, pinned by sigma(0) = 1/2, reaches ``sigma``.
+
+    With w the distance from the nearer end, G = 2 int_0^w v (1 - v)
+    (alpha_p - v^(p-1)) dv on the left half and 2 int_0^w v (1 - v)
+    ((1 - v)^(p-1) - alpha_p) dv on the right half; x is the integral of
+    w / sqrt(G) over log w, from ``sigma``'s distance up to 1/2.
+    """
+    alpha = 6.0 / ((p + 1.0) * (p + 2.0))
+    left = sigma <= 0.5
+
+    def h_from_end(v):  # -h_p(v) on the left half, h_p(1 - v) on the right
+        bracket = alpha - v ** (p - 1.0) if left else (1.0 - v) ** (p - 1.0) - alpha
+        return v * (1.0 - v) * bracket
+
+    def integrand(t):
+        w = math.exp(t)
+        return w / math.sqrt(2.0 * _quad(h_from_end, 0.0, w))
+
+    x = _quad(integrand, math.log(sigma if left else 1.0 - sigma), math.log(0.5))
+    return -x if left else x

@@ -82,7 +82,7 @@ def test_random_candidates_match_the_table(table):
         cand = SupersolCandidate(p, recipe.a * math.exp(rng.uniform(-0.2, 0.2)))
         try:
             reference = table(cand, params)
-        except supersol.ProfileError:  # p near 1: the table's quadrature fails
+        except supersol.ProfileError:  # p within about 3e-6 of 1 or above about 2.5e6
             continue
         assert residuals_IJ(cand, params).certified == reference, (cand, params)
         compared += 1

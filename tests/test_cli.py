@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,9 +195,10 @@ class TestCertify:
         assert code == 5
         assert "certified: no" in out
 
-    def test_quadrature_failure_is_not_certified(self, capsys, tmp_path):
-        # p = k1 = 1.1: sigma_profile misses its 1e-9 position tolerance.
+    def test_quadrature_failure_is_not_certified(self, capsys, tmp_path, monkeypatch):
+        # A tolerance below rounding makes sigma_profile fail its check.
         # Only --export builds the profile; the verdict needs none.
+        monkeypatch.setattr(cli.supersol, "_QUAD_TOL", 1e-16)
         point = ["certify", "5", "1", "1.1", "1.02"]
         code, out, err = run(capsys, *point, "--export", str(tmp_path / "prof"))
         assert code == 5
@@ -204,6 +209,21 @@ class TestCertify:
         assert code == 0
         assert "candidate: p = 1.1," in out and "certified: yes" in out
         assert err == ""
+
+    def test_export_near_p_one(self, capsys, tmp_path):
+        # p = k1 = 1.1, where G cancels near s = 1 unless formed in 1 - s.
+        prefix = tmp_path / "P"
+        code, out, err = run(capsys, "certify", "5", "1", "1.1", "1.02", "--export", str(prefix))
+        assert code == 0
+        assert "certified: yes" in out and err == ""
+        for name in ("P_phi.txt", "P_psi.txt"):
+            assert len((tmp_path / name).read_text().splitlines()) == 6503
+
+    def test_peak_next_to_one_keeps_its_digits(self, capsys):
+        # The peak of q sits at u = -p log s = 49.098, where s rounds to 1.
+        code, out, _ = run(capsys, "certify", "10", "1", "11", "3", "--p", "1e20", "--a", "1")
+        assert code == 5
+        assert "max I = 0.428571428571 at 1 - s = 4.90982269221e-19\n" in out
 
     @pytest.mark.parametrize("p", ["2e5", "1e308"])
     def test_unresolvable_p_is_not_certified(self, capsys, p):
@@ -273,15 +293,15 @@ class TestCertify:
         assert (tmp_path / "prof_psi.txt").exists()
 
     def test_export_large_p(self, capsys, tmp_path):
-        # The tails sit at fixed s nodes, so any p gets tables of the usual
-        # size, however wide the profile is.
+        # The rows sit at fixed distances from 0 and 1, so any p gets tables
+        # of the usual size, however wide the profile is.
         prefix = tmp_path / "P"
         code, out, err = run(capsys, "certify", "11", "1", "3", "3",
                              "--p", "3000", "--a", "0.001", "--export", str(prefix))
         assert code == 5
         assert "certified: no" in out and err == ""
         for name in ("P_phi.txt", "P_psi.txt"):
-            assert len((tmp_path / name).read_text().splitlines()) == 19049
+            assert len((tmp_path / name).read_text().splitlines()) == 6503
 
     @pytest.mark.parametrize("argv, message", [
         (["--degenerate", "--export", "prof", "0.05", "1", "8", "2"],
@@ -451,7 +471,7 @@ CERTIFY_RUNS = [
     ["--p", "2", "--a", "1", "1", "1", "3", "2"],
 ]
 CERTIFY_GOLDEN = "f62cc01d0fd43f14ce7d6eb74c870d23d065d755cedce953de89f0d52e7c9faf"
-EXPORT_GOLDEN = "0f1b17c48fede0d931ea8327d7b120dc8f3555123921470a3ff9ebeed5397b2a"
+EXPORT_GOLDEN = "f2da7f4220f443e307b2014391b0ba678145abeefdfebf3ab757b7ca18bb780f"
 DUMP_GOLDEN = "0bdbba1641745a00b31d284106c51b578e4eeca09c21c0106b8f4ae7b2ff993e"
 
 
@@ -538,3 +558,16 @@ class TestNonFiniteInputs:
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "scan.csv").exists()
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    # Each of scipy.optimize and scipy.integrate adds about 0.2 s and 20 MB
+    # to every command's start-up, so the CLI's modules import neither at
+    # module level.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, wavespeed.cli; "
+             "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

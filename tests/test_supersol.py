@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import blocking_sample_points
+from reference_certify import profile_position
 from wavespeed.model import ParameterError, validate
 from wavespeed import supersol
 from wavespeed.theory import degenerate_ratio_bound, m_of_k
@@ -109,6 +110,16 @@ class TestSigmaProfile:
         )
         assert np.max(np.abs(sdd + h_p(s[1:-1], 3.0))) < 1e-6
 
+    @pytest.mark.parametrize("p", [1.2, 2.0, 10.0, 2600.0])
+    def test_positions_match_the_reference(self, profile_cache, p):
+        # The first and last rows and the rows next to s = 1e-4 and
+        # 1 - s = 1e-4, against quad of dx = ds / sqrt(G) with G by quad too.
+        prof = profile_cache(p)
+        s = prof.sigma
+        rows = [0, int(np.argmin(abs(s - 1e-4))), int(np.argmin(abs(1.0 - s - 1e-4))), -1]
+        for row in rows:
+            assert prof.xs[row] == pytest.approx(profile_position(s[row], p), abs=1e-8), row
+
     def test_quadrature_error_reported_and_bounded(self, profile_cache, monkeypatch):
         prof = profile_cache(2.0)
         assert 0.0 <= prof.quad_error < 1e-9
@@ -116,16 +127,17 @@ class TestSigmaProfile:
         with pytest.raises(ProfileError, match="profile quadrature failed"):
             sigma_profile(2.0)
 
-    @pytest.mark.parametrize("p", [1.2, 2.0, 2600.0, 1e4, 1e5])
+    @pytest.mark.parametrize("p", [1.001, 1.1, 1.2, 2.0, 2600.0, 1e4, 1e5])
     def test_tails_on_s_nodes(self, profile_cache, p):
-        # The tails sit at the residuals' s nodes, so the table size does not
-        # depend on p, however wide the profile is in x.
+        # Both tails sit at the fixed distances _D_NODES from their end, so
+        # the table size does not depend on p, however wide the profile is
+        # in x.
         prof = profile_cache(p)
         assert len(prof.xs) == len(profile_cache(2.0).xs)
         assert np.all(np.diff(prof.xs) > 0)
         assert np.all(np.diff(prof.sigma) > 0)
-        assert prof.sigma[0] == supersol._S_NODES[0]
-        assert prof.sigma[-1] == supersol._S_NODES[-1]
+        assert prof.sigma[0] == supersol._D_NODES[-1]
+        assert prof.sigma[-1] == 1.0 - supersol._D_NODES[-1]
         assert np.max(np.abs(prof.dsigma**2 - first_integral(prof.sigma, p))) < 1e-8
         if p == 2.0:  # the window that acceptance test 01 compares with the logistic
             assert prof.xs[0] < -30.0 and prof.xs[-1] > 30.0
@@ -208,9 +220,9 @@ class TestBuildAndResiduals:
         assert not report.certified
 
     def test_grid_covers_the_profile_range(self):
-        s = supersol._S_NODES
-        assert s[0] < 1e-8 and 1.0 - s[-1] <= 1.001e-13
-        assert np.all(np.diff(s) > 0)
+        d = supersol._D_NODES
+        assert d[0] == 0.5 and d[-1] < 1e-13 and 1.0 - (1.0 - d[-1]) < 1e-13
+        assert np.all(np.diff(d) < 0) and np.all(np.diff(1.0 - d) > 0)
 
     def test_exponent_overflow_refused(self):
         # Any p gets a verdict while the coefficients of q are finite; beyond
