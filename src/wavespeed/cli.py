@@ -131,7 +131,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_scan.add_argument("--log", action="store_const", const=True,
                         help="log scale on both axes (default: the plane's)")
     p_scan.add_argument("--with-pde", action="store_true",
-                        help="run the speed oracle on a strided subsample")
+                        help="run the speed oracle on a strided subsample, one share per CPU "
+                             "of the affinity mask (same output; taskset -c 0: one process)")
     p_scan.add_argument("--k2", type=float)
     p_scan.add_argument("--r", type=float)
     p_scan.add_argument("--out-prefix", default="scan")

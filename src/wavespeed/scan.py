@@ -3,9 +3,10 @@
 Two planes are supported: the symmetric (d, k) plane (r = 1, k1 = k2 = k)
 and the (k1, d/r) plane at fixed k2 and r.  Every grid cell records which
 criteria fired, the combined verdict, and optionally a PDE speed estimate
-on a strided subsample (the oracle costs seconds per point, the criteria
-microseconds).  Output ordering is row-major over (y, x) and fully
-deterministic, so reruns are byte-identical.
+on a strided subsample (the oracle costs about a second per point, the
+criteria microseconds; ``pde.estimate_speeds`` runs the points across the
+CPUs, with output identical to one process).  Output ordering is row-major
+over (y, x) and fully deterministic, so reruns are byte-identical.
 
 A sweep is columnar.  :func:`scan_plane` hands the whole grid to
 ``theory.evaluate_criteria`` once, as arrays that broadcast over (y, x),
@@ -195,9 +196,9 @@ def scan_plane(spec: ScanSpec) -> Plane:
     """Evaluate all criteria on the grid; rows over y, columns over x.
 
     The criterion table is read once for the whole plane, on arrays.  With
-    ``with_pde`` set, the speed oracle runs on the strided subsample; a
-    failed or unstable run is recorded as a non-converged estimate, never a
-    fatal error.
+    ``with_pde`` set, the speed oracle runs on the strided subsample through
+    ``pde.estimate_speeds``; a failed or unstable run is recorded as a
+    non-converged estimate, never a fatal error.
     """
     xs = spec.x_values()
     ys = spec.y_values()
@@ -206,13 +207,10 @@ def scan_plane(spec: ScanSpec) -> Plane:
     hits.signs()  # fold once here, so a polarity conflict raises from the sweep
     c_num = {}
     if spec.with_pde:
-        for iy in range(0, ys.size, spec.pde_stride):
-            for ix in range(0, xs.size, spec.pde_stride):
-                try:
-                    est = pde.estimate_speed(params.at((iy, ix)), spec.pde_config)
-                except pde.SimulationError:
-                    est = pde.SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")
-                c_num[iy * xs.size + ix] = est
+        cells = [(iy, ix) for iy in range(0, ys.size, spec.pde_stride)
+                 for ix in range(0, xs.size, spec.pde_stride)]
+        estimates = pde.estimate_speeds([(params.at(cell), spec.pde_config) for cell in cells])
+        c_num = {iy * xs.size + ix: est for (iy, ix), est in zip(cells, estimates)}
     return Plane(spec, xs, ys, hits, c_num)
 
 

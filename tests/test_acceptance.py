@@ -25,9 +25,11 @@ def _report(num, name, ok):
     assert ok, f"acceptance criterion {num} ({name}) failed"
 
 
-def _speed(d, r, k1, k2, t_end=400.0):
-    cfg = pde.default_config(t_end=t_end)
-    return pde.estimate_speed(validate(d, r, k1, k2), cfg)
+def _speeds(runs):
+    """The estimates of ((d, r, k1, k2), t_end) runs, gathered by one
+    ``estimate_speeds`` call; a stiff run comes back unconverged."""
+    return pde.estimate_speeds(
+        [(validate(*point), pde.default_config(t_end=t_end)) for point, t_end in runs])
 
 
 def test_01_closed_form_sigmoid():
@@ -102,22 +104,22 @@ def test_04_degenerate_construction():
 @pytest.mark.slow
 def test_05_zero_speed_symmetry():
     ok = True
-    for k in (2.0, 3.0):
-        est = _speed(1.0, 1.0, k, k)
+    for est in _speeds([((1.0, 1.0, k, k), 400.0) for k in (2.0, 3.0)]):
         ok &= est.converged and abs(est.c_hat) <= 0.02
     _report(5, "zero speed at the symmetric fixed point", ok)
 
 
 @pytest.mark.slow
 def test_06_reflection_identity():
-    ok = True
-    for (d, r, k1, k2), t_end in [
+    runs = [
         ((2.0, 1.0, 3.0, 2.0), 400.0),
         ((5.0, 1.0, 2.0, 3.0), 400.0),
         ((0.5, 2.0, 4.0, 1.5), 200.0),
-    ]:
-        a = _speed(d, r, k1, k2, t_end)
-        b = _speed(1.0 / d, 1.0 / r, k2, k1, t_end)
+    ]
+    estimates = _speeds(runs + [((1.0 / d, 1.0 / r, k2, k1), t_end)
+                                for (d, r, k1, k2), t_end in runs])
+    ok = True
+    for ((d, r, k1, k2), _), a, b in zip(runs, estimates, estimates[len(runs):]):
         ok &= a.converged and b.converged
         ok &= abs(a.c_hat + math.sqrt(d * r) * b.c_hat) <= 0.03
     _report(6, "reflection identity", ok)
@@ -135,20 +137,20 @@ def test_07_sign_agreement_theory_vs_oracle():
         ((1.0 / 11.0, 1.0, 3.0, 3.0), 400.0),
         ((1.0 / 7.0, 1.0, 2.0, 1.8), 400.0),
     ]
+    estimates = _speeds(negative + positive)
     ok = True
-    for (d, r, k1, k2), t_end in negative:
-        est = _speed(d, r, k1, k2, t_end)
+    for est in estimates[:len(negative)]:
         ok &= est.converged and est.c_hat < -0.02
-    for (d, r, k1, k2), t_end in positive:
-        est = _speed(d, r, k1, k2, t_end)
+    for est in estimates[len(negative):]:
         ok &= est.converged and est.c_hat > 0.02
     _report(7, "sign agreement, criteria vs oracle", ok)
 
 
 @pytest.mark.slow
 def test_08_monotonicity_in_k1_and_k2():
-    est_k1 = [_speed(2.0, 1.0, k1, 2.0) for k1 in (1.5, 2.0, 2.5)]
-    est_k2 = [_speed(2.0, 1.0, 2.0, k2) for k2 in (1.5, 2.0, 2.5)]
+    estimates = _speeds([((2.0, 1.0, k1, 2.0), 400.0) for k1 in (1.5, 2.0, 2.5)]
+                        + [((2.0, 1.0, 2.0, k2), 400.0) for k2 in (1.5, 2.0, 2.5)])
+    est_k1, est_k2 = estimates[:3], estimates[3:]
     ok = all(e.converged for e in est_k1 + est_k2)
     for a, b in zip(est_k1, est_k1[1:]):
         ok &= a.c_hat - b.c_hat > a.stderr + b.stderr

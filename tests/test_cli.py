@@ -560,14 +560,15 @@ class TestNonFiniteInputs:
         assert not (tmp_path / "scan.csv").exists()
 
 
-def test_cli_import_loads_no_scipy_solvers():
+def test_cli_import_loads_no_solvers_or_process_pools():
     # Each of scipy.optimize and scipy.integrate adds about 0.2 s and 20 MB
     # to every command's start-up, so the CLI's modules import neither at
-    # module level.
+    # module level.  The process pool of pde.estimate_speeds (about 8 ms) is
+    # imported only by a call that forks.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, wavespeed.cli; "
-             "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))")
+    heavy = ["scipy.optimize", "scipy.integrate", "multiprocessing", "concurrent.futures.process"]
+    probe = f"import sys, wavespeed.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -16,6 +19,7 @@ from wavespeed.pde import (
     default_config,
     dump_trajectory,
     estimate_speed,
+    estimate_speeds,
     front_position,
     refine_check,
     simulate,
@@ -182,6 +186,83 @@ class TestEstimateSpeed:
         assert est.front_trace[-1, 0] == pytest.approx(20.0)
 
 
+def _same_estimate(a, b) -> bool:
+    """Field-by-field equality of two SpeedEstimates, NaN equal to NaN."""
+    return (np.array_equal([a.c_hat, a.stderr], [b.c_hat, b.stderr], equal_nan=True)
+            and (a.converged, a.reason, a.shifts) == (b.converged, b.reason, b.shifts)
+            and a.front_trace.shape == b.front_trace.shape
+            and a.front_trace.tobytes() == b.front_trace.tobytes())
+
+
+class TestEstimateSpeeds:
+    # Four runs, so that each of two CPUs gets two: a recentring front, a
+    # stationary one, a stiff one and a short one.
+    JOBS = [
+        ((7, 1, 1.8, 2), coarse_config(L=10.0, t_end=60.0)),
+        ((1, 1, 2, 2), coarse_config(t_end=30.0)),
+        ((0.02, 60, 3, 3), default_config()),
+        ((5.5, 1, 11 / 6, 11 / 6), coarse_config(t_end=20.0)),
+    ]
+
+    @classmethod
+    def _jobs(cls):
+        return [(validate(*point), cfg) for point, cfg in cls.JOBS]
+
+    @classmethod
+    def _serial(cls):
+        out = []
+        for params, cfg in cls._jobs():
+            try:
+                out.append(estimate_speed(params, cfg))
+            except SimulationError:
+                out.append(None)
+        return out
+
+    def _check(self, estimates):
+        serial = self._serial()
+        assert len(estimates) == len(serial)
+        assert serial[0].shifts and serial[2] is None
+        stiff = estimates[2]
+        assert (stiff.converged, stiff.reason, stiff.shifts) == (False, "stiff", ())
+        assert math.isnan(stiff.c_hat) and stiff.stderr == math.inf
+        assert stiff.front_trace.shape == (0, 2)
+        for got, want in zip(estimates, serial):
+            assert want is None or _same_estimate(got, want)
+
+    def test_equal_to_serial_runs(self):
+        self._check(estimate_speeds(self._jobs()))
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forked a worker on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        self._check(estimate_speeds(self._jobs()))
+
+    def test_worker_error_propagates_and_leaves_no_process(self, monkeypatch):
+        # On two CPUs share 1, jobs[1::2], goes to the forked worker; its
+        # first job raises there, through the rebound module global.
+        jobs = self._jobs()
+        failing = jobs[1][0]
+        original = pde.estimate_speed
+
+        def raising(params, config=None):
+            if params == failing:
+                raise RuntimeError("worker failure")
+            return original(params, config)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pde, "estimate_speed", raising)
+        with pytest.raises(RuntimeError, match="worker failure"):
+            estimate_speeds(jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_no_jobs(self):
+        assert estimate_speeds([]) == []
+
+
 class TestCoMovingWindow:
     def test_recentre_moves_whole_cells_and_refills_the_ends(self):
         arr = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0])
@@ -256,9 +337,10 @@ class TestReflectionIdentity:
             (1.5, 1.0, 2.5, 2.0),
             (3.0, 0.5, 2.0, 2.5),
         ]
-        for d, r, k1, k2 in tuples:
-            a = estimate_speed(validate(d, r, k1, k2), cfg)
-            b = estimate_speed(validate(1 / d, 1 / r, k2, k1), cfg)
+        estimates = estimate_speeds(
+            [(validate(d, r, k1, k2), cfg) for d, r, k1, k2 in tuples]
+            + [(validate(1 / d, 1 / r, k2, k1), cfg) for d, r, k1, k2 in tuples])
+        for (d, r, k1, k2), a, b in zip(tuples, estimates, estimates[len(tuples):]):
             assert a.converged and b.converged, (d, r, k1, k2)
             assert abs(a.c_hat + np.sqrt(d * r) * b.c_hat) <= 0.03
 

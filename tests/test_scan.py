@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import multiprocessing
 import re
 from dataclasses import replace
 from xml.etree import ElementTree as ET
@@ -141,7 +142,9 @@ class TestScanPlane:
             k2=2.0, with_pde=True, pde_stride=1,
             pde_config=default_config(L=40.0, dx=0.2, dt=0.05, t_end=60.0),
         )
-        for s in scan_plane(spec):
+        samples = scan_plane(spec)
+        assert multiprocessing.active_children() == []  # every oracle worker joined
+        for s in samples:
             est = s.c_num
             if est is None or not est.converged:
                 continue
