@@ -13,11 +13,17 @@ All floating output uses 12 significant digits so reruns are reproducible
 byte for byte.  Configuration precedence: flags > config file > defaults;
 scan's output directory additionally honors the WAVESPEED_OUT environment
 variable (flags > WAVESPEED_OUT > config file > current directory).
+
+``main(argv)`` may be called repeatedly in one process.  It builds its
+parser on the first call and reuses it; a call with config values (from
+--config, or WAVESPEED_OUT without --output-dir) gets a parser of its own,
+so no setting carries over to the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -41,14 +47,22 @@ underscores (e.g. "t_end = 200", "nx = 121", "output_dir = out").  Keys of
 another command's options are ignored, so one file can serve all four; a
 key that is no command's option exits 64.  Switches take 1/true/yes/on
 for on, anything else for off.  A malformed value exits 64, as a malformed
-flag does.  Precedence: command-line flags > config file > defaults.
+flag does, and so does a file that is not valid UTF-8.  Precedence:
+command-line flags > config file > defaults.
 Directory for scan's CSV and SVG: --output-dir > WAVESPEED_OUT environment
 variable > config file > current directory.
 """
 
 _TRUE = ("1", "true", "yes", "on")
-# Options of `speed` that are keywords of pde.default_config.
-_PDE_SETTINGS = ("L", "dx", "dt", "t_end", "front_level", "fit_window")
+# Options of `speed` that are keywords of pde.default_config, with their help.
+_PDE_SETTINGS = {
+    "L": "half-length of the co-moving window",
+    "dx": "grid spacing",
+    "dt": "time step",
+    "t_end": "length of the run in time units",
+    "front_level": "the u level whose crossing is tracked",
+    "fit_window": "trailing fraction of the run used for the speed regression",
+}
 
 
 def _fmt(x: float) -> str:
@@ -102,10 +116,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_speed = add_parser("speed", help="measure the front speed from a PDE run")
     add_params(p_speed)
-    for key in _PDE_SETTINGS:
+    for key, text in _PDE_SETTINGS.items():
         p_speed.add_argument("--" + key.replace("_", "-"), type=float,
-                             default=argparse.SUPPRESS,
-                             help="half-length of the co-moving window" if key == "L" else None)
+                             default=argparse.SUPPRESS, help=text)
     p_speed.add_argument("--dump-trajectory", metavar="PATH",
                          help="write sampled (t,x,u,v) rows (large output)")
 
@@ -140,16 +153,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParameterError(f"config file {path!r} is not valid UTF-8") from None
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"bad config line: {raw.rstrip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"bad config line: {raw.rstrip()!r}")
+        key, val = line.split("=", 1)
+        values[key.strip()] = val.strip()
     return values
 
 
@@ -158,6 +175,19 @@ def _config_keys(parsers) -> set[str]:
     return {action.dest for p in parsers
             for action in p._actions  # argparse lists its actions nowhere public
             if action.option_strings}
+
+
+@functools.cache
+def _shared_parser() -> tuple[_Parser, set[str]]:
+    """The parser of ``_build_parser()`` and its config keys, built on the
+    first call.
+
+    Building takes over a millisecond, about ten times a certify run, so
+    every call of ``main`` parses with this one.  It must stay as built:
+    ``_set_config_defaults`` is given a parser of the call's own.
+    """
+    parser, commands = _build_parser()
+    return parser, _config_keys([parser, *commands.values()])
 
 
 def _set_config_defaults(parser: _Parser, values: dict[str, str]) -> None:
@@ -345,11 +375,10 @@ def cmd_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser, known = _shared_parser()
     args = parser.parse_args(argv)
     try:
         values = _load_config(args.config) if "config" in args else {}
-        known = _config_keys([parser, *commands.values()])
         for key in values:
             if key not in known:
                 parser.error(f"unknown config key {key!r}")
@@ -360,6 +389,9 @@ def main(argv=None) -> int:
             # overwrite a flag given before the command.
             values.pop("output_dir", None)
         if values:
+            # set_defaults changes the parser it is given, so these defaults
+            # go to a parser of this call's own, not the shared one.
+            parser, commands = _build_parser()
             _set_config_defaults(commands[args.command], values)
             args = parser.parse_args(argv)
         handler = {

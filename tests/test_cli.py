@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavespeed import cli
+from wavespeed import cli, scan
 from wavespeed.cli import main
 
 
@@ -48,6 +48,14 @@ class TestClassify:
         err = capsys.readouterr().err
         assert exc.value.code == 64
         assert "wavespeed classify: error: the following arguments are required: k2" in err
+
+    def test_config_not_utf8_exit_64(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"nx = 5\n\xff\xfe\n")
+        code, out, err = run(capsys, "--config", str(cfg), "classify", "11", "1", "3", "3")
+        assert code == 64
+        assert out == ""
+        assert err == f"error: config file {str(cfg)!r} is not valid UTF-8\n"
 
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -560,15 +568,63 @@ class TestNonFiniteInputs:
         assert not (tmp_path / "scan.csv").exists()
 
 
+class TestRepeatedCalls:
+    """``main`` reuses one parser across calls, and no call's settings reach the next."""
+
+    def test_config_values_do_not_reach_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("nx = 5\n")
+        argv = ["scan", "--plane", "sym", "--ny", "3", "--output-dir", str(tmp_path)]
+        rows = []
+        for config in (["--config", str(cfg)], []):
+            assert run(capsys, *config, *argv)[0] == 0
+            rows.append(len((tmp_path / "scan.csv").read_text().splitlines()))
+        assert rows == [1 + 5 * 3, 1 + scan.plane_spec("sym").nx * 3]
+
+    def test_config_tol_does_not_reach_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "certify.cfg"
+        cfg.write_text("tol = 0.001\n")
+        assert run(capsys, "--config", str(cfg), "certify", *_POINT)[1].endswith(
+            "(tolerance 0.001)\n")
+        assert run(capsys, "certify", *_POINT)[1].endswith("(tolerance 1e-08)\n")
+
+    def test_env_output_dir_does_not_reach_the_next_call(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["scan", "--plane", "sym", "--nx", "4", "--ny", "3"]
+        monkeypatch.setenv("WAVESPEED_OUT", "env_out")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.delenv("WAVESPEED_OUT")
+        assert run(capsys, *argv)[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env_out", "scan.csv", "scan.svg"]
+        assert sorted(p.name for p in (tmp_path / "env_out").iterdir()) == ["scan.csv", "scan.svg"]
+
+    def test_parser_is_built_once(self, capsys, tmp_path, monkeypatch):
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        monkeypatch.delenv("WAVESPEED_OUT", raising=False)
+        cli._shared_parser.cache_clear()
+        assert run(capsys, "classify", *_POINT)[0] == 0
+        assert run(capsys, "certify", *_POINT)[0] == 0
+        assert run(capsys, "scan", "--plane", "sym", "--nx", "4", "--ny", "3",
+                   "--output-dir", str(tmp_path))[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "11"])
+        assert exc.value.code == 64
+        assert len(builds) == 1
+
+
 def test_cli_import_loads_no_solvers_or_process_pools():
     # Each of scipy.optimize and scipy.integrate adds about 0.2 s and 20 MB
     # to every command's start-up, so the CLI's modules import neither at
     # module level.  The process pool of pde.estimate_speeds (about 8 ms) is
-    # imported only by a call that forks.
+    # imported only by a call that forks, and the parser is built by the
+    # first call of main, not by the import.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     heavy = ["scipy.optimize", "scipy.integrate", "multiprocessing", "concurrent.futures.process"]
-    probe = f"import sys, wavespeed.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    probe = (f"import sys, wavespeed.cli; print(sorted(set({heavy!r}) & set(sys.modules)), "
+             "wavespeed.cli._shared_parser.cache_info().misses)")
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[] 0\n"
