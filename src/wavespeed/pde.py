@@ -283,10 +283,10 @@ def front_position(xs: np.ndarray, u: np.ndarray, level: float) -> float:
 
     Returns NaN when the field never crosses the level inside the domain.
     """
-    above = u >= level
-    if above[0] or not above.any():
+    # argmax is 0 both when the first node is above and when none is.
+    j = int(np.argmax(u >= level))
+    if j == 0:
         return float("nan")
-    j = int(np.argmax(above))
     u0, u1 = u[j - 1], u[j]
     if u1 == u0:
         return float(xs[j])

@@ -223,34 +223,37 @@ _SIGN_TEXT = {code: sign.value for code, sign in theory.SIGN_OF_CODE.items()}
 
 
 def emit_csv(plane: Plane, path) -> None:
-    """Write the plane as CSV: x, y, one 0/1 column per criterion, verdict, speed."""
+    """Write the plane as CSV: x, y, one 0/1 column per criterion, verdict, speed.
+
+    Every repeated piece is formatted once: the x label of each column, the
+    y label of each row, and the "flags,verdict," text of each distinct
+    combination of criterion hits and sign; the speed columns only for the
+    cells that hold an estimate.  The pieces are laid out per cell in an
+    object array, and the file is one join of it.
+    """
     if not plane:
         raise ParameterError("emit_csv requires a nonempty plane")
     keys, hits = zip(*plane.masks())
     header = ["x", "y", *keys, "combined", "c_num", "stderr", "converged"]
-    # Each cell's criterion columns as one "0,1,..." string, cut from a
-    # single byte buffer of digits and commas.
-    width = 2 * len(hits) - 1
-    chars = np.full((len(plane), width), ord(","), dtype=np.uint8)
-    chars[:, ::2] = ord("0") + np.stack(hits, axis=-1).reshape(len(plane), -1)
-    text = chars.tobytes().decode("ascii")
-    flags = [text[i:i + width] for i in range(0, len(text), width)]
-    signs = [_SIGN_TEXT[code] for code in plane.hits.signs().ravel().tolist()]
-    xs = [f"{x:.12g}" for x in plane.xs.tolist()]
-    lines = [",".join(header)]
-    index = 0
-    for y in plane.ys.tolist():
-        y = f"{y:.12g}"
-        for x in xs:
-            est = plane.c_num.get(index)
-            if est is None:
-                speed = ",,"
-            else:
-                speed = f"{est.c_hat:.12g},{est.stderr:.12g},{int(est.converged)}"
-            lines.append(f"{x},{y},{flags[index]},{signs[index]},{speed}")
-            index += 1
+    flags = np.stack(hits, axis=-1).reshape(len(plane), -1)
+    # Key each cell by its hits, one bit per column above two bits of
+    # sign + 1 (a code of -1, 0 or +1): the 24 columns of the sym plane fit an int64.
+    weights = np.left_shift(1, np.arange(2, flags.shape[1] + 2, dtype=np.int64))
+    signs = plane.hits.signs().ravel()
+    _, first, kind = np.unique(flags @ weights + (signs + 1),
+                               return_index=True, return_inverse=True)
+    suffixes = [",".join(map(str, row)) + f",{_SIGN_TEXT[code]},"
+                for row, code in zip(flags[first].view(np.uint8).tolist(), signs[first].tolist())]
+    ends = np.array([suffix + ",,\n" for suffix in suffixes], dtype=object)[kind]
+    for index, est in plane.c_num.items():
+        ends[index] = (f"{suffixes[kind[index]]}{est.c_hat:.12g},{est.stderr:.12g},"
+                       f"{int(est.converged)}\n")
+    cells = np.empty((plane.ys.size, plane.xs.size, 3), dtype=object)
+    cells[..., 0] = np.array([f"{x:.12g}," for x in plane.xs.tolist()], dtype=object)
+    cells[..., 1] = np.array([f"{y:.12g}," for y in plane.ys.tolist()], dtype=object)[:, None]
+    cells[..., 2] = ends.reshape(cells.shape[:2])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(cells.ravel().tolist()))
 
 
 # Layer rank (lower draws first) and colour of each criterion's mask, then of
@@ -305,9 +308,12 @@ def emit_svg(plane: Plane, path) -> None:
     ml, mr, mt, mb = 60, 170, 20, 50
     pw, ph = width - ml - mr, height - mt - mb
     cw, ch = pw / nx, ph / ny
-    cell_x = [f"{ml + ix * cw:.2f}" for ix in range(nx)]
-    cell_y = [f"{mt + (ny - 1 - iy) * ch:.2f}" for iy in range(ny)]
-    cell_size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    # Each cell's <rect> once, over the (y, x) grid of the hits: a head per
+    # column plus a tail per row.
+    heads = np.array([f'<rect x="{ml + ix * cw:.2f}" y="' for ix in range(nx)], dtype=object)
+    tails = np.array([f'{mt + (ny - 1 - iy) * ch:.2f}" width="{cw:.2f}" height="{ch:.2f}" />'
+                      for iy in range(ny)], dtype=object)
+    rects = heads + tails[:, None]
 
     layers = []
     for (key, hits), (_, cid, mirrored) in zip(plane.masks(), _COLUMNS[plane.spec.plane]):
@@ -322,14 +328,10 @@ def emit_svg(plane: Plane, path) -> None:
     ]
     drawn = []
     for _, key, colour, hits in layers:
-        rows, cols = np.nonzero(hits)  # row-major, the order of the cells
-        if not rows.size:
+        cells = rects[hits].tolist()  # row-major, the order of the cells
+        if not cells:
             continue
-        parts.append(_group(
-            f'fill-opacity="0.55" id="criterion-{key}" fill="{colour}"',
-            [f'<rect x="{cell_x[ix]}" y="{cell_y[iy]}" {cell_size} />'
-             for iy, ix in zip(rows.tolist(), cols.tolist())],
-        ))
+        parts.append(_group(f'fill-opacity="0.55" id="criterion-{key}" fill="{colour}"', cells))
         drawn.append((key, colour))
 
     # Frame and tick labels.

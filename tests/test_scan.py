@@ -8,10 +8,11 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavespeed import cli, theory
 from wavespeed.model import ParameterError, validate
-from wavespeed.pde import default_config
+from wavespeed.pde import SpeedEstimate, default_config
 from wavespeed.theory import (
     CRITERIA,
     CriterionId,
@@ -22,6 +23,7 @@ from wavespeed.theory import (
 )
 from wavespeed.scan import (
     _SVG_STYLE,
+    Plane,
     ScanSpec,
     emit_csv,
     emit_svg,
@@ -29,6 +31,8 @@ from wavespeed.scan import (
     plane_spec,
     scan_plane,
 )
+
+import reference_scan
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +381,84 @@ class TestPlaneSequence:
         holding = [(s.x, s.y) for s in plane if s.c_num is not None]
         xs, ys = spec.x_values(), spec.y_values()
         assert holding == [(xs[ix], ys[iy]) for iy in (0, 2) for ix in (0, 2)]
+
+
+@st.composite
+def plane_specs(draw, max_cells=12):
+    """A sym or k1d spec on the plane's default ranges, with drawn grid
+    sizes from 2 to ``max_cells``, scales and, on the k1d plane, k2 and r.
+    Some k1d planes start on the symmetric line k1 = k2 at r = 1, where the
+    symmetric-only rows, which have no CSV column, can decide the sign."""
+    plane = draw(st.sampled_from(["sym", "k1d"]))
+    fields = {"nx": draw(st.integers(2, max_cells)), "ny": draw(st.integers(2, max_cells)),
+              "x_scale": draw(st.sampled_from(["linear", "log"])),
+              "y_scale": draw(st.sampled_from(["linear", "log"]))}
+    if plane == "k1d":
+        fields["k2"] = draw(st.floats(1.05, 6.0))
+        fields["r"] = 10.0 ** draw(st.floats(-2.0, 2.0))
+        if draw(st.booleans()):
+            fields.update(x_range=(fields["k2"], 100.0), r=1.0)
+    return plane_spec(plane, **fields)
+
+
+# Oracle estimates as the CSV sees them: converged, a noisy fit, and a
+# stiff run recorded as nan, inf.
+speed_estimates = st.one_of(
+    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), True),
+              st.floats(-3.0, 3.0), st.floats(0.0, 0.1)),
+    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), False, "noisy_fit"),
+              st.floats(-3.0, 3.0), st.floats(0.0, 10.0)),
+    st.just(SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")),
+)
+
+
+@st.composite
+def emitted_planes(draw):
+    """A swept plane whose criterion rows are each kept whole, cleared or cut
+    to their first hit (clearing hits adds no vote, so no row conflicts),
+    with estimates on drawn cells."""
+    swept = scan_plane(draw(plane_specs()))
+
+    def thin(hits):
+        keep = draw(st.sampled_from(["all", "none", "first"]))
+        if keep == "all":
+            return hits
+        out = np.zeros_like(hits)
+        if keep == "first" and hits.any():
+            out.flat[np.flatnonzero(hits)[0]] = True
+        return out
+
+    direct = {cid: thin(hits) for cid, hits in swept.hits.direct.items()}
+    reflected = {cid: thin(hits) for cid, hits in swept.hits.reflected.items()}
+    c_num = draw(st.dictionaries(st.integers(0, len(swept) - 1), speed_estimates, max_size=8))
+    return Plane(swept.spec, swept.xs, swept.ys,
+                 theory.CriterionHits(swept.hits.params, direct, reflected), c_num)
+
+
+class TestEmittersMatchReference:
+    """emit_csv and emit_svg write the bytes of the per-cell reference writers."""
+
+    @settings(max_examples=150)
+    @given(emitted_planes())
+    def test_same_bytes(self, tmp_path_factory, plane):
+        out = tmp_path_factory.mktemp("emit")
+        for emit, reference in ((emit_csv, reference_scan.emit_csv),
+                                (emit_svg, reference_scan.emit_svg)):
+            emit(plane, out / "new")
+            reference(plane, out / "reference")
+            assert (out / "new").read_bytes() == (out / "reference").read_bytes()
+
+
+class TestExchangeSymmetry:
+    @settings(max_examples=60)
+    @given(plane_specs(max_cells=60))
+    def test_reflected_plane_has_the_opposite_signs(self, spec):
+        # Exchanging the species, (d, r, k1, k2) -> (1/d, 1/r, k2, k1),
+        # reverses the front: every sign flips and inconclusive stays.
+        hits = scan_plane(spec).hits
+        p = hits.params
+        exchanged = theory.evaluate_criteria(theory.ParamArrays(1 / p.d, 1 / p.r, p.k2, p.k1))
+        np.testing.assert_array_equal(exchanged.signs(), -hits.signs())
 
 
 # sha256 of `wavespeed scan` output (numpy 2.4.6, x86-64), with an R_ column
