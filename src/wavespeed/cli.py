@@ -5,7 +5,7 @@ Exit codes
     speed:    0 measured, 3 not converged
     certify:  0 certified, 4 no candidate found, 5 residuals not certified
               (also with --export when the profile fails its quadrature,
-              as for p within about 3e-6 of 1 or above about 2.5e6)
+              as for p above about 5e143)
     scan:     0 on success
     64 invalid parameters or usage, 74 output I/O failure
 
@@ -60,7 +60,6 @@ _PDE_SETTINGS = {
     "dx": "grid spacing",
     "dt": "time step",
     "t_end": "length of the run in time units",
-    "front_level": "the u level whose crossing is tracked",
     "fit_window": "trailing fraction of the run used for the speed regression",
 }
 

@@ -75,12 +75,6 @@ def validate(d, r, k1, k2) -> CompetitionParams:
     return CompetitionParams(float(d), float(r), float(k1), float(k2))
 
 
-def coexistence(params: CompetitionParams) -> tuple[float, float]:
-    """Unstable coexistence state (U*, V*) = ((k1-1)/(k1 k2 - 1), (k2-1)/(k1 k2 - 1))."""
-    den = params.k1 * params.k2 - 1.0
-    return (params.k1 - 1.0) / den, (params.k2 - 1.0) / den
-
-
 def reaction_f(u, v, params: CompetitionParams):
     """Cooperative reaction for u: u (1 - u - k1 (1 - v)).
 
@@ -93,8 +87,3 @@ def reaction_f(u, v, params: CompetitionParams):
 def reaction_g(u, v, params: CompetitionParams):
     """Cooperative reaction for v: (1 - v) (k2 u - v); vanishes on v = 1."""
     return (1.0 - v) * (params.k2 * u - v)
-
-
-def to_cooperative(U, V):
-    """Change of variables (u, v) = (U, 1 - V); maps (0,1) -> (0,0), (1,0) -> (1,1)."""
-    return U, 1.0 - V

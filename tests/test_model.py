@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import coexistence, to_cooperative
 from wavespeed.model import (
     CompetitionParams,
     ParameterError,
-    coexistence,
     reaction_f,
     reaction_g,
-    to_cooperative,
     validate,
 )
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import reference_pde
+from conftest import coexistence, to_cooperative
 from wavespeed import pde
-from wavespeed.model import ParameterError, coexistence, to_cooperative, validate
+from wavespeed.model import ParameterError, validate
 from wavespeed.pde import (
     Grid1D,
     _march,
@@ -64,7 +65,7 @@ class TestGridConfig:
         with pytest.raises(ParameterError):
             SimConfig(grid=Grid1D(10.0, 101), dt=-0.1)
         with pytest.raises(ParameterError):
-            SimConfig(grid=Grid1D(10.0, 101), front_level=1.5)
+            SimConfig(grid=Grid1D(10.0, 101), fit_window=1.5)
 
 
 class TestSimulate:

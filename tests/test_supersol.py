@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import blocking_sample_points
-from reference_certify import profile_position
+from reference_certify import h_p, h_star, matching_mismatch, profile_position
 from wavespeed.model import ParameterError, validate
 from wavespeed import supersol
 from wavespeed.theory import degenerate_ratio_bound, m_of_k
@@ -21,9 +21,6 @@ from wavespeed.supersol import (
     degenerate_residuals,
     delta_candidates,
     first_integral,
-    h_p,
-    h_star,
-    matching_mismatch,
     admissibility_conditions,
     residuals_IJ,
     sigma_profile,
@@ -110,7 +107,7 @@ class TestSigmaProfile:
         )
         assert np.max(np.abs(sdd + h_p(s[1:-1], 3.0))) < 1e-6
 
-    @pytest.mark.parametrize("p", [1.2, 2.0, 10.0, 2600.0])
+    @pytest.mark.parametrize("p", [1.0 + 1e-7, 1.0 + 1e-6, 1.2, 2.0, 10.0, 2600.0])
     def test_positions_match_the_reference(self, profile_cache, p):
         # The first and last rows and the rows next to s = 1e-4 and
         # 1 - s = 1e-4, against quad of dx = ds / sqrt(G) with G by quad too.
@@ -123,11 +120,11 @@ class TestSigmaProfile:
     def test_quadrature_error_reported_and_bounded(self, profile_cache, monkeypatch):
         prof = profile_cache(2.0)
         assert 0.0 <= prof.quad_error < 1e-9
-        monkeypatch.setattr(supersol, "_QUAD_TOL", 1e-16)
+        monkeypatch.setattr(supersol, "_QUAD_TOL", -1.0)  # fails every row
         with pytest.raises(ProfileError, match="profile quadrature failed"):
             sigma_profile(2.0)
 
-    @pytest.mark.parametrize("p", [1.001, 1.1, 1.2, 2.0, 2600.0, 1e4, 1e5])
+    @pytest.mark.parametrize("p", [1.0 + 1e-7, 1.001, 1.1, 1.2, 2.0, 2600.0, 1e4, 1e5, 3e6])
     def test_tails_on_s_nodes(self, profile_cache, p):
         # Both tails sit at the fixed distances _D_NODES from their end, so
         # the table size does not depend on p, however wide the profile is
@@ -141,6 +138,17 @@ class TestSigmaProfile:
         assert np.max(np.abs(prof.dsigma**2 - first_integral(prof.sigma, p))) < 1e-8
         if p == 2.0:  # the window that acceptance test 01 compares with the logistic
             assert prof.xs[0] < -30.0 and prof.xs[-1] > 30.0
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-7, 2.0])
+    @pytest.mark.parametrize("power", [1, 2], ids=["crossing", "touching"])
+    def test_vanishing_first_integral_refused(self, monkeypatch, p, power):
+        # G with a zero at s = 1/4 on the left half: no standing profile
+        # passes it, whether G changes sign there or only touches 0.
+        G = supersol._first_integral_from_zero
+        monkeypatch.setattr(supersol, "_first_integral_from_zero",
+                            lambda s, p: G(s, p) * (4.0 * s - 1.0) ** power)
+        with pytest.raises(ProfileError, match="profile quadrature failed"):
+            sigma_profile(p)
 
 
 class TestProp21:
