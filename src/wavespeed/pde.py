@@ -287,9 +287,7 @@ def front_position(xs: np.ndarray, u: np.ndarray, level: float) -> float:
     j = int(np.argmax(u >= level))
     if j == 0:
         return float("nan")
-    u0, u1 = u[j - 1], u[j]
-    if u1 == u0:
-        return float(xs[j])
+    u0, u1 = u[j - 1], u[j]  # u0 < level <= u1, or u0 is nan: never equal
     return float(xs[j - 1] + (xs[j] - xs[j - 1]) * (level - u0) / (u1 - u0))
 
 

@@ -72,10 +72,9 @@ class ScanSpec:
         check_positive(r=self.r)
         if not (1.0 < self.k2 < math.inf and self.pde_stride >= 1):
             raise ParameterError("need finite k2 > 1 and pde_stride >= 1")
-        # Two corner cells hold the extreme d, d/r and k: both must be valid points.
+        # Two corners hold the extreme d, d/r and k; once both pass, y r is finite.
         for x, y in zip(self.x_range, self.y_range):
-            sym = self.plane == "sym"
-            CompetitionParams(*((x, 1.0, y, y) if sym else (y * self.r, self.r, x, self.k2)))
+            CompetitionParams(*_cell(self, x, y))
 
     def x_values(self) -> np.ndarray:
         return _axis(self.x_range, self.nx, self.x_scale)
@@ -105,6 +104,14 @@ def plane_spec(plane: str, **fields) -> ScanSpec:
     return ScanSpec(plane=plane, **{**PLANE_DEFAULTS[plane], **given})
 
 
+def _cell(spec: ScanSpec, x, y) -> tuple:
+    """(d, r, k1, k2) at (x, y), on numbers or broadcasting arrays: (d, 1, k, k)
+    at (x, y) = (d, k) on the sym plane, (y r, r, k1, k2) at (k1, d/r) on k1d."""
+    if spec.plane == "sym":
+        return x, 1.0, y, y
+    return y * spec.r, spec.r, x, spec.k2
+
+
 def _axis(rng: tuple[float, float], n: int, scale: str) -> np.ndarray:
     if scale == "log":
         return np.geomspace(rng[0], rng[1], n)
@@ -121,16 +128,6 @@ class RegionSample:
     reflected_verdicts: dict[CriterionId, bool]
     combined: SignVerdict
     c_num: "pde.SpeedEstimate | None" = None
-
-
-def _plane_params(spec: ScanSpec, xs: np.ndarray, ys: np.ndarray) -> theory.ParamArrays:
-    """The parameters of every cell, as arrays over (y, x) that broadcast:
-    (d, 1, k, k) at (x, y) = (d, k) on the sym plane, (y r, r, k1, k2) at
-    (x, y) = (k1, d/r) on the k1d plane."""
-    if spec.plane == "sym":
-        k = ys[:, None]
-        return theory.ParamArrays(xs[None, :], 1.0, k, k)
-    return theory.ParamArrays(ys[:, None] * spec.r, spec.r, xs[None, :], spec.k2)
 
 
 def _plane_columns(plane: str) -> tuple[tuple[str, CriterionId, bool], ...]:
@@ -202,7 +199,7 @@ def scan_plane(spec: ScanSpec) -> Plane:
     """
     xs = spec.x_values()
     ys = spec.y_values()
-    params = _plane_params(spec, xs, ys)
+    params = theory.ParamArrays(*_cell(spec, xs[None, :], ys[:, None]))
     hits = theory.evaluate_criteria(params)
     hits.signs()  # fold once here, so a polarity conflict raises from the sweep
     c_num = {}

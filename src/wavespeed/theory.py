@@ -17,7 +17,7 @@ The inventory is the single table :data:`CRITERIA`; its report labels:
 
 * N1, N2     -- the two general blocking conditions on (k1, k2, d/r)
 * neg3, pos1 -- explicit half-line bounds in k1 bracketing the threshold k*
-* S1, S2     -- the symmetric-case (r = 1, k1 = k2) specializations
+* S1, S2     -- N1 (for k >= 2) and N2 read on the symmetric plane r = 1, k1 = k2
 * degenerate -- the small-d/r condition active for k1 > k2^2
 * (i)..(viii)-- previously established symmetric-case regions; the limiting
                 regions (iv)-(vi) carry no quantitative data and have no row
@@ -166,21 +166,16 @@ def _pairwise(bound: Callable[[float, float], float]) -> Callable:
     return lambda k1, k2: np.asarray(ufunc(k1, k2), dtype=float)[()]
 
 
-def _n1_ratio_bound(k1: float, k2: float) -> float:
-    """Lower bound on d/r in criterion N1 (assumes k1 >= m(k2))."""
+def _n1_threshold(k1: float, k2: float) -> float:
+    """The d/r threshold of N1: inf where k1 < m(k2), else its branch-dependent bound."""
+    m = m_of_k(k2)
+    if k1 < m:
+        return math.inf
     if k1 < 2.0:
         return 6.0 * k1 * k1 * (k2 - 1.0) / ((k1 - 1.0) ** 2 * (k1 + 4.0))
     if k2 <= 2.0:
         return 4.0 * (k2 - 1.0) / (k1 - 1.0)
-    m = m_of_k(k2)
     return 2.0 * k2 * m / (2.0 * k1 - m)
-
-
-def _n1_threshold(k1: float, k2: float) -> float:
-    """The d/r threshold of N1: its ratio bound, or inf where k1 < m(k2)."""
-    if k1 < m_of_k(k2):
-        return math.inf
-    return _n1_ratio_bound(k1, k2)
 
 
 _n1_thresholds = _pairwise(_n1_threshold)
@@ -255,22 +250,12 @@ def _in_pos1(p: ParamArrays):
 
 
 def _in_s1(p: ParamArrays):
-    """S1 (r = 1, k1 = k2 = k): k >= 2 and d > 2 k m(k) / (2 k - m(k))."""
-    d, k = p.d, p.k1
-    m = _m(k)
-    return (k >= 2.0) & (d > 2.0 * k * m / (2.0 * k - m))
+    """S1 (r = 1, k1 = k2 = k) is N1 where k >= 2: d > 2 k m(k)/(2 k - m(k)).
 
-
-def _in_s2(p: ParamArrays):
-    """S2 (r = 1, k1 = k2 = k): 1 < k < 2 and m(k)^2/(k-1) < d < m(k)(k-1)/(m(k)-k).
-
-    m(k) > k on 1 < k < 2, but the rounded values meet at its ends, so
-    k < m is required in floating point too.
-    """
-    d, k = p.d, p.k1
-    m = _m(k)
-    return ((1.0 < k) & (k < 2.0) & (k < m)
-            & (m * m / (k - 1.0) < d) & (d < m * (k - 1.0) / (m - k)))
+    For k >= 2, m(k) <= k and that is N1's k2 > 2 bound; its k2 <= 2 branch
+    gives it too at k = 2 = m.  The guard is the paper's: just below 2 the
+    rounded m(k) can fall to k or below, and N1's k1 < 2 branch fires there."""
+    return (p.k1 >= 2.0) & _in_n1(p)
 
 
 def _in_degenerate(p: ParamArrays):
@@ -349,7 +334,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion(CriterionId.N2, "N2", -1, _in_n2),
     Criterion(CriterionId.NEG3, "neg3", -1, _in_neg3),
     Criterion(CriterionId.S1, "S1", -1, _in_s1, symmetric_only=True),
-    Criterion(CriterionId.S2, "S2", -1, _in_s2, symmetric_only=True),
+    Criterion(CriterionId.S2, "S2", -1, _in_n2, symmetric_only=True),
     Criterion(CriterionId.DEG_NEG, "degenerate", -1, _in_degenerate),
     Criterion(CriterionId.POS1, "pos1", +1, _in_pos1),
     Criterion(CriterionId.PRIOR_I, "(i)", -1, _in_prior_i, symmetric_only=True),
@@ -427,9 +412,11 @@ def evaluate_criteria(params: CompetitionParams | ParamArrays) -> CriterionHits:
     shape = params.shape
 
     def read(row: Criterion, point: ParamArrays) -> np.ndarray:
-        hit = row.predicate(point)
-        if row.symmetric_only:
-            hit = hit & point.symmetric
+        hit = point.symmetric  # a symmetric-only row reads nothing off the symmetric plane
+        if not row.symmetric_only:
+            hit = row.predicate(point)
+        elif hit.any():
+            hit = row.predicate(point) & hit
         return hit if hit.shape == shape else np.broadcast_to(hit, shape)
 
     with _masked():

@@ -16,7 +16,7 @@ q and L; the tests compare its verdict and margins with these.
 
 ``profile_position`` is the position of one row of the standing profile,
 by scipy's ``quad`` of dx = ds / sqrt(G(s)) in log distance from the
-nearer end, with G itself by ``quad`` of h_p from that end.
+nearer end, with G itself by ``quad`` of h_p from that end, in pieces.
 
 ``h_p``, ``matching_mismatch`` and ``h_star`` state facts of the paper that
 no command needs: the balanced nonlinearity, the slope-matching defect of
@@ -137,13 +137,20 @@ def _quad(f, lo, hi):
     return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
+# The inner integral of ``profile_position`` breaks at c/p for these c: on
+# the right half, (1 - v)^(p-1) holds its mass within a few 1/p of v = 0,
+# which one ``quad`` over [0, w] misses for large p.
+_CUTS = (1.0, 4.0, 16.0, 64.0)
+
+
 def profile_position(sigma: float, p: float) -> float:
     """x at which the standing profile sigma_p, pinned by sigma(0) = 1/2, reaches ``sigma``.
 
     With w the distance from the nearer end, G = 2 int_0^w v (1 - v)
     (alpha_p - v^(p-1)) dv on the left half and 2 int_0^w v (1 - v)
     ((1 - v)^(p-1) - alpha_p) dv on the right half; x is the integral of
-    w / sqrt(G) over log w, from ``sigma``'s distance up to 1/2.  Where
+    w / sqrt(G) over log w, from ``sigma``'s distance up to 1/2, with G a
+    ``math.fsum`` of ``quad`` pieces split at the ``_CUTS`` c/p below w.  Where
     (p - 1) |log s| <= 1 the bracket is formed in p - 1, with
     1 - alpha_p = (p-1)(p+4)/((p+1)(p+2)), so that it does not cancel.
     """
@@ -159,7 +166,9 @@ def profile_position(sigma: float, p: float) -> float:
 
     def integrand(t):
         w = math.exp(t)
-        return w / math.sqrt(2.0 * _quad(h_from_end, 0.0, w))
+        cuts = [0.0, *(c / p for c in _CUTS if c / p < w), w]
+        G = 2.0 * math.fsum(_quad(h_from_end, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+        return w / math.sqrt(G)
 
     x = _quad(integrand, math.log(sigma if left else 1.0 - sigma), math.log(0.5))
     return -x if left else x

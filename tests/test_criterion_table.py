@@ -16,7 +16,6 @@ from wavespeed.theory import (
     PolarityConflictError,
     Sign,
     SignVerdict,
-    _n1_ratio_bound,
     classify,
     degenerate_ratio_bound,
     evaluate_criteria,
@@ -161,7 +160,7 @@ def bound_points(draw):
     m = m_of_k(k2)
     if which == "n1":
         k1 = max(k1, m)
-        ratio = nudge(_n1_ratio_bound(k1, k2), ulps)
+        ratio = nudge(ref._n1_ratio_bound(k1, k2), ulps)
     elif which == "m":
         k1 = nudge(m, ulps)
     elif which in ("n2_lower", "n2_upper"):

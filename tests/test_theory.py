@@ -136,6 +136,13 @@ class TestS1S2:
         verdict = classify(p)
         assert verdict.sign is Sign.NEGATIVE and CriterionId.N1 in verdict.fired
 
+    @pytest.mark.parametrize("k", [1.9999999999999978, 1.9999999999999991, 1.9999999999999998])
+    def test_s1_needs_k_at_least_2(self, k):
+        # N1 reaches below k = 2 on the diagonal, by its k1 < 2 branch where
+        # the rounded m(k) does not exceed k; S1 is stated for k >= 2 only.
+        p = validate(5.0, 1, k, k)
+        assert hit(p, CriterionId.N1) and not hit(p, CriterionId.S1)
+
     def test_agrees_with_general_criteria_on_diagonal(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
