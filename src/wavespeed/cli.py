@@ -59,8 +59,7 @@ _PDE_SETTINGS = {
     "L": "half-length of the co-moving window",
     "dx": "grid spacing",
     "dt": "time step",
-    "t_end": "length of the run in time units",
-    "fit_window": "trailing fraction of the run used for the speed regression",
+    "t_end": "cap on the run's length",
 }
 
 

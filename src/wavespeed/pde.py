@@ -17,19 +17,21 @@ reaction's relaxation scale.  Boundaries are clamped to the initial
 condition's end values, which equal the resting states (0,0) and (1,1) for
 every speed measurement and suppress boundary-layer drift.
 
-Speed measurement tracks the u = 1/2 level crossing by linear interpolation
-and regresses its position against time over the trailing window.  The grid
-is a co-moving window: whenever the crossing strays more than a quarter of
-the half-length from the centre, the fields move back by whole cells (an
-exact copy, no interpolation) and the far field is refilled with the
-resting states.  The window therefore only has to hold the front's profile,
-not the distance it travels, and positions are reported in the lab frame.
-A run whose final state still differs from the resting states next to the
-boundaries was truncated by the window and does not converge.  Sign
-convention: the wave profile translates as phi(x + c t), so the level set
-moves at -c; a front drifting toward -x means c > 0.  The convention is
-pinned in the tests against a parameter point with independently certified
-negative speed.
+The speed comes from the mass balance: a front phi(x + c t) with u -> 0 at
+-L and 1 at +L gains u-mass at rate c = int f dx + [u_x], and v-mass at
+rate c = r int g dx + d [v_x].  The run forms both, c_u and c_v, and stops
+once they agree and have settled; ``t_end`` is a cap.  The u = 1/2 level
+crossing, found by linear interpolation, drives a co-moving window:
+whenever it strays more than a quarter of the half-length from the centre,
+the fields move back by whole cells (an exact copy, no interpolation) and
+the far field is refilled with the resting states.  The window therefore
+only has to hold the front's profile, not the distance it travels, and
+positions are reported in the lab frame.  A run whose final state still
+differs from the resting states next to the boundaries was truncated by the
+window and does not converge.  Sign convention: the wave profile translates
+as phi(x + c t), so the level set moves at -c; a front drifting toward -x
+means c > 0.  The convention is pinned in the tests against a parameter
+point with independently certified negative speed.
 """
 
 from __future__ import annotations
@@ -74,21 +76,17 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Discretization and measurement settings.
+    """Discretization settings and the cap ``t_end`` on a run's length.
 
-    ``fit_window`` is the trailing fraction of the run used for the speed
-    regression.  The tracked front is the crossing of u = ``FRONT_LEVEL``.
-    The desk-scale defaults (L=40, dx=0.1, dt=0.02, t_end=400) resolve any
-    front with |c| >= 0.02: it travels at least 4 space units during the
-    fit window.  ``estimate_speed`` recentres the front, so L only has to
-    hold the front's profile: its rest-state check flags a window too short
-    for it.
+    ``estimate_speed`` stops once the speed has settled (at the defaults,
+    by about t = 30) and recentres the front, so L only has to hold the
+    front's profile.  ``fit_window`` is a constant for readers of the trace.
     """
 
     grid: Grid1D
     dt: float = 0.02
     t_end: float = 400.0
-    fit_window: float = 0.5
+    fit_window = 0.5
 
     def __post_init__(self):
         check_positive(dt=self.dt, t_end=self.t_end)
@@ -96,8 +94,6 @@ class SimConfig:
             raise ParameterError("need 0 < dt < t_end")
         if not self.t_end / self.dt < _MAX_STEPS:  # the ratio may overflow to inf
             raise ParameterError(f"need t_end / dt < {_MAX_STEPS}, got {self.t_end / self.dt!r}")
-        if not (0.0 < self.fit_window <= 1.0):
-            raise ParameterError("fit_window must be in (0, 1]")
 
     @property
     def n_steps(self) -> int:
@@ -119,22 +115,28 @@ FRONT_LEVEL = 0.5
 # and its clamped end value for which the window still holds the front's
 # profile.
 REST_TOL = 1e-3
+# The mass-balance speeds are sampled every SAMPLE_DT time units.  A run
+# stops once c_u has moved by less than SETTLE_TOL over SETTLE_LAG time units
+# and c_u and c_v agree within SETTLE_TOL.
+SAMPLE_DT = 0.5
+SETTLE_LAG = 5.0
+SETTLE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
 class SpeedEstimate:
-    """Front speed with regression diagnostics.
+    """Front speed from the mass balance, with its error bar.
 
-    ``front_trace`` is an (n, 2) array of (t, front position in the lab
-    frame).  ``converged`` requires the regression standard error below
-    0.1 * max(|c_hat|, 0.01) and, at the final state, each field within
+    ``c_hat`` is c_u at the last sample; ``stderr`` is the larger of
+    |c_u - c_v| and the range of c_u over the last SETTLE_LAG (inf before
+    t = SETTLE_LAG).  ``front_trace`` is an (n, 2) array of (t, front
+    position in the lab frame) up to the last step.  ``converged`` requires
+    ``stderr`` below 0.1 * max(|c_hat|, 0.01) and each field within
     ``REST_TOL`` of its clamped end value at both outermost interior nodes.
     ``reason`` names why a run did not converge: ``truncation`` (the window
-    cuts the front's profile), ``noisy_fit``, ``lost_crossing`` (the fit window
-    holds a missing crossing, or fewer than three samples), or
-    ``stiff`` for a run that raised :class:`SimulationError` and was
-    recorded without a trace.  ``shifts`` holds one (t, offset) pair per
-    recentring: the time and the window's offset in cells after it.
+    cuts the front's profile), ``not_relaxed`` (the error bar is too wide),
+    or ``stiff`` for a run that raised :class:`SimulationError`, recorded
+    without a trace.  ``shifts`` holds one (t, offset in cells) per recentring.
     """
 
     c_hat: float
@@ -291,16 +293,13 @@ def front_position(xs: np.ndarray, u: np.ndarray, level: float) -> float:
     return float(xs[j - 1] + (xs[j] - xs[j - 1]) * (level - u0) / (u1 - u0))
 
 
-def _ols_slope(t: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of x against t and its standard error."""
-    tbar = t.mean()
-    xbar = x.mean()
-    stt = float(((t - tbar) ** 2).sum())
-    slope = float(((t - tbar) * (x - xbar)).sum()) / stt
-    resid = x - xbar - slope * (t - tbar)
-    dof = max(len(t) - 2, 1)
-    s2 = float((resid**2).sum()) / dof
-    return slope, math.sqrt(s2 / stt)
+def _balance_speeds(params: CompetitionParams, u: np.ndarray, v: np.ndarray,
+                    dx: float) -> tuple[float, float]:
+    """(c_u, c_v): the front speed from the mass balance of u and of v."""
+    c_u = dx * reaction_f(u[1:-1], v[1:-1], params).sum() + (u[-1] - u[-2] - u[1] + u[0]) / dx
+    c_v = (params.r * dx * reaction_g(u[1:-1], v[1:-1], params).sum()
+           + params.d * (v[-1] - v[-2] - v[1] + v[0]) / dx)
+    return float(c_u), float(c_v)
 
 
 def _recentre(arr: np.ndarray, s: int) -> None:
@@ -328,18 +327,19 @@ def estimate_speed(
     """Measure the front speed from a step-initialized run in a co-moving window.
 
     Returns c in the traveling-wave convention (profile of x + c t): c_hat
-    is minus the fitted drift of the u = FRONT_LEVEL crossing.  A negative
-    c_hat means the (0,0) side, species V in the original variables,
-    advances.  At every sampled step where the crossing lies more than L/4
-    from the centre, u and v move back by whole cells to recentre it, and
-    the trace records lab-frame positions.  Non-convergence (window too
-    short for the profile, lost crossing, or a noisy fit) is reported
-    through ``converged`` and ``reason`` rather than an exception so that
-    parameter sweeps can continue past bad points.
+    is c_u (module docstring); c_hat < 0 means the (0,0) side, species V in
+    the original variables, advances.  The run stops at the first sample
+    where it has converged with an error bar below SETTLE_TOL, so a run that
+    does not converge reaches ``config.t_end``.  At every sampled step where
+    the u = FRONT_LEVEL crossing lies more than L/4 from the centre, u and v
+    move back by whole cells to recentre it, and the trace records lab-frame
+    positions.  Non-convergence is reported through ``converged`` and
+    ``reason``, not raised, so that parameter sweeps continue past bad points.
 
     When ``frames`` is a list, the same run appends to it the frames
     (t, x, u, v) of the window, x in the lab frame; until the first shift
-    they are those that :func:`simulate` records from the step profile.
+    they are those that :func:`simulate` records from the step profile, and
+    the last one is the frame at the stop.
     """
     if config is None:
         config = default_config()
@@ -348,13 +348,23 @@ def estimate_speed(
     u, v = step_profile(grid)
     n_steps = config.n_steps
     sample_every = max(1, n_steps // 4000)
+    balance_every = max(1, round(SAMPLE_DT / config.dt))
+    lag = max(1, round(SETTLE_LAG / (balance_every * config.dt)))  # in balance samples
+    history = [_balance_speeds(params, u, v, dx)[0]]  # c_u at steps 0, balance_every, ...
     ts, fronts = [0.0], [front_position(xs, u, FRONT_LEVEL)]
     offset, shifts = 0, []
     if frames is not None:
         frame_every = _frame_every(config)
         frames.append((0.0, xs, u.copy(), v.copy()))
     for k, t in _march(params, config, u, v):
-        if _sampled(k, sample_every, n_steps):
+        balance = k % balance_every == 0 or k == n_steps
+        if balance:
+            c_u, c_v = _balance_speeds(params, u, v, dx)
+            history.append(c_u)
+            j = k // balance_every - lag  # the sample at or before t - SETTLE_LAG
+            drift = max(history[j:]) - min(history[j:]) if j >= 0 else math.inf
+            error = max(drift, abs(c_u - c_v))
+        if balance or k % sample_every == 0:
             x = front_position(xs, u, FRONT_LEVEL)
             ts.append(t)
             fronts.append(offset * dx + x)
@@ -363,25 +373,16 @@ def estimate_speed(
                 _recentre(v, s)
                 offset += s
                 shifts.append((t, offset))
-        if frames is not None and _sampled(k, frame_every, n_steps):
+        if balance:  # the rest gap is judged after the recentre, the speeds before it
+            reason = ("truncation" if _rest_gap(u, v) > REST_TOL else
+                      None if error < 0.1 * max(abs(c_u), 0.01) else "not_relaxed")
+        stop = balance and (k == n_steps or reason is None and error < SETTLE_TOL)
+        if frames is not None and (stop or _sampled(k, frame_every, n_steps)):
             frames.append((t, xs + offset * dx, u.copy(), v.copy()))
+        if stop:
+            break
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
-    shifts = tuple(shifts)
-
-    t_start = (1.0 - config.fit_window) * config.t_end
-    window = trace[trace[:, 0] >= t_start]
-    tw, xw = window[:, 0], window[:, 1]
-    if not (np.isfinite(xw).all() and len(tw) >= 3):
-        return SpeedEstimate(float("nan"), float("inf"), trace, False, "lost_crossing", shifts)
-    slope, stderr = _ols_slope(tw, xw)
-    c_hat = -slope
-    if _rest_gap(u, v) > REST_TOL:
-        reason = "truncation"
-    elif not stderr < 0.1 * max(abs(c_hat), 0.01):
-        reason = "noisy_fit"
-    else:
-        reason = None
-    return SpeedEstimate(c_hat, stderr, trace, reason is None, reason, shifts)
+    return SpeedEstimate(c_u, error, trace, reason is None, reason, tuple(shifts))
 
 
 def _estimate_share(jobs: list) -> list[SpeedEstimate]:

@@ -1,4 +1,4 @@
-"""Reference time steps for ``pde._march``.
+"""Reference time steps for ``pde._march``, and the regression speed estimate.
 
 The semi-implicit step as it was first written: the two species' backward
 Euler diffusion systems are solved separately, and the reaction is stepped
@@ -11,15 +11,23 @@ bit-identical to this loop; the tests compare the two field by field.
 ``march_gtsv`` is the same loop on ``scipy.linalg.solve_banded`` (LAPACK
 ``gtsv``, a pivoting LU that assumes no symmetry); ``pde._march`` must stay
 within rounding of it.
+
+``regression_estimate`` is the speed estimate that the mass balance of
+``pde.estimate_speed`` replaced: it marches to ``t_end`` and fits a line to
+the u = 1/2 crossing over the trailing ``fit_window`` of the run.  The
+tests hold ``pde.estimate_speed``'s converged flags and reasons to it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
+from wavespeed import pde
 from wavespeed.model import CompetitionParams, reaction_f, reaction_g
-from wavespeed.pde import SimConfig, _check_fields
+from wavespeed.pde import SimConfig, SpeedEstimate, _check_fields
 
 
 def _banded_matrix(n_interior: int, rc: float) -> np.ndarray:
@@ -72,3 +80,57 @@ def march_gtsv(params: CompetitionParams, config: SimConfig,
                u: np.ndarray, v: np.ndarray, n_steps: int) -> None:
     """Advance (u, v) in place by ``n_steps`` steps with ``gtsv``, checking every step."""
     _march(_gtsv, params, config, u, v, n_steps)
+
+
+def _ols_slope(t: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of x against t and its standard error."""
+    tbar = t.mean()
+    xbar = x.mean()
+    stt = float(((t - tbar) ** 2).sum())
+    slope = float(((t - tbar) * (x - xbar)).sum()) / stt
+    resid = x - xbar - slope * (t - tbar)
+    dof = max(len(t) - 2, 1)
+    s2 = float((resid**2).sum()) / dof
+    return slope, math.sqrt(s2 / stt)
+
+
+def regression_estimate(params: CompetitionParams, config: SimConfig,
+                        fit_window: float = 0.5) -> SpeedEstimate:
+    """The front speed as minus the fitted drift of the u = 1/2 crossing.
+
+    Marches all of ``config.t_end`` in the co-moving window of
+    ``pde.estimate_speed`` and fits the trailing ``fit_window`` of the run.
+    Reasons: ``truncation`` (rest gap above ``pde.REST_TOL``), then
+    ``lost_crossing`` (a missing crossing or under three samples in the fit
+    window) and ``noisy_fit`` (standard error not below
+    0.1 * max(|c|, 0.01)).
+    """
+    grid = config.grid
+    xs, dx = grid.xs(), grid.dx
+    u, v = pde.step_profile(grid)
+    n_steps = config.n_steps
+    sample_every = max(1, n_steps // 4000)
+    ts, fronts = [0.0], [pde.front_position(xs, u, pde.FRONT_LEVEL)]
+    offset = 0
+    for k, t in pde._march(params, config, u, v):
+        if pde._sampled(k, sample_every, n_steps):
+            x = pde.front_position(xs, u, pde.FRONT_LEVEL)
+            ts.append(t)
+            fronts.append(offset * dx + x)
+            if abs(x) > 0.25 * grid.half_length and (s := round(x / dx)):
+                pde._recentre(u, s)
+                pde._recentre(v, s)
+                offset += s
+    trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
+    window = trace[trace[:, 0] >= (1.0 - fit_window) * config.t_end]
+    tw, xw = window[:, 0], window[:, 1]
+    if not (np.isfinite(xw).all() and len(tw) >= 3):
+        return SpeedEstimate(float("nan"), float("inf"), trace, False, "lost_crossing")
+    slope, stderr = _ols_slope(tw, xw)
+    if pde._rest_gap(u, v) > pde.REST_TOL:
+        reason = "truncation"
+    elif not stderr < 0.1 * max(abs(slope), 0.01):
+        reason = "noisy_fit"
+    else:
+        reason = None
+    return SpeedEstimate(-slope, stderr, trace, reason is None, reason)

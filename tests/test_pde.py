@@ -3,7 +3,7 @@ import math
 import multiprocessing
 import os
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -65,7 +65,7 @@ class TestGridConfig:
         with pytest.raises(ParameterError):
             SimConfig(grid=Grid1D(10.0, 101), dt=-0.1)
         with pytest.raises(ParameterError):
-            SimConfig(grid=Grid1D(10.0, 101), fit_window=1.5)
+            SimConfig(grid=Grid1D(10.0, 101), dt=0.5, t_end=0.5)
 
 
 class TestSimulate:
@@ -283,7 +283,10 @@ class TestCoMovingWindow:
         ((4000, 40, 1.5, 3), default_config(L=20.0, t_end=120.0)),
         # A fast front in a short window.
         ((5, 1, 5, 2), coarse_config(L=10.0, t_end=60.0)),
-    ], ids=["oracle_scan_cell", "fast_front"])
+        # c = -81 recentres every few steps; the rest gap is judged after the
+        # recentre, as the regression judged it, not before.
+        ((4183.5, 40, 41.84, 3), default_config(L=60.0, t_end=120.0)),
+    ], ids=["oracle_scan_cell", "fast_front", "judged_after_the_recentre"])
     def test_window_shorter_than_the_profile_is_truncation(self, point, config):
         est = estimate_speed(validate(*point), config)
         assert not est.converged
@@ -294,15 +297,16 @@ class TestCoMovingWindow:
         assert est.converged and est.reason is None
         assert abs(est.c_hat + 0.46209) < 2e-3
 
-    @pytest.mark.parametrize("overrides, reason", [
-        ({"t_end": 3.0}, "noisy_fit"),
-        ({"t_end": 5.0, "fit_window": 0.01}, "lost_crossing"),
-    ])
-    def test_reason_of_a_failed_fit(self, overrides, reason):
+    @pytest.mark.parametrize("t_end, error", [(3.0, math.inf), (5.0, 1.2603)],
+                             ids=["shorter_than_the_lag", "still_drifting"])
+    def test_reason_of_a_failed_fit(self, t_end, error):
+        # Before t = SETTLE_LAG the drift is unknown; from t = 0 to 5, c_u
+        # spans 1.2603 (it starts at -1.249 and ends at 0.009).
         est = estimate_speed(validate(1, 1, 2, 2),
-                             default_config(L=10.0, dx=0.5, dt=0.1, **overrides))
+                             default_config(L=10.0, dx=0.5, dt=0.1, t_end=t_end))
         assert not est.converged
-        assert est.reason == reason
+        assert est.reason == "not_relaxed"
+        assert est.stderr == pytest.approx(error, rel=1e-4)
 
 
 class TestRefineCheck:
@@ -355,6 +359,55 @@ class TestReflectionIdentity:
         b = estimate_speed(reflect(params), cfg)
         assume(a.converged and b.converged)
         assert abs(a.c_hat + math.sqrt(params.d * params.r) * b.c_hat) <= 0.03
+
+
+def _marched_to_the_cap(params, config):
+    """``estimate_speed`` with no stop: no error bar is below a tolerance of 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "SETTLE_TOL", 0.0)
+        return estimate_speed(params, config)
+
+
+# The regression's reasons for an unsettled speed, in the mass balance's terms.
+_BALANCE_REASON = {"noisy_fit": "not_relaxed", "lost_crossing": "not_relaxed"}
+
+
+class TestStoppedRun:
+    """The stopped mass-balance speed against the run marched to its cap and
+    against the regression estimate that it replaced (``reference_pde``)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-0.3, 0.3), st.floats(1.2, 4.0), st.floats(1.2, 4.0))
+    @example(-0.375, 0.0, 1.3125, 3.875)
+    def test_box_matches_the_regression_and_the_capped_run(self, log_d, log_r, k1, k2):
+        # The box and grid of test_exchange_identity_on_a_box.  At the
+        # example's reflection c_u swings over 1.9e-4 with the recentring
+        # period of 4.95 time units, about SETTLE_LAG: a drift read between
+        # the lag's two ends alone stops 1.3e-4 from the capped run.
+        params = validate(10.0**log_d, 10.0**log_r, k1, k2)
+        cfg = default_config(L=20.0, dx=0.2, dt=0.05, t_end=100.0)
+        for point in (params, reflect(params)):
+            est = estimate_speed(point, cfg)
+            ref = reference_pde.regression_estimate(point, cfg)
+            assert est.converged == ref.converged
+            assert est.reason == _BALANCE_REASON.get(ref.reason, ref.reason)
+            if est.converged:
+                assert abs(est.c_hat - _marched_to_the_cap(point, cfg).c_hat) <= 1e-4
+
+    @pytest.mark.slow
+    def test_anchors_stop_within_1e_5_of_the_capped_run(self):
+        # The eight anchors of bench/reference_speeds.json at the CLI defaults.
+        anchors = [(5.5, 1, 11 / 6, 11 / 6), (1, 30, 2, 2), (2, 1, 1.5, 2.5), (11, 1, 3, 3),
+                   (7, 1, 1.8, 2), (1 / 11, 1, 3, 3), (0.05, 1, 8, 2), (1, 1, 40, 2)]
+        jobs = [(validate(*point), default_config()) for point in anchors]
+        stopped = estimate_speeds(jobs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "SETTLE_TOL", 0.0)
+            capped = estimate_speeds(jobs)  # forked workers inherit the patch
+        for point, a, b in zip(anchors, stopped, capped):
+            assert a.converged and b.converged, point
+            assert a.front_trace[-1, 0] < 30.0 and b.front_trace[-1, 0] == pytest.approx(400.0)
+            assert abs(a.c_hat - b.c_hat) <= 1e-5, point
 
 
 MARCH_POINTS = [(1, 1, 2, 1.5), (7, 1, 1.8, 2), (0.05, 1, 8, 2), (1, 30, 2, 2)]
@@ -427,7 +480,9 @@ class TestMarch:
         assert str(info.value) == "instability: v in [0, 1.202] at t=0.02"
 
     def test_one_solve_and_one_reaction_pair_per_step(self, monkeypatch):
-        # Tools that time the step rebind these names; each must see every step.
+        # Tools that time the step rebind these names; each must see every
+        # step taken, and the reaction pair also every mass-balance sample:
+        # at t = 0 and every SAMPLE_DT = 10 steps.
         counts = {}
         for name in ("solve_banded", "reaction_f", "reaction_g"):
             def counted(*args, _fn=getattr(pde, name), _name=name):
@@ -435,17 +490,24 @@ class TestMarch:
                 return _fn(*args)
             monkeypatch.setattr(pde, name, counted)
         cfg = coarse_config(t_end=6.0)
-        estimate_speed(validate(7, 1, 1.8, 2), cfg)
-        assert counts == dict.fromkeys(("solve_banded", "reaction_f", "reaction_g"),
-                                       cfg.n_steps)
+        est = estimate_speed(validate(7, 1, 1.8, 2), cfg)
+        steps = round(est.front_trace[-1, 0] / cfg.dt)
+        assert steps == cfg.n_steps == 120
+        assert counts == {"solve_banded": steps, "reaction_f": steps + 1 + steps // 10,
+                          "reaction_g": steps + 1 + steps // 10}
 
     def test_estimate_records_the_frames_of_simulate(self):
+        # The frames are those simulate records every 3 steps up to the
+        # stop, then the frame at the stop.
         params = validate(7, 1, 1.8, 2)
         cfg = coarse_config(t_end=30.0)
         frames = []
         est = estimate_speed(params, cfg, frames=frames)
-        expected = simulate(params, cfg, step_profile(cfg.grid))
-        assert len(frames) == len(expected) == 201
+        every_step = simulate(params, cfg, step_profile(cfg.grid), record_every=1)
+        stop = round(est.front_trace[-1, 0] / cfg.dt)
+        assert est.converged and not est.shifts and stop == 550 < cfg.n_steps
+        expected = every_step[:stop:3] + [every_step[stop]]
+        assert len(frames) == len(expected) == 185
         for (t, x, u, v), (t_ref, x_ref, u_ref, v_ref) in zip(frames, expected):
             assert t == t_ref and np.array_equal(x, x_ref)
             assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)

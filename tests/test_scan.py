@@ -401,12 +401,12 @@ def plane_specs(draw, max_cells=12):
     return plane_spec(plane, **fields)
 
 
-# Oracle estimates as the CSV sees them: converged, a noisy fit, and a
-# stiff run recorded as nan, inf.
+# Oracle estimates as the CSV sees them: converged, a speed still moving at
+# the cap, and a stiff run recorded as nan, inf.
 speed_estimates = st.one_of(
     st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), True),
               st.floats(-3.0, 3.0), st.floats(0.0, 0.1)),
-    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), False, "noisy_fit"),
+    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), False, "not_relaxed"),
               st.floats(-3.0, 3.0), st.floats(0.0, 10.0)),
     st.just(SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")),
 )
