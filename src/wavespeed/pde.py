@@ -1,4 +1,4 @@
-"""Direct front-speed oracle: simulate the cooperative system and time the front.
+"""Direct front-speed oracle: march the cooperative system and read the front's speed.
 
 The cooperative system
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -80,7 +80,9 @@ class SimConfig:
 
     ``estimate_speed`` stops once the speed has settled (at the defaults,
     by about t = 30) and recentres the front, so L only has to hold the
-    front's profile.  ``fit_window`` is a constant for readers of the trace.
+    front's profile.  The cap also sets how often the front is tracked,
+    which can move c_hat by 1e-8 (``estimate_speed``).  ``fit_window`` is
+    a constant for readers of the trace.
     """
 
     grid: Grid1D
@@ -205,10 +207,9 @@ def _march(params: CompetitionParams, config: SimConfig,
     The diffusion matrix of the stacked interior [u; v] is factored once;
     each step writes both right-hand sides into one buffer and solves them
     with one ``solve_banded`` call.  The solution is checked against the
-    box in one pass; the boundary nodes lie in [0, 1] (``simulate`` and
-    ``step_profile`` see to it), so only a failed pass needs
-    ``_check_fields`` to name the field and raise.  Yields (k, t) after
-    every step k.
+    box in one pass; the caller keeps the boundary nodes in [0, 1], as
+    ``step_profile`` does, so only a failed pass needs ``_check_fields``
+    to name the field and raise.  Yields (k, t) after every step k.
     """
     dt, dx = config.dt, config.grid.dx
     rc_u = dt / (dx * dx)
@@ -233,51 +234,6 @@ def _march(params: CompetitionParams, config: SimConfig,
         if not (x.min() >= FIELD_LO and x.max() <= FIELD_HI):
             _check_fields(u, v, t)
         yield k, t
-
-
-def _sampled(k: int, every: int, n_steps: int) -> bool:
-    """Whether step ``k`` is sampled: every ``every``-th step and the last one."""
-    return k % every == 0 or k == n_steps
-
-
-def _frame_every(config: SimConfig) -> int:
-    """Default frame spacing in steps: about 200 frames per run."""
-    return max(1, config.n_steps // 200)
-
-
-def simulate(
-    params: CompetitionParams,
-    config: SimConfig,
-    init: tuple[np.ndarray, np.ndarray],
-    record_every: int | None = None,
-) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """Evolve the cooperative system; return sampled frames (t, x, u, v).
-
-    Every frame shares the grid's ``x`` array.  ``init`` must be finite
-    and lie componentwise in [0, 1]; :func:`_march` relies on its end
-    values doing so.  The scheme preserves that box (the reaction
-    pushes inward on its faces and the implicit diffusion solve is an
-    M-matrix inverse), so any visible excursion signals instability and
-    raises :class:`SimulationError`.
-    """
-    u0, v0 = init
-    n = config.grid.n_points
-    if len(u0) != n or len(v0) != n:
-        raise ParameterError("initial fields do not match the grid")
-    # NaN fails every comparison, so it is rejected with the out-of-box values.
-    if not all(0.0 <= f.min() and f.max() <= 1.0 for f in (u0, v0)):
-        raise ParameterError("initial fields must lie in [0, 1]^2")
-
-    if record_every is None:
-        record_every = _frame_every(config)
-    xs = config.grid.xs()
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
-    frames = [(0.0, xs, u.copy(), v.copy())]
-    for k, t in _march(params, config, u, v):
-        if _sampled(k, record_every, config.n_steps):
-            frames.append((t, xs, u.copy(), v.copy()))
-    return frames
 
 
 def front_position(xs: np.ndarray, u: np.ndarray, level: float) -> float:
@@ -330,16 +286,21 @@ def estimate_speed(
     is c_u (module docstring); c_hat < 0 means the (0,0) side, species V in
     the original variables, advances.  The run stops at the first sample
     where it has converged with an error bar below SETTLE_TOL, so a run that
-    does not converge reaches ``config.t_end``.  At every sampled step where
-    the u = FRONT_LEVEL crossing lies more than L/4 from the centre, u and v
-    move back by whole cells to recentre it, and the trace records lab-frame
-    positions.  Non-convergence is reported through ``converged`` and
-    ``reason``, not raised, so that parameter sweeps continue past bad points.
+    does not converge reaches ``config.t_end``.  At every sample, and every
+    ``max(1, n_steps // 4000)``-th step, where the u = FRONT_LEVEL crossing
+    lies more than L/4 from the centre, u and v move back by whole cells to
+    recentre it, and the trace records lab-frame positions.  That cadence
+    depends on the cap, which therefore moves the recentres, and c_hat, of
+    a run that stops long before it: (11, 1, 3, 3) recentres once, at
+    t = 18.6 under ``t_end`` 400 and at 18.58 under 100, and reads c_hat =
+    -0.461523300698 and -0.461523270849, inside its 9.7e-6 error bar.
+    Non-convergence is reported through ``converged`` and ``reason``, not
+    raised, so that parameter sweeps continue past bad points.
 
     When ``frames`` is a list, the same run appends to it the frames
-    (t, x, u, v) of the window, x in the lab frame; until the first shift
-    they are those that :func:`simulate` records from the step profile, and
-    the last one is the frame at the stop.
+    (t, x, u, v) of the window, x in the lab frame: the step profile, the
+    state after every ``max(1, n_steps // 200)``-th step, and the state at
+    the stop.
     """
     if config is None:
         config = default_config()
@@ -354,7 +315,7 @@ def estimate_speed(
     ts, fronts = [0.0], [front_position(xs, u, FRONT_LEVEL)]
     offset, shifts = 0, []
     if frames is not None:
-        frame_every = _frame_every(config)
+        frame_every = max(1, n_steps // 200)
         frames.append((0.0, xs, u.copy(), v.copy()))
     for k, t in _march(params, config, u, v):
         balance = k % balance_every == 0 or k == n_steps
@@ -377,7 +338,7 @@ def estimate_speed(
             reason = ("truncation" if _rest_gap(u, v) > REST_TOL else
                       None if error < 0.1 * max(abs(c_u), 0.01) else "not_relaxed")
         stop = balance and (k == n_steps or reason is None and error < SETTLE_TOL)
-        if frames is not None and (stop or _sampled(k, frame_every, n_steps)):
+        if frames is not None and (stop or k % frame_every == 0):
             frames.append((t, xs + offset * dx, u.copy(), v.copy()))
         if stop:
             break
@@ -412,28 +373,6 @@ def estimate_speeds(jobs: list) -> list[SpeedEstimate]:
         futures = [pool.submit(_estimate_share, jobs[j::n]) for j in range(1, n)]
         shares = [_estimate_share(jobs[::n])] + [future.result() for future in futures]
     return [shares[i % n][i // n] for i in range(len(jobs))]
-
-
-def refine_check(
-    params: CompetitionParams, config: SimConfig | None = None
-) -> tuple[SpeedEstimate, SpeedEstimate, bool]:
-    """Repeat the measurement at halved dx (and dt) and compare.
-
-    Agreement means |c1 - c2| < max(0.01, 0.1 |c1|).  dt is halved with dx:
-    the implicit diffusion imposes no step restriction, and halving keeps
-    the first-order temporal error in step with the spatial refinement.
-    """
-    if config is None:
-        config = default_config()
-    fine = replace(
-        config,
-        grid=Grid1D(config.grid.half_length, 2 * (config.grid.n_points - 1) + 1),
-        dt=config.dt / 2.0,
-    )
-    est1 = estimate_speed(params, config)
-    est2 = estimate_speed(params, fine)
-    agree = abs(est1.c_hat - est2.c_hat) < max(0.01, 0.1 * abs(est1.c_hat))
-    return est1, est2, agree
 
 
 def dump_trajectory(frames: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]],

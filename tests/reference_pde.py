@@ -15,7 +15,8 @@ within rounding of it.
 ``regression_estimate`` is the speed estimate that the mass balance of
 ``pde.estimate_speed`` replaced: it marches to ``t_end`` and fits a line to
 the u = 1/2 crossing over the trailing ``fit_window`` of the run.  The
-tests hold ``pde.estimate_speed``'s converged flags and reasons to it.
+tests hold ``pde.estimate_speed``'s converged flags and reasons to it, and
+its stopped c_hat to the mass-balance c_u that this run reads at ``t_end``.
 """
 
 from __future__ import annotations
@@ -95,15 +96,17 @@ def _ols_slope(t: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 
 
 def regression_estimate(params: CompetitionParams, config: SimConfig,
-                        fit_window: float = 0.5) -> SpeedEstimate:
-    """The front speed as minus the fitted drift of the u = 1/2 crossing.
+                        fit_window: float = 0.5) -> tuple[SpeedEstimate, float]:
+    """The front speed as minus the fitted drift of the u = 1/2 crossing,
+    and the mass-balance c_u at ``config.t_end``.
 
     Marches all of ``config.t_end`` in the co-moving window of
     ``pde.estimate_speed`` and fits the trailing ``fit_window`` of the run.
     Reasons: ``truncation`` (rest gap above ``pde.REST_TOL``), then
     ``lost_crossing`` (a missing crossing or under three samples in the fit
     window) and ``noisy_fit`` (standard error not below
-    0.1 * max(|c|, 0.01)).
+    0.1 * max(|c|, 0.01)).  c_u is read before the last step's recentre,
+    as ``pde.estimate_speed`` reads it.
     """
     grid = config.grid
     xs, dx = grid.xs(), grid.dx
@@ -113,7 +116,9 @@ def regression_estimate(params: CompetitionParams, config: SimConfig,
     ts, fronts = [0.0], [pde.front_position(xs, u, pde.FRONT_LEVEL)]
     offset = 0
     for k, t in pde._march(params, config, u, v):
-        if pde._sampled(k, sample_every, n_steps):
+        if k == n_steps:
+            c_u = pde._balance_speeds(params, u, v, dx)[0]
+        if k % sample_every == 0 or k == n_steps:
             x = pde.front_position(xs, u, pde.FRONT_LEVEL)
             ts.append(t)
             fronts.append(offset * dx + x)
@@ -125,7 +130,7 @@ def regression_estimate(params: CompetitionParams, config: SimConfig,
     window = trace[trace[:, 0] >= (1.0 - fit_window) * config.t_end]
     tw, xw = window[:, 0], window[:, 1]
     if not (np.isfinite(xw).all() and len(tw) >= 3):
-        return SpeedEstimate(float("nan"), float("inf"), trace, False, "lost_crossing")
+        return SpeedEstimate(float("nan"), float("inf"), trace, False, "lost_crossing"), c_u
     slope, stderr = _ols_slope(tw, xw)
     if pde._rest_gap(u, v) > pde.REST_TOL:
         reason = "truncation"
@@ -133,4 +138,4 @@ def regression_estimate(params: CompetitionParams, config: SimConfig,
         reason = "noisy_fit"
     else:
         reason = None
-    return SpeedEstimate(-slope, stderr, trace, reason is None, reason)
+    return SpeedEstimate(-slope, stderr, trace, reason is None, reason), c_u

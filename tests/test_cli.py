@@ -653,3 +653,16 @@ def test_readme_imports_are_the_package_surface():
     for module, names in imports:
         for name in names.split(", "):
             assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_console_script_runs_classify(capsys, monkeypatch):
+    # The installed `wavespeed` command is the [project.scripts] entry point.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["wavespeed"]
+    module, _, name = target.partition(":")
+    monkeypatch.setattr(sys, "argv", ["wavespeed", "classify", "11", "1", "3", "3"])
+    with pytest.raises(SystemExit) as exc:
+        getattr(importlib.import_module(module), name)()
+    assert exc.value.code == 0
+    assert "verdict: Negative" in capsys.readouterr().out

@@ -143,15 +143,6 @@ class TestS1S2:
         p = validate(5.0, 1, k, k)
         assert hit(p, CriterionId.N1) and not hit(p, CriterionId.S1)
 
-    def test_agrees_with_general_criteria_on_diagonal(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            d = 10.0 ** rng.uniform(-2, 2)
-            k = 1.0 + 10.0 ** rng.uniform(-2, 1)
-            p = validate(d, 1.0, k, k)
-            assert hit(p, CriterionId.S1) == hit(p, CriterionId.N1)
-            assert hit(p, CriterionId.S2) == hit(p, CriterionId.N2)
-
 
 class TestDegenerate:
     def test_bound_value(self):
