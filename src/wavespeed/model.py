@@ -12,14 +12,17 @@ The change of variables (u, v) = (U, 1 - V) turns it into a cooperative
 system with reactions ``reaction_f`` and ``reaction_g`` below; that frame is
 where all comparison arguments and the PDE front-speed oracle live.
 
-Everything here is a pure function of its inputs; parameter objects are
-frozen and safe to share across threads.
+Everything here is a function of its inputs alone: the reactions write
+into the caller's ``out`` array when one is given, and change nothing else.
+Parameter objects are frozen and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -75,15 +78,33 @@ def validate(d, r, k1, k2) -> CompetitionParams:
     return CompetitionParams(float(d), float(r), float(k1), float(k2))
 
 
-def reaction_f(u, v, params: CompetitionParams):
+def reaction_f(u, v, params: CompetitionParams, out=None):
     """Cooperative reaction for u: u (1 - u - k1 (1 - v)).
 
     Defined for all real (u, v); vanishes identically on u = 0 and at (1, 1).
-    Accepts scalars or numpy arrays.
+    Accepts scalars or numpy arrays.  Given a float array ``out`` of the
+    common shape, writes the same bits into it, with one temporary, and
+    returns it; ``out`` must not share memory with ``u``.
     """
-    return u * (1.0 - u - params.k1 * (1.0 - v))
+    if out is None:
+        return u * (1.0 - u - params.k1 * (1.0 - v))
+    one_minus_u = 1.0 - u
+    np.subtract(1.0, v, out=out)
+    out *= params.k1
+    np.subtract(one_minus_u, out, out=out)
+    out *= u
+    return out
 
 
-def reaction_g(u, v, params: CompetitionParams):
-    """Cooperative reaction for v: (1 - v) (k2 u - v); vanishes on v = 1."""
-    return (1.0 - v) * (params.k2 * u - v)
+def reaction_g(u, v, params: CompetitionParams, out=None):
+    """Cooperative reaction for v: (1 - v) (k2 u - v); vanishes on v = 1.
+
+    ``out`` as for :func:`reaction_f`; it must not share memory with ``v``.
+    """
+    if out is None:
+        return (1.0 - v) * (params.k2 * u - v)
+    one_minus_v = 1.0 - v
+    np.multiply(params.k2, u, out=out)
+    out -= v
+    out *= one_minus_v
+    return out

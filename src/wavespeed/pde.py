@@ -206,12 +206,18 @@ def _march(params: CompetitionParams, config: SimConfig,
 
     The diffusion matrix of the stacked interior [u; v] is factored once;
     each step writes both right-hand sides into one buffer and solves them
-    with one ``solve_banded`` call.  The solution is checked against the
-    box in one pass; the caller keeps the boundary nodes in [0, 1], as
-    ``step_profile`` does, so only a failed pass needs ``_check_fields``
-    to name the field and raise.  Yields (k, t) after every step k.
+    with one ``solve_banded`` call.  The reactions write straight into
+    that buffer, which is then scaled by dt (dt r for v) and added to the
+    fields: a step allocates only the reactions' temporaries ``1 - u`` and
+    ``1 - v``, and gives the bits of ``u + dt f`` and ``v + (dt r) g``.
+    The clamped ends' terms are formed once.  The solution is checked
+    against the box in one pass; the caller keeps the boundary nodes in
+    [0, 1], as ``step_profile`` does, so only a failed pass needs
+    ``_check_fields`` to name the field and raise.  Yields (k, t) after
+    every step k.
     """
     dt, dx = config.dt, config.grid.dx
+    dt_r = dt * params.r
     rc_u = dt / (dx * dx)
     rc_v = params.d * dt / (dx * dx)
     n = config.grid.n_points - 2
@@ -219,13 +225,21 @@ def _march(params: CompetitionParams, config: SimConfig,
     rhs = np.empty(2 * n)
     rhs_u, rhs_v = rhs[:n], rhs[n:]
     u_in, v_in = u[1:-1], v[1:-1]
+    u_lo, u_hi = rc_u * u[0], rc_u * u[-1]
+    v_lo, v_hi = rc_v * v[0], rc_v * v[-1]
     for k in range(1, config.n_steps + 1):
-        np.add(u_in, dt * reaction_f(u_in, v_in, params), out=rhs_u)
-        np.add(v_in, dt * params.r * reaction_g(u_in, v_in, params), out=rhs_v)
-        rhs_u[0] += rc_u * u[0]
-        rhs_u[-1] += rc_u * u[-1]
-        rhs_v[0] += rc_v * v[0]
-        rhs_v[-1] += rc_v * v[-1]
+        # The buffer goes positionally: tools that rebind the reactions
+        # (bench/spans.py) may forward only positional arguments.
+        reaction_f(u_in, v_in, params, rhs_u)
+        rhs_u *= dt
+        rhs_u += u_in
+        reaction_g(u_in, v_in, params, rhs_v)
+        rhs_v *= dt_r
+        rhs_v += v_in
+        rhs_u[0] += u_lo
+        rhs_u[-1] += u_hi
+        rhs_v[0] += v_lo
+        rhs_v[-1] += v_hi
         x = solve_banded(factors, rhs)
         u_in[:] = x[:n]
         v_in[:] = x[n:]
@@ -242,11 +256,13 @@ def front_position(xs: np.ndarray, u: np.ndarray, level: float) -> float:
     Returns NaN when the field never crosses the level inside the domain.
     """
     # argmax is 0 both when the first node is above and when none is.
-    j = int(np.argmax(u >= level))
+    j = int((u >= level).argmax())
     if j == 0:
         return float("nan")
-    u0, u1 = u[j - 1], u[j]  # u0 < level <= u1, or u0 is nan: never equal
-    return float(xs[j - 1] + (xs[j] - xs[j - 1]) * (level - u0) / (u1 - u0))
+    # Python floats: the same IEEE operations as on numpy scalars, but faster.
+    x0, x1 = xs[j - 1:j + 1].tolist()
+    u0, u1 = u[j - 1:j + 1].tolist()  # u0 < level <= u1, or u0 is nan: never equal
+    return x0 + (x1 - x0) * (level - u0) / (u1 - u0)
 
 
 def _balance_speeds(params: CompetitionParams, u: np.ndarray, v: np.ndarray,

@@ -7,6 +7,9 @@ with ``scipy.linalg.solveh_banded`` (LAPACK ``ptsv``, which factors the
 matrix as L D L^T on every call).  ``pde._march`` factors the stacked
 system once with the same algorithm (``dpttrf``/``dpttrs``) and must stay
 bit-identical to this loop; the tests compare the two field by field.
+The reactions are written out here as plain expressions, independent of
+``model.reaction_f`` and ``reaction_g`` and of the buffers ``pde._march``
+computes them in.
 
 ``march_gtsv`` is the same loop on ``scipy.linalg.solve_banded`` (LAPACK
 ``gtsv``, a pivoting LU that assumes no symmetry); ``pde._march`` must stay
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
 from wavespeed import pde
-from wavespeed.model import CompetitionParams, reaction_f, reaction_g
+from wavespeed.model import CompetitionParams
 from wavespeed.pde import SimConfig, SpeedEstimate, _check_fields
 
 
@@ -59,9 +62,11 @@ def _march(solver, params: CompetitionParams, config: SimConfig,
     n_int = config.grid.n_points - 2
     solve_u = solver(n_int, rc_u)
     solve_v = solver(n_int, rc_v)
+    k1, k2 = params.k1, params.k2
     for k in range(1, n_steps + 1):
-        rhs_u = u[1:-1] + dt * reaction_f(u[1:-1], v[1:-1], params)
-        rhs_v = v[1:-1] + dt * params.r * reaction_g(u[1:-1], v[1:-1], params)
+        ui, vi = u[1:-1], v[1:-1]
+        rhs_u = ui + dt * (ui * (1.0 - ui - k1 * (1.0 - vi)))
+        rhs_v = vi + dt * params.r * ((1.0 - vi) * (k2 * ui - vi))
         rhs_u[0] += rc_u * u[0]
         rhs_u[-1] += rc_u * u[-1]
         rhs_v[0] += rc_v * v[0]

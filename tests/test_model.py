@@ -1,3 +1,4 @@
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
@@ -99,6 +100,28 @@ class TestReactions:
         dgdu = (reaction_g(u + h, v, p) - reaction_g(u - h, v, p)) / (2 * h)
         assert dfdv.min() >= -1e-9
         assert dgdu.min() >= -1e-9
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-0.05, 1.05), min_size=2 * n, max_size=2 * n),
+        st.integers(0, 2 * n - 1),
+    )), st.floats(1.01, 50.0), st.floats(1.01, 50.0))
+    def test_out_holds_the_plain_expression(self, case, k1, k2):
+        # The pde step computes both reactions into its right-hand side; the
+        # bits must be those of the expression as written, NaN included.
+        values, nan_at = case
+        uv = np.array(values)
+        uv[nan_at] = np.nan
+        u, v = uv[:len(uv) // 2], uv[len(uv) // 2:]
+        p = validate(1, 1, k1, k2)
+        for reaction, plain in ((reaction_f, u * (1.0 - u - k1 * (1.0 - v))),
+                                (reaction_g, (1.0 - v) * (k2 * u - v))):
+            out = np.empty_like(u)
+            assert reaction(u, v, p, out) is out
+            assert np.array_equal(out, plain, equal_nan=True)
+            assert np.array_equal(reaction(u, v, p), plain, equal_nan=True)
+            scalars = [reaction(a, b, p) for a, b in zip(u.tolist(), v.tolist())]
+            assert all(type(c) is float for c in scalars)
+            assert np.array_equal(scalars, plain, equal_nan=True)
 
 
 class TestCooperativeTransform:

@@ -366,6 +366,10 @@ def _marched_to_the_cap(params, config):
 _BALANCE_REASON = {"noisy_fit": "not_relaxed", "lost_crossing": "not_relaxed"}
 
 
+def _disagrees(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
 class TestStoppedRun:
     """The stopped mass-balance speed against the run marched to its cap and
     against the regression estimate that it replaced (``reference_pde``)."""
@@ -378,6 +382,24 @@ class TestStoppedRun:
         # example's reflection c_u swings over 1.9e-4 with the recentring
         # period of 4.95 time units, about SETTLE_LAG: a drift read between
         # the lag's two ends alone stops 1.3e-4 from the capped run.
+        self._matches_the_regression_and_the_capped_run(log_d, log_r, k1, k2)
+
+    # Two box points where the stopped run and the regression disagree.
+    # The derandomized draws of the box test reach them when the collected
+    # modules' literals change, as in a run of a subset of the test files.
+    @pytest.mark.parametrize("log_d, log_r, k1, k2", [
+        pytest.param(1.0, 0.0, 1.203125, 1.5, marks=_disagrees(
+            "at (10, 1, 1.203125, 1.5) the stopped run is not_relaxed, its error bar "
+            "0.020 against a 0.0181 limit, while the regression converges")),
+        pytest.param(0.0, 0.0, 1.5, 1.203125, marks=_disagrees(
+            "at the reflection (1, 1, 1.203125, 1.5) the stop lies 1.46e-4 from the "
+            "capped c_u, with an error bar of 8.0e-6")),
+    ])
+    def test_box_points_where_the_stop_disagrees(self, log_d, log_r, k1, k2):
+        self._matches_the_regression_and_the_capped_run(log_d, log_r, k1, k2)
+
+    @staticmethod
+    def _matches_the_regression_and_the_capped_run(log_d, log_r, k1, k2):
         params = validate(10.0**log_d, 10.0**log_r, k1, k2)
         cfg = default_config(L=20.0, dx=0.2, dt=0.05, t_end=100.0)
         for point in (params, reflect(params)):
@@ -415,6 +437,9 @@ class TestStoppedRun:
 
 
 MARCH_POINTS = [(1, 1, 2, 1.5), (7, 1, 1.8, 2), (0.05, 1, 8, 2), (1, 30, 2, 2)]
+# The top row of the oracle-scan plane: rc_v = 8000, and the front crosses
+# about 16 cells a step.
+ORACLE_TOP_ROW = (4000, 40, 40, 3)
 
 
 def _outcome(run) -> str | None:
@@ -441,7 +466,7 @@ class TestMarch:
         assert steps == list(range(1, 301))
         return u, v, u_ref, v_ref
 
-    @pytest.mark.parametrize("point", MARCH_POINTS)
+    @pytest.mark.parametrize("point", MARCH_POINTS + [ORACLE_TOP_ROW])
     def test_bit_identical_to_reference(self, point):
         u, v, u_ref, v_ref = self._both(point, reference_pde.march)
         assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
