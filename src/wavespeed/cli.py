@@ -56,7 +56,7 @@ variable > config file > current directory.
 _TRUE = ("1", "true", "yes", "on")
 # Options of `speed` that are keywords of pde.default_config, with their help.
 _PDE_SETTINGS = {
-    "L": "half-length of the co-moving window",
+    "L": "starting half-length of the co-moving window, which grows to hold the front's tails",
     "dx": "grid spacing",
     "dt": "time step",
     "t_end": "cap on the run's length",
@@ -142,8 +142,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_scan.add_argument("--log", action="store_const", const=True,
                         help="log scale on both axes (default: the plane's)")
     p_scan.add_argument("--with-pde", action="store_true",
-                        help="run the speed oracle on a strided subsample, one share per CPU "
-                             "of the affinity mask (same output; taskset -c 0: one process)")
+                        help="run the speed oracle on a strided subsample, one process per CPU "
+                             "of the affinity mask, each taking the next point as it finishes "
+                             "one (same output; taskset -c 0: one process)")
     p_scan.add_argument("--k2", type=float)
     p_scan.add_argument("--r", type=float)
     p_scan.add_argument("--out-prefix", default="scan")

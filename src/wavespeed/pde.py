@@ -21,24 +21,27 @@ The speed comes from the mass balance: a front phi(x + c t) with u -> 0 at
 -L and 1 at +L gains u-mass at rate c = int f dx + [u_x], and v-mass at
 rate c = r int g dx + d [v_x].  The run forms both, c_u and c_v, and stops
 once they agree and have settled; ``t_end`` is a cap.  The u = 1/2 level
-crossing, found by linear interpolation, drives a co-moving window:
-whenever it strays more than a quarter of the half-length from the centre,
-the fields move back by whole cells (an exact copy, no interpolation) and
-the far field is refilled with the resting states.  The window therefore
-only has to hold the front's profile, not the distance it travels, and
-positions are reported in the lab frame.  A run whose final state still
-differs from the resting states next to the boundaries was truncated by the
-window and does not converge.  Sign convention: the wave profile translates
-as phi(x + c t), so the level set moves at -c; a front drifting toward -x
-means c > 0.  The convention is pinned in the tests against a parameter
-point with independently certified negative speed.
+crossing, found by linear interpolation after every step, drives a
+co-moving window: whenever it is more than a cell from the centre, the
+fields move back by whole cells (an exact copy, no interpolation) and the
+far field is refilled with the resting states.  The window therefore only
+has to hold the front's profile, not the distance it travels, and
+positions are reported in the lab frame.  Where the profile's tails reach
+the window's ends, the window grows to hold them: its half-length becomes
+TAIL_SPAN decay lengths of the slowest tail, linearised at the resting
+states, up to GROW_LIMIT times the starting one.  A run whose final state
+still differs from the resting states next to the boundaries was truncated
+by the window and does not converge.  Sign convention: the wave profile
+translates as phi(x + c t), so the level set moves at -c; a front drifting
+toward -x means c > 0.  The convention is pinned in the tests against a
+parameter point with independently certified negative speed.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -80,9 +83,8 @@ class SimConfig:
 
     ``estimate_speed`` stops once the speed has settled (at the defaults,
     by about t = 30) and recentres the front, so L only has to hold the
-    front's profile.  The cap also sets how often the front is tracked,
-    which can move c_hat by 1e-8 (``estimate_speed``).  ``fit_window`` is
-    a constant for readers of the trace.
+    front's profile; ``grid`` is the window it starts from.  ``fit_window``
+    is a constant for readers of the trace.
     """
 
     grid: Grid1D
@@ -123,6 +125,14 @@ REST_TOL = 1e-3
 SAMPLE_DT = 0.5
 SETTLE_LAG = 5.0
 SETTLE_TOL = 1e-5
+# A window grows (``_Window.grow``) to TAIL_SPAN decay lengths of the front's
+# slowest linearised tail once that asks for more than GROW_SLACK times its
+# half-length and the rest gap exceeds GROW_GAP; never beyond GROW_LIMIT
+# times the starting half-length.
+TAIL_SPAN = 20.0
+GROW_SLACK = 1.25
+GROW_GAP = REST_TOL / 100
+GROW_LIMIT = 8.0
 
 
 @dataclass(frozen=True)
@@ -138,7 +148,9 @@ class SpeedEstimate:
     ``reason`` names why a run did not converge: ``truncation`` (the window
     cuts the front's profile), ``not_relaxed`` (the error bar is too wide),
     or ``stiff`` for a run that raised :class:`SimulationError`, recorded
-    without a trace.  ``shifts`` holds one (t, offset in cells) per recentring.
+    without a trace.  ``shifts`` holds one (t, offset in cells) per recentring
+    and ``half_length`` the window's at the end of the run (None for
+    ``stiff``).
     """
 
     c_hat: float
@@ -147,6 +159,7 @@ class SpeedEstimate:
     converged: bool
     reason: str | None = None
     shifts: tuple[tuple[float, int], ...] = ()
+    half_length: float | None = None
 
 
 def step_profile(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -199,10 +212,10 @@ def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
 
 
 def _march(params: CompetitionParams, config: SimConfig,
-           u: np.ndarray, v: np.ndarray):
-    """Advance (u, v) in place to ``config.t_end`` by semi-implicit steps,
-    checking every step.  Only interior nodes are written, so the boundary
-    values stay clamped to the initial ones.
+           u: np.ndarray, v: np.ndarray, start: int = 0):
+    """Advance (u, v) in place from step ``start`` to ``config.t_end`` by
+    semi-implicit steps, checking every step.  Only interior nodes are
+    written, so the boundary values stay clamped to the initial ones.
 
     The diffusion matrix of the stacked interior [u; v] is factored once;
     each step writes both right-hand sides into one buffer and solves them
@@ -227,7 +240,7 @@ def _march(params: CompetitionParams, config: SimConfig,
     u_in, v_in = u[1:-1], v[1:-1]
     u_lo, u_hi = rc_u * u[0], rc_u * u[-1]
     v_lo, v_hi = rc_v * v[0], rc_v * v[-1]
-    for k in range(1, config.n_steps + 1):
+    for k in range(start + 1, config.n_steps + 1):
         # The buffer goes positionally: tools that rebind the reactions
         # (bench/spans.py) may forward only positional arguments.
         reaction_f(u_in, v_in, params, rhs_u)
@@ -291,6 +304,117 @@ def _rest_gap(u: np.ndarray, v: np.ndarray) -> float:
     return max(abs(u[1] - u[0]), abs(u[-2] - u[-1]), abs(v[1] - v[0]), abs(v[-2] - v[-1]))
 
 
+def _root(b: float, a: float) -> float:
+    """The positive root of x^2 - b x - a = 0 for a > 0, without cancellation."""
+    s = math.sqrt(b * b + 4.0 * a)
+    return (b + s) / 2.0 if b >= 0.0 else 2.0 * a / (s - b)
+
+
+def _tail_rates(params: CompetitionParams, c: float) -> tuple[float, float, float, float]:
+    """Decay rates of a front of speed c, linearised at its ends: those of
+    u and of v toward (0, 0) at -x, then of 1 - u and 1 - v toward (1, 1)."""
+    d, r = params.d, params.r
+    return (_root(c, params.k1 - 1.0), _root(c / d, r / d),
+            _root(-c, 1.0), _root(-c / d, r * (params.k2 - 1.0) / d))
+
+
+class _Window:
+    """The co-moving window of one run from the step profile: the fields,
+    their grid (``config``, replaced when the window grows) and the offset
+    of its centre from the lab frame, in cells.
+
+    ``estimate_speed`` and the regression reference of the tests march
+    through the same window, so that both follow, and grow, alike.
+    """
+
+    def __init__(self, params: CompetitionParams, config: SimConfig):
+        self.params, self.config = params, config
+        self.u, self.v = step_profile(config.grid)
+        self.offset, self.shifts = 0, []
+        # Cells on each side of the centre: GROW_LIMIT times the starting
+        # number, within _MAX_GRID_POINTS.
+        self.max_cells = min(int(GROW_LIMIT * ((config.grid.n_points - 1) // 2)),
+                             (_MAX_GRID_POINTS - 1) // 2)
+        self._regrid()
+
+    def _regrid(self) -> None:
+        grid = self.config.grid
+        self.xs, self.dx = grid.xs(), grid.dx
+        self.centre = m = (grid.n_points - 1) // 2
+        self.xs_centre = self.xs[m - 1:m + 2].tolist()
+
+    def march(self):
+        """``_march`` the fields; after a growth, on from the same step in the new window."""
+        k = 0
+        while k < self.config.n_steps:
+            config = self.config
+            for k, t in _march(self.params, config, self.u, self.v, k):
+                yield k, t
+                if self.config is not config:
+                    break
+
+    def speeds(self) -> tuple[float, float]:
+        return _balance_speeds(self.params, self.u, self.v, self.dx)
+
+    def frame(self, t: float) -> tuple:
+        """(t, x, u, v) of the window, x in the lab frame."""
+        return t, self.xs + self.offset * self.dx, self.u.copy(), self.v.copy()
+
+    def track(self, t: float) -> float:
+        """The lab-frame position of the u = FRONT_LEVEL crossing after the
+        step at t.  While the crossing lies in one of the centre node's two
+        cells it is interpolated there, with the operations of
+        ``front_position``; otherwise ``front_position`` finds it and, once
+        it is more than a cell from the centre node, u and v move back by
+        whole cells to put it within half a cell of that node."""
+        m = self.centre
+        lo, mid, hi = self.u[m - 1:m + 2].tolist()
+        if lo < FRONT_LEVEL <= mid:
+            (x0, x1, _), u0, u1 = self.xs_centre, lo, mid
+        elif mid < FRONT_LEVEL <= hi:
+            (_, x0, x1), u0, u1 = self.xs_centre, mid, hi
+        else:
+            x = front_position(self.xs, self.u, FRONT_LEVEL)
+            lab = self.offset * self.dx + x
+            # The centre node is at 0 (up to rounding) on an odd number of
+            # nodes, and at -dx/2 on an even one.
+            away = x - self.xs_centre[1]
+            if abs(away) > self.dx:  # NaN, a lost crossing, moves nothing
+                s = round(away / self.dx)
+                _recentre(self.u, s)
+                _recentre(self.v, s)
+                self.offset += s
+                self.shifts.append((t, self.offset))
+            return lab
+        return self.offset * self.dx + (x0 + (x1 - x0) * (FRONT_LEVEL - u0) / (u1 - u0))
+
+    def grow(self, k: int, c: float, gap: float) -> bool:
+        """Widen the window at the balance sample of step k, from t =
+        SETTLE_LAG on, when the rest gap exceeds GROW_GAP and the slowest
+        linearised tail rate at the speed c asks for more than GROW_SLACK
+        times the half-length.  Both fields are padded on each side with
+        their end values, to TAIL_SPAN decay lengths or to the limit.
+        Returns whether the window grew."""
+        config = self.config
+        if not (k * config.dt >= SETTLE_LAG and k < config.n_steps and gap > GROW_GAP):
+            return False
+        rate = min(_tail_rates(self.params, c))
+        n_cells = self.centre  # on each side of the centre
+        if not TAIL_SPAN > GROW_SLACK * n_cells * self.dx * rate:  # a NaN rate never grows
+            return False
+        cells = (self.max_cells if TAIL_SPAN >= self.max_cells * self.dx * rate
+                 else int(TAIL_SPAN / (rate * self.dx)))
+        pad = cells - n_cells
+        if pad < 1:
+            return False
+        n_points = config.grid.n_points + 2 * pad
+        self.config = replace(config, grid=Grid1D(self.dx * (n_points - 1) / 2.0, n_points))
+        self.u = np.pad(self.u, pad, mode="edge")
+        self.v = np.pad(self.v, pad, mode="edge")
+        self._regrid()
+        return True
+
+
 def estimate_speed(
     params: CompetitionParams,
     config: SimConfig | None = None,
@@ -302,16 +426,13 @@ def estimate_speed(
     is c_u (module docstring); c_hat < 0 means the (0,0) side, species V in
     the original variables, advances.  The run stops at the first sample
     where it has converged with an error bar below SETTLE_TOL, so a run that
-    does not converge reaches ``config.t_end``.  At every sample, and every
-    ``max(1, n_steps // 4000)``-th step, where the u = FRONT_LEVEL crossing
-    lies more than L/4 from the centre, u and v move back by whole cells to
-    recentre it, and the trace records lab-frame positions.  That cadence
-    depends on the cap, which therefore moves the recentres, and c_hat, of
-    a run that stops long before it: (11, 1, 3, 3) recentres once, at
-    t = 18.6 under ``t_end`` 400 and at 18.58 under 100, and reads c_hat =
-    -0.461523300698 and -0.461523270849, inside its 9.7e-6 error bar.
-    Non-convergence is reported through ``converged`` and ``reason``, not
-    raised, so that parameter sweeps continue past bad points.
+    does not converge reaches ``config.t_end``.  The front is tracked after
+    every step and recentred whenever it is more than a cell from the
+    centre; the trace records lab-frame positions.  ``config``'s half-length
+    is the window's starting one: it grows at a sample where the tails
+    reach the window's ends (``_Window.grow``).  Non-convergence is
+    reported through ``converged`` and ``reason``, not raised, so that
+    parameter sweeps continue past bad points.
 
     When ``frames`` is a list, the same run appends to it the frames
     (t, x, u, v) of the window, x in the lab frame: the step profile, the
@@ -320,75 +441,94 @@ def estimate_speed(
     """
     if config is None:
         config = default_config()
-    grid = config.grid
-    xs, dx = grid.xs(), grid.dx
-    u, v = step_profile(grid)
+    window = _Window(params, config)
     n_steps = config.n_steps
-    sample_every = max(1, n_steps // 4000)
     balance_every = max(1, round(SAMPLE_DT / config.dt))
     lag = max(1, round(SETTLE_LAG / (balance_every * config.dt)))  # in balance samples
-    history = [_balance_speeds(params, u, v, dx)[0]]  # c_u at steps 0, balance_every, ...
-    ts, fronts = [0.0], [front_position(xs, u, FRONT_LEVEL)]
-    offset, shifts = 0, []
+    history = [window.speeds()[0]]  # c_u at steps 0, balance_every, ...
+    ts, fronts = [0.0], [front_position(window.xs, window.u, FRONT_LEVEL)]
     if frames is not None:
         frame_every = max(1, n_steps // 200)
-        frames.append((0.0, xs, u.copy(), v.copy()))
-    for k, t in _march(params, config, u, v):
+        frames.append(window.frame(0.0))
+    for k, t in window.march():
         balance = k % balance_every == 0 or k == n_steps
         if balance:
-            c_u, c_v = _balance_speeds(params, u, v, dx)
+            c_u, c_v = window.speeds()
             history.append(c_u)
             j = k // balance_every - lag  # the sample at or before t - SETTLE_LAG
             drift = max(history[j:]) - min(history[j:]) if j >= 0 else math.inf
             error = max(drift, abs(c_u - c_v))
-        if balance or k % sample_every == 0:
-            x = front_position(xs, u, FRONT_LEVEL)
-            ts.append(t)
-            fronts.append(offset * dx + x)
-            if abs(x) > 0.25 * grid.half_length and (s := round(x / dx)):
-                _recentre(u, s)
-                _recentre(v, s)
-                offset += s
-                shifts.append((t, offset))
+        ts.append(t)
+        fronts.append(window.track(t))
         if balance:  # the rest gap is judged after the recentre, the speeds before it
-            reason = ("truncation" if _rest_gap(u, v) > REST_TOL else
+            gap = _rest_gap(window.u, window.v)
+            grown = window.grow(k, c_u, gap)
+            reason = ("truncation" if gap > REST_TOL else
                       None if error < 0.1 * max(abs(c_u), 0.01) else "not_relaxed")
-        stop = balance and (k == n_steps or reason is None and error < SETTLE_TOL)
+        stop = balance and (k == n_steps or reason is None and error < SETTLE_TOL and not grown)
         if frames is not None and (stop or k % frame_every == 0):
-            frames.append((t, xs + offset * dx, u.copy(), v.copy()))
+            frames.append(window.frame(t))
         if stop:
             break
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
-    return SpeedEstimate(c_u, error, trace, reason is None, reason, tuple(shifts))
+    return SpeedEstimate(c_u, error, trace, reason is None, reason, tuple(window.shifts),
+                         window.config.grid.half_length)
 
 
-def _estimate_share(jobs: list) -> list[SpeedEstimate]:
-    """:func:`estimate_speed` of each job, a stiff run as the ``stiff`` record."""
-    out = []
-    for params, config in jobs:
-        try:
-            out.append(estimate_speed(params, config))  # the global: a rebinding reaches workers
-        except SimulationError:
-            out.append(SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff"))
-    return out
+def _estimate_one(params: CompetitionParams, config: SimConfig | None) -> SpeedEstimate:
+    """:func:`estimate_speed`, a stiff run as the ``stiff`` record."""
+    try:
+        return estimate_speed(params, config)  # the global: a rebinding reaches workers
+    except SimulationError:
+        return SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")
+
+
+# The (jobs, counter) that a forked worker of estimate_speeds pulls from,
+# set in the worker only, by the pool's initializer.
+_inherited = None
+
+
+def _inherit(jobs: list, counter) -> None:
+    global _inherited
+    _inherited = jobs, counter
+
+
+def _pull(jobs: list | None = None, counter=None) -> list[tuple[int, SpeedEstimate]]:
+    """(index, estimate) of each job that this process takes from the shared
+    counter, until none is left; a forked worker reads the inherited ones."""
+    if jobs is None:
+        jobs, counter = _inherited
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(jobs):
+            return done
+        done.append((i, _estimate_one(*jobs[i])))
 
 
 def estimate_speeds(jobs: list) -> list[SpeedEstimate]:
     """:func:`estimate_speed` of each (params, config) job, in order, stiff runs
     as the ``stiff`` record, on n = min(jobs, CPUs in the affinity mask)
-    processes: this one computes ``jobs[::n]`` and n - 1 forked workers
-    ``jobs[j::n]``, all joined before the call returns or raises."""
+    processes: this one and n - 1 forked workers each take the next job from
+    a shared counter as they finish one, and all are joined before the call
+    returns or raises."""
     n = min(len(jobs), len(os.sched_getaffinity(0)))
     if n <= 1:
-        return _estimate_share(jobs)
+        return [_estimate_one(params, config) for params, config in jobs]
     import multiprocessing  # about 8 ms, paid only by a call that forks
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork: a spawned worker would re-import numpy and scipy (about 0.4 s).
-    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_estimate_share, jobs[j::n]) for j in range(1, n)]
-        shares = [_estimate_share(jobs[::n])] + [future.result() for future in futures]
-    return [shares[i % n][i // n] for i in range(len(jobs))]
+    # fork: a spawned worker would re-import numpy and scipy (about 0.4 s),
+    # and the counter may only reach a worker by inheritance.
+    context = multiprocessing.get_context("fork")
+    counter = context.Value("q", 0)
+    with ProcessPoolExecutor(n - 1, mp_context=context, initializer=_inherit,
+                             initargs=(jobs, counter)) as pool:
+        futures = [pool.submit(_pull) for _ in range(n - 1)]
+        done = _pull(jobs, counter) + [pair for f in futures for pair in f.result()]
+    return [est for _, est in sorted(done, key=lambda pair: pair[0])]
 
 
 def dump_trajectory(frames: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]],

@@ -106,38 +106,35 @@ def regression_estimate(params: CompetitionParams, config: SimConfig,
     and the mass-balance c_u at ``config.t_end``.
 
     Marches all of ``config.t_end`` in the co-moving window of
-    ``pde.estimate_speed`` and fits the trailing ``fit_window`` of the run.
+    ``pde.estimate_speed``, which follows the front after every step and
+    grows at the same balance samples, and fits the trailing ``fit_window``
+    of the run.
     Reasons: ``truncation`` (rest gap above ``pde.REST_TOL``), then
     ``lost_crossing`` (a missing crossing or under three samples in the fit
     window) and ``noisy_fit`` (standard error not below
-    0.1 * max(|c|, 0.01)).  c_u is read before the last step's recentre,
-    as ``pde.estimate_speed`` reads it.
+    0.1 * max(|c|, 0.01)).  c_u is read at every balance sample before
+    that step's recentre, as ``pde.estimate_speed`` reads it, and the last
+    one is returned.
     """
-    grid = config.grid
-    xs, dx = grid.xs(), grid.dx
-    u, v = pde.step_profile(grid)
+    window = pde._Window(params, config)
     n_steps = config.n_steps
-    sample_every = max(1, n_steps // 4000)
-    ts, fronts = [0.0], [pde.front_position(xs, u, pde.FRONT_LEVEL)]
-    offset = 0
-    for k, t in pde._march(params, config, u, v):
-        if k == n_steps:
-            c_u = pde._balance_speeds(params, u, v, dx)[0]
-        if k % sample_every == 0 or k == n_steps:
-            x = pde.front_position(xs, u, pde.FRONT_LEVEL)
-            ts.append(t)
-            fronts.append(offset * dx + x)
-            if abs(x) > 0.25 * grid.half_length and (s := round(x / dx)):
-                pde._recentre(u, s)
-                pde._recentre(v, s)
-                offset += s
+    balance_every = max(1, round(pde.SAMPLE_DT / config.dt))
+    ts, fronts = [0.0], [pde.front_position(window.xs, window.u, pde.FRONT_LEVEL)]
+    for k, t in window.march():
+        balance = k % balance_every == 0 or k == n_steps
+        if balance:
+            c_u = window.speeds()[0]
+        ts.append(t)
+        fronts.append(window.track(t))
+        if balance:
+            window.grow(k, c_u, pde._rest_gap(window.u, window.v))
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
-    window = trace[trace[:, 0] >= (1.0 - fit_window) * config.t_end]
-    tw, xw = window[:, 0], window[:, 1]
+    fit = trace[trace[:, 0] >= (1.0 - fit_window) * config.t_end]
+    tw, xw = fit[:, 0], fit[:, 1]
     if not (np.isfinite(xw).all() and len(tw) >= 3):
         return SpeedEstimate(float("nan"), float("inf"), trace, False, "lost_crossing"), c_u
     slope, stderr = _ols_slope(tw, xw)
-    if pde._rest_gap(u, v) > pde.REST_TOL:
+    if pde._rest_gap(window.u, window.v) > pde.REST_TOL:
         reason = "truncation"
     elif not stderr < 0.1 * max(abs(slope), 0.01):
         reason = "noisy_fit"

@@ -61,10 +61,12 @@ def test_install_reports_nothing_absent(spans):
     ((5, 1, 5, 2), {"L": 10.0, "dx": 0.2, "dt": 0.05, "t_end": 60.0}, "truncation"),
     ((1, 1, 2, 2), {"L": 10.0, "dx": 0.5, "dt": 0.1, "t_end": 5.0}, "not_relaxed"),
 ], ids=["truncation", "not_relaxed"])
-def test_a_failed_estimate_reaches_the_cap(workloads, point, settings, reason):
+def test_a_failed_estimate_reaches_the_cap(workloads, monkeypatch, point, settings, reason):
     # pde_reason takes the maximum of the trace over the trailing half of
     # t_end, so a failed run that stopped early would leave it nothing.
+    # The window is held at its starting length, too short for the front.
     pde = wavespeed_module("pde")
+    monkeypatch.setattr(pde, "GROW_LIMIT", 1.0)
     config = pde.default_config(**settings)
     est = pde.estimate_speed(wavespeed_module("model").validate(*point), config)
     assert (est.converged, est.reason) == (False, reason)

@@ -80,14 +80,26 @@ class TestSpeed:
         assert "theory verdict: Negative" in out
         assert "agreement" in out
 
-    def test_nonconvergence_exit_three(self, capsys):
-        # A fast front in a short box trips the boundary-margin check.
+    def test_nonconvergence_exit_three(self, capsys, monkeypatch):
+        # A fast front in a short box, held at its starting length, trips
+        # the boundary-margin check.
+        monkeypatch.setattr(cli.pde, "GROW_LIMIT", 1.0)
         code, out, _ = run(
             capsys, "speed", "5", "1", "5", "2",
             "--L", "10", "--dx", "0.2", "--dt", "0.05", "--t-end", "60",
         )
         assert code == 3
         assert "converged: no" in out
+
+    def test_the_cap_leaves_a_stopped_run_alone(self, capsys):
+        # The run stops at t = 19.5 under every cap; the front is tracked
+        # after every step, so the cap cannot move a recentre.
+        lines = set()
+        for t_end in ("60", "100", "200", "400"):
+            code, out, _ = run(capsys, "speed", "11", "1", "3", "3", "--t-end", t_end)
+            assert code == 0
+            lines.add(next(line for line in out.splitlines() if line.startswith("c_hat")))
+        assert lines == {"c_hat = -0.461520669475 +/- 9.24259123009e-06"}
 
     def test_trajectory_dump(self, capsys, tmp_path):
         # c_u still drifts at t = 5, so the run ends at the cap unconverged.
@@ -114,7 +126,8 @@ class TestSpeed:
         assert code == 3
         assert len(solves) == 50
 
-    def test_reason_goes_to_stderr(self, capsys):
+    def test_reason_goes_to_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.pde, "GROW_LIMIT", 1.0)
         code, out, err = run(
             capsys, "speed", "5", "1", "5", "2",
             "--L", "10", "--dx", "0.2", "--dt", "0.05", "--t-end", "60",
@@ -484,7 +497,7 @@ CERTIFY_RUNS = [
 ]
 CERTIFY_GOLDEN = "f62cc01d0fd43f14ce7d6eb74c870d23d065d755cedce953de89f0d52e7c9faf"
 EXPORT_GOLDEN = "f2da7f4220f443e307b2014391b0ba678145abeefdfebf3ab757b7ca18bb780f"
-DUMP_GOLDEN = "530b80431eee022b8b562044187e7ecb1e5c5df59e4de444f6b85f78581535a4"
+DUMP_GOLDEN = "f12bcab595a19f98b5375dee6272bfb95711cf82f31b8751871354b0eeb65246"
 
 
 class TestCertifyGoldenOutput:
