@@ -475,60 +475,29 @@ def estimate_speed(
                          window.config.grid.half_length)
 
 
-def _estimate_one(params: CompetitionParams, config: SimConfig | None) -> SpeedEstimate:
-    """:func:`estimate_speed`, a stiff run as the ``stiff`` record."""
+def _estimate_one(job: tuple[CompetitionParams, SimConfig | None]) -> SpeedEstimate:
+    """:func:`estimate_speed` of one (params, config) job, a stiff run as the
+    ``stiff`` record."""
     try:
-        return estimate_speed(params, config)  # the global: a rebinding reaches workers
+        return estimate_speed(*job)  # the global: a rebinding reaches forked workers
     except SimulationError:
         return SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")
-
-
-# The (jobs, counter) that a forked worker of estimate_speeds pulls from,
-# set in the worker only, by the pool's initializer.
-_inherited = None
-
-
-def _inherit(jobs: list, counter) -> None:
-    global _inherited
-    _inherited = jobs, counter
-
-
-def _pull(jobs: list | None = None, counter=None) -> list[tuple[int, SpeedEstimate]]:
-    """(index, estimate) of each job that this process takes from the shared
-    counter, until none is left; a forked worker reads the inherited ones."""
-    if jobs is None:
-        jobs, counter = _inherited
-    done = []
-    while True:
-        with counter.get_lock():
-            i = counter.value
-            counter.value = i + 1
-        if i >= len(jobs):
-            return done
-        done.append((i, _estimate_one(*jobs[i])))
 
 
 def estimate_speeds(jobs: list) -> list[SpeedEstimate]:
     """:func:`estimate_speed` of each (params, config) job, in order, stiff runs
     as the ``stiff`` record, on n = min(jobs, CPUs in the affinity mask)
-    processes: this one and n - 1 forked workers each take the next job from
-    a shared counter as they finish one, and all are joined before the call
-    returns or raises."""
+    forked workers: the executor hands each worker the next job as it
+    finishes one, and all are joined before the call returns or raises."""
     n = min(len(jobs), len(os.sched_getaffinity(0)))
     if n <= 1:
-        return [_estimate_one(params, config) for params, config in jobs]
+        return [_estimate_one(job) for job in jobs]
     import multiprocessing  # about 8 ms, paid only by a call that forks
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork: a spawned worker would re-import numpy and scipy (about 0.4 s),
-    # and the counter may only reach a worker by inheritance.
-    context = multiprocessing.get_context("fork")
-    counter = context.Value("q", 0)
-    with ProcessPoolExecutor(n - 1, mp_context=context, initializer=_inherit,
-                             initargs=(jobs, counter)) as pool:
-        futures = [pool.submit(_pull) for _ in range(n - 1)]
-        done = _pull(jobs, counter) + [pair for f in futures for pair in f.result()]
-    return [est for _, est in sorted(done, key=lambda pair: pair[0])]
+    # fork: a spawned worker would re-import numpy and scipy (about 0.4 s).
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_estimate_one, jobs))
 
 
 def dump_trajectory(frames: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]],

@@ -3,9 +3,9 @@
 Two planes are supported: the symmetric (d, k) plane (r = 1, k1 = k2 = k)
 and the (k1, d/r) plane at fixed k2 and r.  Every grid cell records which
 criteria fired, the combined verdict, and optionally a PDE speed estimate
-on a strided subsample (the oracle costs about a second per point, the
-criteria microseconds; ``pde.estimate_speeds`` runs the points across the
-CPUs, with output identical to one process).  Output ordering is row-major
+on a strided subsample (the oracle costs 10-300 ms per point, the criteria
+microseconds; ``pde.estimate_speeds`` runs the points across the CPUs,
+with output identical to one process).  Output ordering is row-major
 over (y, x) and fully deterministic, so reruns are byte-identical.
 
 A sweep is columnar.  :func:`scan_plane` hands the whole grid to

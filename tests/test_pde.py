@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import time
 
 from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
@@ -242,56 +243,55 @@ class TestEstimateSpeeds:
         self._check(estimate_speeds(self._jobs()))
 
     def test_worker_error_propagates_and_leaves_no_process(self, monkeypatch):
-        # Any process may take any job, so the rebound module global raises
-        # in a forked worker only, and this process holds its first job
-        # until a worker has taken one.
+        # Every job runs in a forked worker; one of them raises there, and the
+        # error reaches this process with the worker's traceback as its cause.
         jobs = self._jobs()
-        caller = os.getpid()
-        taken = multiprocessing.get_context("fork").Event()
+        failing = jobs[1][0]
         original = pde.estimate_speed
 
         def raising(params, config=None):
-            if os.getpid() != caller:
-                taken.set()
+            if params == failing:
                 raise RuntimeError("worker failure")
-            assert taken.wait(30)
             return original(params, config)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(pde, "estimate_speed", raising)
-        with pytest.raises(RuntimeError, match="worker failure"):
+        with pytest.raises(RuntimeError, match="worker failure") as excinfo:
             estimate_speeds(jobs)
+        assert "worker failure" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
-    def test_the_caller_pulls_jobs_while_a_worker_is_busy(self, monkeypatch):
-        # A forked worker holds the first job it takes until this process
-        # has taken three of the four: a fixed split would give it two.
+    def test_a_busy_worker_holds_up_no_other_job(self, monkeypatch):
+        # Whichever worker takes the first job holds it until the other three
+        # have finished: a fixed split would queue one of them behind it.
         jobs = self._jobs()
-        caller = os.getpid()
-        released = multiprocessing.get_context("fork").Event()
-        taken_here = []
+        first = jobs[0][0]
+        finished = multiprocessing.get_context("fork").Value("i", 0)
         original = pde.estimate_speed
 
         def held(params, config=None):
-            if os.getpid() == caller:
-                taken_here.append(params)
-                if len(taken_here) == len(jobs) - 1:
-                    released.set()
-            else:
-                assert released.wait(30)
-            return original(params, config)
+            if params == first:
+                deadline = time.monotonic() + 30
+                while finished.value < len(jobs) - 1:
+                    assert time.monotonic() < deadline, "the other jobs waited"
+                    time.sleep(0.005)
+                return original(params, config)
+            try:
+                return original(params, config)
+            finally:
+                with finished.get_lock():
+                    finished.value += 1
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(pde, "estimate_speed", held)
         estimates = estimate_speeds(jobs)
         monkeypatch.undo()
         self._check(estimates)
-        assert len(taken_here) >= len(jobs) - 1
+        assert finished.value == len(jobs) - 1
         assert multiprocessing.active_children() == []
 
     def test_each_job_runs_once_with_more_processes_than_cores(self, monkeypatch):
-        # Four processes pull 24 short jobs from one counter: a lost update
-        # would run a job twice, or leave one out.
+        # Four workers share 24 short jobs: none may run twice or be left out.
         jobs = [(validate(1, 1, 2, 2), coarse_config(L=5.0, dx=0.5, t_end=0.05 * (i + 2)))
                 for i in range(24)]
         calls = multiprocessing.get_context("fork").Value("i", 0)

@@ -462,8 +462,9 @@ class TestExchangeSymmetry:
 
 
 # sha256 of `wavespeed scan` output (numpy 2.4.6, x86-64), with an R_ column
-# for every criterion row.  The --with-pde plane holds a cell whose oracle run
-# fails, written as nan,inf,0.
+# for every criterion row.  The k1d-3-40 --with-pde plane holds a cell whose
+# oracle run fails, written as nan,inf,0; the k1d-2-1 one runs the oracle on
+# two cells that both converge, so it pins c_num, stderr and converged.
 GOLDEN = [
     ([], "818ce98a48a3af7b6ff270c19f9f3b697d7a19da31356793d4c12346fcb4cbfc",
      "38c4d575254d44ce9db3691ec47ecc7ab80d86216e78cfe980286cf291da5e75"),
@@ -476,12 +477,17 @@ GOLDEN = [
     (["--plane", "k1d", "--k2", "3", "--r", "40", "--nx", "4", "--ny", "3", "--with-pde"],
      "eadd23f422213e11c7d738571dd7a2e955a74f3abf92d93ffe81b6312482cecf",
      "96005ade2d6cb18fd0d361a38819402e7afce73c2772a56c4faa56ebdb709390"),
+    (["--plane", "k1d", "--k2", "2", "--r", "1", "--xrange", "3:10", "--yrange", "0.5:5",
+      "--nx", "11", "--ny", "2", "--with-pde"],
+     "0b53774f84e40539830bcb41507f1e622fe6913f3e5bb055dad99f1c8f4776e0",
+     "aebc8e8db55eb748e57c3425b04303f7dd1902399aa7a65b9bca2d5ac844d05e"),
 ]
 
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("flags, csv_sha, svg_sha", GOLDEN,
-                             ids=["sym", "k1d-2-1", "k1d-3-40", "k1d-3-40-pde"])
+                             ids=["sym", "k1d-2-1", "k1d-3-40", "k1d-3-40-pde",
+                                  "k1d-2-1-pde"])
     def test_scan_bytes(self, capsys, tmp_path, flags, csv_sha, svg_sha):
         assert cli.main(["scan", *flags, "--output-dir", str(tmp_path)]) == 0
         capsys.readouterr()
