@@ -15,9 +15,9 @@ scan's output directory additionally honors the WAVESPEED_OUT environment
 variable (flags > WAVESPEED_OUT > config file > current directory).
 
 ``main(argv)`` may be called repeatedly in one process.  It builds its
-parser on the first call and reuses it; a call with config values (from
---config, or WAVESPEED_OUT without --output-dir) gets a parser of its own,
-so no setting carries over to the next call.
+parser on the first call and reuses it; a call whose config file sets an
+option of its command gets a parser of its own, so no setting carries over
+to the next call.
 """
 
 from __future__ import annotations
@@ -169,24 +169,23 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _config_keys(parsers) -> set[str]:
-    """The keys a config file may hold: every long option of any parser."""
-    return {action.dest for p in parsers
-            for action in p._actions  # argparse lists its actions nowhere public
+def _config_keys(parser: _Parser) -> set[str]:
+    """The config keys a command reads: every long option of its parser."""
+    return {action.dest for action in parser._actions  # argparse lists its actions nowhere public
             if action.option_strings}
 
 
 @functools.cache
-def _shared_parser() -> tuple[_Parser, set[str]]:
-    """The parser of ``_build_parser()`` and its config keys, built on the
-    first call.
+def _shared_parser() -> tuple[_Parser, dict[str, set[str]]]:
+    """The parser of ``_build_parser()`` and each command's config keys, built
+    on the first call.
 
     Building takes over a millisecond, about ten times a certify run, so
     every call of ``main`` parses with this one.  It must stay as built:
     ``_set_config_defaults`` is given a parser of the call's own.
     """
     parser, commands = _build_parser()
-    return parser, _config_keys([parser, *commands.values()])
+    return parser, {name: _config_keys(command) for name, command in commands.items()}
 
 
 def _set_config_defaults(parser: _Parser, values: dict[str, str]) -> None:
@@ -374,25 +373,26 @@ def cmd_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, known = _shared_parser()
+    parser, keys = _shared_parser()
     args = parser.parse_args(argv)
     try:
         values = _load_config(args.config) if "config" in args else {}
         for key in values:
-            if key not in known:
+            if not any(key in command_keys for command_keys in keys.values()):
                 parser.error(f"unknown config key {key!r}")
-        if os.environ.get("WAVESPEED_OUT"):
-            values["output_dir"] = os.environ["WAVESPEED_OUT"]
-        if "output_dir" in args:
-            # The flag beats both.  As a subparser default the value would
-            # overwrite a flag given before the command.
-            values.pop("output_dir", None)
+        out_dir = os.environ.get("WAVESPEED_OUT") or values.get("output_dir")
+        # Keys of another command's options are ignored, and so is the output
+        # directory, which only scan reads and which is set below.
+        values = {key: text for key, text in values.items()
+                  if key in keys[args.command] and key != "output_dir"}
         if values:
             # set_defaults changes the parser it is given, so these defaults
             # go to a parser of this call's own, not the shared one.
             parser, commands = _build_parser()
             _set_config_defaults(commands[args.command], values)
             args = parser.parse_args(argv)
+        if args.command == "scan" and out_dir and "output_dir" not in args:
+            args.output_dir = out_dir  # the flag, before or after the command, beats both
         handler = {
             "classify": cmd_classify,
             "speed": cmd_speed,

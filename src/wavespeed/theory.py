@@ -46,7 +46,7 @@ class PolarityConflictError(RuntimeError):
 
 
 class SearchCapExceeded(RuntimeError):
-    """A threshold search exhausted its allowed range."""
+    """A threshold search stepped out of the finite floats above 1 before its criteria held."""
 
 
 class CriterionId(Enum):
@@ -461,27 +461,37 @@ def _covers_all_ratios(k1: float, k2: float) -> bool:
     return _n1_threshold(k1, k2) < degenerate_ratio_bound(k1, k2)
 
 
-# Relative tolerance of the determinacy threshold searches, the largest k1
-# the negative-side search tries, and the rungs of the d/r ladder that
-# spot-checks its result.
+# Relative tolerance of the determinacy threshold searches, and the rungs
+# of the d/r ladder that spot-checks their results.
 _RTOL = 1e-6
-_SEARCH_CAP = 1e4
 _LADDER_POINTS = 25
 
 
-def _sampled_coverage_check(k1: float, k2: float) -> bool:
-    """Safety net: spot-check the verdict over a log-uniform ratio ladder."""
+def _sampled_coverage_check(k1_star: float, k1_dstar: float, k2: float) -> bool:
+    """Safety net: spot-check over a log-uniform ratio ladder that the verdict
+    is Positive at ``k1_star`` and Negative at ``k1_dstar``."""
     ratios = [10.0 ** (-6.0 + 12.0 * i / (_LADDER_POINTS - 1)) for i in range(_LADDER_POINTS)]
-    signs = evaluate_criteria(ParamArrays(ratios, 1.0, k1, k2)).signs()
-    return bool(np.all(signs == -1))
+    levels = np.array([[k1_star], [k1_dstar]])
+    signs = evaluate_criteria(ParamArrays(ratios, 1.0, levels, k2)).signs()
+    return bool(np.all(signs == [[1], [-1]]))
 
 
-def _halve(covers: Callable[[float], bool], good: float, bad: float) -> float:
-    """Halve [good, bad] (either order) until its width is ``_RTOL`` of its
-    upper end, keeping ``covers(good)``; returns ``good``."""
+def _bracket(holds: Callable[[float], bool], bad: float, step: Callable[[float], float],
+             goal: str) -> float:
+    """The k1 at which ``holds`` starts to hold, coming from ``bad`` where it fails.
+
+    Steps k1 by ``step`` until ``holds``, each failed point becoming the new
+    bad end, then halves the bracket until its width is ``_RTOL`` of its
+    upper end; returns its good end.
+    """
+    good = step(bad)
+    while 1.0 < good < math.inf and not holds(good):
+        bad, good = good, step(good)
+    if not 1.0 < good < math.inf:
+        raise SearchCapExceeded(f"no finite k1 > 1 certifies {goal}")
     while abs(good - bad) > _RTOL * max(good, bad):
         mid = 0.5 * (good + bad)
-        if covers(mid):
+        if holds(mid):
             good = mid
         else:
             bad = mid
@@ -493,45 +503,27 @@ def determinacy_thresholds(k2: float) -> tuple[float, float]:
 
     Returns (k1_star, k1_dstar) with 1 < k1_star < k1_dstar such that the
     criteria certify c > 0 for all d, r > 0 whenever 1 < k1 <= k1_star, and
-    c < 0 for all d, r > 0 whenever k1 >= k1_dstar.  Both are located by
-    halving on the envelope inequality of :func:`_covers_all_ratios` to
-    relative tolerance ``_RTOL``, then spot-checked against classify() on a
-    log-uniform d/r ladder over [1e-6, 1e6].
+    c < 0 for all d, r > 0 whenever k1 >= k1_dstar.  Both are located on the
+    envelope inequality of :func:`_covers_all_ratios` by :func:`_bracket`:
+    k1_dstar by doubling k1 up from max(k2^2, m(k2)), k1_star by halving
+    k1 - 1 down from sqrt(k2), where the reflected coverage fails.  Each is
+    then spot-checked against classify() on a log-uniform d/r ladder over
+    [1e-6, 1e6].
 
     These are upper estimates of the true determinacy levels: the criteria
     are sufficient, not necessary.
 
-    Raises :class:`SearchCapExceeded` if coverage is never achieved for
-    k1 <= ``_SEARCH_CAP``.
+    Raises :class:`SearchCapExceeded` if a search steps out of the finite
+    floats above 1 before coverage holds, as it does for k2 = 1e50.
     """
     if not 1.0 < k2 < math.inf:
         raise ValueError("determinacy_thresholds requires k2 > 1")
-
-    # Negative side: smallest k1 with full-ratio coverage at (k1, k2).
-    lo = max(k2 * k2, m_of_k(k2))  # coverage fails here (degenerate bound is 0)
-    hi = max(2.0 * lo, 2.0)
-    while not _covers_all_ratios(hi, k2):
-        hi *= 2.0
-        if hi > _SEARCH_CAP:
-            raise SearchCapExceeded(
-                f"no k1 <= {_SEARCH_CAP:g} certifies c < 0 for all d/r at k2={k2:g}"
-            )
-    k1_dstar = _halve(lambda k1: _covers_all_ratios(k1, k2), hi, lo)
-
-    # Positive side: largest k1 < sqrt(k2) whose reflection has full coverage.
-    hi_p = math.sqrt(k2)  # coverage fails at the boundary k2 = k1^2
-    step = (hi_p - 1.0) / 2.0
-    for _ in range(60):
-        if _covers_all_ratios(k2, 1.0 + step):
-            break
-        step /= 2.0
-    else:
-        raise SearchCapExceeded(f"no k1 > 1 certifies c > 0 for all d/r at k2={k2:g}")
-    k1_star = _halve(lambda k1: _covers_all_ratios(k2, k1), 1.0 + step, hi_p)
-
-    if not _sampled_coverage_check(k1_dstar * (1.0 + 10.0 * _RTOL), k2):
-        raise PolarityConflictError(
-            "coverage search and sampled classification disagree at "
-            f"k1={k1_dstar!r}, k2={k2!r}"
-        )
+    # The degenerate bound is 0 at k1 <= k2^2, so coverage fails at both starts.
+    k1_dstar = _bracket(lambda k1: _covers_all_ratios(k1, k2), max(k2 * k2, m_of_k(k2)),
+                        lambda k1: 2.0 * k1, f"c < 0 for all d/r at k2={k2:g}")
+    k1_star = _bracket(lambda k1: _covers_all_ratios(k2, k1), math.sqrt(k2),
+                       lambda k1: 1.0 + 0.5 * (k1 - 1.0), f"c > 0 for all d/r at k2={k2:g}")
+    if not _sampled_coverage_check(k1_star, k1_dstar, k2):
+        raise PolarityConflictError("coverage search and sampled classification disagree "
+                                    f"at k1={k1_star!r} or {k1_dstar!r}, k2={k2!r}")
     return k1_star, k1_dstar

@@ -2,7 +2,7 @@
 
 Each test prints a single "ACCEPTANCE <n> <name>: PASS/FAIL" line (visible
 with -s or in the captured output of failures).  Criteria 5-8 run the PDE
-oracle at production resolution and take minutes; they carry the ``slow``
+oracle at production resolution and take seconds each; they carry the ``slow``
 marker, so `pytest -m "not slow"` gives the quick subset.
 """
 

@@ -630,6 +630,21 @@ class TestRepeatedCalls:
         assert exc.value.code == 64
         assert len(builds) == 1
 
+    def test_values_of_other_commands_build_no_parser(self, capsys, tmp_path, monkeypatch):
+        # Only scan reads the output directory, and nx is an option of scan alone.
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"nx = 4\noutput_dir = {tmp_path / 'from_config'}\n")
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setenv("WAVESPEED_OUT", str(tmp_path / "from_env"))
+        cli._shared_parser.cache_clear()
+        for command in ("classify", "certify"):
+            plain = run(capsys, command, *_POINT)
+            assert run(capsys, "--config", str(cfg), command, *_POINT) == plain
+        assert len(builds) == 1
+        assert not any(tmp_path.glob("from_*"))
+
 
 def test_cli_import_loads_no_solvers_or_process_pools():
     # Each of scipy.optimize and scipy.integrate adds about 0.2 s and 20 MB

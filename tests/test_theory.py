@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wavespeed.model import validate
-from wavespeed import supersol, theory
+from wavespeed import supersol
 from wavespeed.theory import (
     CriterionId,
     ParamArrays,
@@ -306,10 +307,21 @@ class TestDeterminacy:
             verdict = classify(validate(rho, 1.0, k1_star * 0.99, 2.0))
             assert verdict.sign is Sign.POSITIVE
 
-    def test_search_cap(self, monkeypatch):
-        monkeypatch.setattr(theory, "_SEARCH_CAP", 100.0)
-        with pytest.raises(SearchCapExceeded):
-            determinacy_thresholds(3.0)
+    def test_search_stops_at_the_float_limit(self):
+        # k2 = 5 needs k1 above 1e4; at k2 = 1e50 no finite k1 covers every d/r.
+        k1_star, k1_dstar = determinacy_thresholds(5.0)
+        assert 1.0 < k1_star < math.sqrt(5.0) and k1_dstar > 1e4
+        with pytest.raises(SearchCapExceeded, match="certifies c < 0 for all d/r at k2=1e"):
+            determinacy_thresholds(1e50)
+
+    @given(st.floats(1.01, 1e3))
+    def test_exchange_symmetry(self, k2):
+        # k1* is where the reflected point (k2, k1) reaches full coverage, so
+        # the negative level at k1* is k2 again, up to the searches' tolerance.
+        k1_star, k1_dstar = determinacy_thresholds(k2)
+        assert 1.0 < k1_star < math.sqrt(k2)
+        assert max(k2 * k2, m_of_k(k2)) < k1_dstar
+        assert determinacy_thresholds(k1_star)[1] == pytest.approx(k2, rel=5e-5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
