@@ -15,9 +15,8 @@ scan's output directory additionally honors the WAVESPEED_OUT environment
 variable (flags > WAVESPEED_OUT > config file > current directory).
 
 ``main(argv)`` may be called repeatedly in one process.  It builds its
-parser on the first call and reuses it; a call whose config file sets an
-option of its command gets a parser of its own, so no setting carries over
-to the next call.
+parser on the first call and never changes it: config values are parsed as
+the flags they name, so no setting carries over to the next call.
 """
 
 from __future__ import annotations
@@ -42,13 +41,13 @@ EXIT_IO = 74
 
 _CONFIG_HELP = """\
 config file: one "key = value" per line; '#' starts a comment.  Every long
-option of the chosen command is a key, its name with dashes replaced by
-underscores (e.g. "t_end = 200", "nx = 121", "output_dir = out").  Keys of
+option of the chosen command but --help and --config is a key, its name
+with underscores for dashes ("t_end = 200", "output_dir = out").  Keys of
 another command's options are ignored, so one file can serve all four; a
-key that is no command's option exits 64.  Switches take 1/true/yes/on
-for on, anything else for off.  A malformed value exits 64, as a malformed
-flag does, and so does a file that is not valid UTF-8.  Precedence:
-command-line flags > config file > defaults.
+key that is no command's option exits 64.  A value is read exactly as the
+flag it names ("nx = 121" as --nx=121), and a switch is on for
+1/true/yes/on, off otherwise.  A file that is not valid UTF-8 exits 64.
+Precedence: command-line flags > config file > defaults.
 Directory for scan's CSV and SVG: --output-dir > WAVESPEED_OUT environment
 variable > config file > current directory.
 """
@@ -134,7 +133,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                            help="write profile tables next to PREFIX")
 
     p_scan = add_parser("scan", help="sweep a parameter plane, emit CSV and SVG")
-    p_scan.add_argument("--plane", choices=("sym", "k1d"), default="sym")
+    p_scan.add_argument("--plane", choices=("sym", "k1d"), help="plane to sweep (default: sym)")
     p_scan.add_argument("--xrange", type=_parse_range, metavar="LO:HI")
     p_scan.add_argument("--yrange", type=_parse_range, metavar="LO:HI")
     p_scan.add_argument("--nx", type=int)
@@ -147,7 +146,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                              "one (same output; taskset -c 0: no fork)")
     p_scan.add_argument("--k2", type=float)
     p_scan.add_argument("--r", type=float)
-    p_scan.add_argument("--out-prefix", default="scan")
+    p_scan.add_argument("--out-prefix", help="stem of the CSV and SVG names (default: scan)")
     return parser, sub.choices
 
 
@@ -169,38 +168,17 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _config_keys(parser: _Parser) -> set[str]:
-    """The config keys a command reads: every long option of its parser."""
-    return {action.dest for action in parser._actions  # argparse lists its actions nowhere public
-            if action.option_strings}
-
-
 @functools.cache
-def _shared_parser() -> tuple[_Parser, dict[str, set[str]]]:
-    """The parser of ``_build_parser()`` and each command's config keys, built
-    on the first call.
-
-    Building takes over a millisecond, about ten times a certify run, so
-    every call of ``main`` parses with this one.  It must stay as built:
-    ``_set_config_defaults`` is given a parser of the call's own.
-    """
+def _shared_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
+    """The parser of ``_build_parser()``, built on the first call and never
+    changed (building takes over a millisecond, about ten times a certify
+    run), and each command's config keys: the dests of its long options but
+    ``help`` and ``config``, with their actions."""
     parser, commands = _build_parser()
-    return parser, {name: _config_keys(command) for name, command in commands.items()}
-
-
-def _set_config_defaults(parser: _Parser, values: dict[str, str]) -> None:
-    """Make ``values`` the defaults of ``parser``'s long options.
-
-    argparse converts a string default with the option's ``type`` when the
-    flag is absent, so config values are checked as flags are; switches
-    take no argument, so their text is read here.
-    """
-    defaults = {}
-    for action in parser._actions:  # argparse lists its actions nowhere public
-        if action.option_strings and action.dest in values:
-            text = values[action.dest]
-            defaults[action.dest] = text.lower() in _TRUE if action.nargs == 0 else text
-    parser.set_defaults(**defaults)
+    # argparse lists a parser's actions nowhere public.
+    return parser, {name: {action.dest: action for action in command._actions
+                           if action.option_strings and action.dest not in ("help", "config")}
+                    for name, command in commands.items()}
 
 
 def _print_parameters(params: CompetitionParams) -> None:
@@ -342,7 +320,7 @@ def cmd_certify(args) -> int:
 def cmd_scan(args) -> int:
     scale = None if args.log is None else ("log" if args.log else "linear")
     spec = scan_mod.plane_spec(
-        args.plane,
+        args.plane or "sym",
         x_range=args.xrange,
         y_range=args.yrange,
         nx=args.nx,
@@ -357,8 +335,9 @@ def cmd_scan(args) -> int:
 
     out_dir = Path(getattr(args, "output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{args.out_prefix}.csv"
-    svg_path = out_dir / f"{args.out_prefix}.svg"
+    prefix = "scan" if args.out_prefix is None else args.out_prefix
+    csv_path = out_dir / f"{prefix}.csv"
+    svg_path = out_dir / f"{prefix}.svg"
     try:
         scan_mod.emit_csv(plane, csv_path)
         scan_mod.emit_svg(plane, svg_path)
@@ -374,6 +353,7 @@ def cmd_scan(args) -> int:
 
 def main(argv=None) -> int:
     parser, keys = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         values = _load_config(args.config) if "config" in args else {}
@@ -381,16 +361,26 @@ def main(argv=None) -> int:
             if not any(key in command_keys for command_keys in keys.values()):
                 parser.error(f"unknown config key {key!r}")
         out_dir = os.environ.get("WAVESPEED_OUT") or values.get("output_dir")
-        # Keys of another command's options are ignored, and so is the output
-        # directory, which only scan reads and which is set below.
-        values = {key: text for key, text in values.items()
-                  if key in keys[args.command] and key != "output_dir"}
-        if values:
-            # set_defaults changes the parser it is given, so these defaults
-            # go to a parser of this call's own, not the shared one.
-            parser, commands = _build_parser()
-            _set_config_defaults(commands[args.command], values)
-            args = parser.parse_args(argv)
+        # Each value becomes the flag it names unless a flag set that option (to
+        # anything but None, or False for a switch).  Keys of another command's
+        # options are ignored, and so is the output directory, set below.
+        flags, off = [], []
+        for key, text in values.items():
+            action, given = keys[args.command].get(key), getattr(args, key, None)
+            if action is None or key == "output_dir" or given is not None and given is not False:
+                continue
+            if action.nargs != 0:
+                flags.append(f"{action.option_strings[0]}={text}")
+            elif text.lower() in _TRUE:
+                flags.append(action.option_strings[0])
+            else:
+                off.append(key)
+        if flags:
+            # Before a bare "--", after which every word is positional.
+            cut = argv.index("--") if "--" in argv else len(argv)
+            args = parser.parse_args(argv[:cut] + flags + argv[cut:])
+        for key in off:
+            setattr(args, key, False)
         if args.command == "scan" and out_dir and "output_dir" not in args:
             args.output_dir = out_dir  # the flag, before or after the command, beats both
         handler = {

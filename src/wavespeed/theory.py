@@ -471,6 +471,12 @@ def _sampled_coverage_check(k1_star: float, k1_dstar: float, k2: float) -> bool:
     """Safety net: spot-check over a log-uniform ratio ladder that the verdict
     is Positive at ``k1_star`` and Negative at ``k1_dstar``."""
     ratios = [10.0 ** (-6.0 + 12.0 * i / (_LADDER_POINTS - 1)) for i in range(_LADDER_POINTS)]
+    # Add the seams, N1's and the degenerate d/r bound (reflected at k1_star):
+    # at a level short of its crossing, the gap they leave runs between them.
+    bounds = (_n1_threshold, degenerate_ratio_bound)
+    seams = [bound(k1_dstar, k2) for bound in bounds]
+    seams += [1.0 / bound(k2, k1_star) for bound in bounds if bound(k2, k1_star) > 0.0]
+    ratios += [ratio for ratio in seams if 0.0 < ratio < math.inf]
     levels = np.array([[k1_star], [k1_dstar]])
     signs = evaluate_criteria(ParamArrays(ratios, 1.0, levels, k2)).signs()
     return bool(np.all(signs == [[1], [-1]]))
@@ -508,7 +514,7 @@ def determinacy_thresholds(k2: float) -> tuple[float, float]:
     k1_dstar by doubling k1 up from max(k2^2, m(k2)), k1_star by halving
     k1 - 1 down from sqrt(k2), where the reflected coverage fails.  Each is
     then spot-checked against classify() on a log-uniform d/r ladder over
-    [1e-6, 1e6].
+    [1e-6, 1e6] and at the ratios where the two bounds meet.
 
     These are upper estimates of the true determinacy levels: the criteria
     are sufficient, not necessary.

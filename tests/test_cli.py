@@ -299,6 +299,13 @@ class TestCertify:
         assert "candidate: p = 2.5, a = 0.5 " in out
         assert code == 5
 
+    def test_config_values_reach_a_command_with_a_bare_double_dash(self, capsys, tmp_path):
+        cfg = tmp_path / "certify.cfg"
+        cfg.write_text("tol = 0.001\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "certify", "--", "11", "1", "3", "3")
+        assert code == 0
+        assert out.endswith("(tolerance 0.001)\n")
+
     def test_config_delta(self, capsys, tmp_path):
         cfg = tmp_path / "certify.cfg"
         cfg.write_text("delta = 0.01\n")
@@ -456,7 +463,8 @@ class TestScan:
         assert f"wavespeed scan: error: {message}" in err
         assert not (tmp_path / "scan.csv").exists()
 
-    @pytest.mark.parametrize("key", ["nxx", "t-end", "front_level", "fit_window"])
+    @pytest.mark.parametrize("key", ["nxx", "t-end", "front_level", "fit_window",
+                                     "help", "config"])
     def test_unknown_config_key_exit_64(self, capsys, tmp_path, key):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(f"{key} = 5\n")
@@ -474,6 +482,16 @@ class TestScan:
         assert code == 0 and err == ""
         assert (tmp_path / "scan.csv").exists()
         assert "<line" not in (tmp_path / "scan.svg").read_text()
+
+    def test_flag_equal_to_its_default_beats_the_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("plane = k1d\n")
+        argv = ["scan", "--plane", "sym", "--nx", "4", "--ny", "3", "--output-dir"]
+        assert run(capsys, "--config", str(cfg), *argv, str(tmp_path / "config"))[0] == 0
+        assert run(capsys, *argv, str(tmp_path / "plain"))[0] == 0
+        for name in ("scan.csv", "scan.svg"):
+            config, plain = (tmp_path / run_dir / name for run_dir in ("config", "plain"))
+            assert config.read_bytes() == plain.read_bytes()
 
     def test_config_key_of_another_command_is_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "scan.cfg"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wavespeed.model import validate
-from wavespeed import supersol
+from wavespeed import supersol, theory
 from wavespeed.theory import (
     CriterionId,
     ParamArrays,
@@ -322,6 +322,16 @@ class TestDeterminacy:
         assert 1.0 < k1_star < math.sqrt(k2)
         assert max(k2 * k2, m_of_k(k2)) < k1_dstar
         assert determinacy_thresholds(k1_star)[1] == pytest.approx(k2, rel=5e-5)
+
+    @pytest.mark.parametrize("k2", [1.5, 2.0, 3.0, 5.0])
+    def test_spot_check_rejects_levels_short_of_the_crossing(self, k2):
+        # Between the 25 log-spaced rungs these levels leave a d/r gap that
+        # no criterion covers; the gap ends at the seam ratios, N1's and the
+        # degenerate bound, so the check samples those too.
+        k1_star, k1_dstar = determinacy_thresholds(k2)
+        assert theory._sampled_coverage_check(k1_star, k1_dstar, k2)
+        assert not theory._sampled_coverage_check(1.0 + 1.05 * (k1_star - 1.0), k1_dstar, k2)
+        assert not theory._sampled_coverage_check(k1_star, 0.5 * k1_dstar, k2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
