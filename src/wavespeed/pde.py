@@ -9,8 +9,8 @@ is integrated on a truncated line with a semi-implicit scheme: backward
 Euler in the (linear) diffusion, forward Euler in the reaction.  The two
 species' diffusion systems are stacked as one tridiagonal matrix over the
 interior [u; v], a symmetric positive definite matrix: it is factored
-once per run as L D L^T (LAPACK ``dpttrf``) and solved once per step
-(``dpttrs``).  The implicit diffusion removes the d-dependent
+once per window size as L D L^T (LAPACK ``dpttrf``) and solved once per
+step (``dpttrs``).  The implicit diffusion removes the d-dependent
 stability restriction, which matters for both the small-d and large-d
 parameter sweeps; the explicit reaction only requires dt below the
 reaction's relaxation scale.  Boundaries are clamped to the initial
@@ -211,58 +211,6 @@ def _check_fields(u: np.ndarray, v: np.ndarray, t: float) -> None:
             )
 
 
-def _march(params: CompetitionParams, config: SimConfig,
-           u: np.ndarray, v: np.ndarray, start: int = 0):
-    """Advance (u, v) in place from step ``start`` to ``config.t_end`` by
-    semi-implicit steps, checking every step.  Only interior nodes are
-    written, so the boundary values stay clamped to the initial ones.
-
-    The diffusion matrix of the stacked interior [u; v] is factored once;
-    each step writes both right-hand sides into one buffer and solves them
-    with one ``solve_banded`` call.  The reactions write straight into
-    that buffer, which is then scaled by dt (dt r for v) and added to the
-    fields: a step allocates only the reactions' temporaries ``1 - u`` and
-    ``1 - v``, and gives the bits of ``u + dt f`` and ``v + (dt r) g``.
-    The clamped ends' terms are formed once.  The solution is checked
-    against the box in one pass; the caller keeps the boundary nodes in
-    [0, 1], as ``step_profile`` does, so only a failed pass needs
-    ``_check_fields`` to name the field and raise.  Yields (k, t) after
-    every step k.
-    """
-    dt, dx = config.dt, config.grid.dx
-    dt_r = dt * params.r
-    rc_u = dt / (dx * dx)
-    rc_v = params.d * dt / (dx * dx)
-    n = config.grid.n_points - 2
-    factors = _factor_diffusion(n, rc_u, rc_v)
-    rhs = np.empty(2 * n)
-    rhs_u, rhs_v = rhs[:n], rhs[n:]
-    u_in, v_in = u[1:-1], v[1:-1]
-    u_lo, u_hi = rc_u * u[0], rc_u * u[-1]
-    v_lo, v_hi = rc_v * v[0], rc_v * v[-1]
-    for k in range(start + 1, config.n_steps + 1):
-        # The buffer goes positionally: tools that rebind the reactions
-        # (bench/spans.py) may forward only positional arguments.
-        reaction_f(u_in, v_in, params, rhs_u)
-        rhs_u *= dt
-        rhs_u += u_in
-        reaction_g(u_in, v_in, params, rhs_v)
-        rhs_v *= dt_r
-        rhs_v += v_in
-        rhs_u[0] += u_lo
-        rhs_u[-1] += u_hi
-        rhs_v[0] += v_lo
-        rhs_v[-1] += v_hi
-        x = solve_banded(factors, rhs)
-        u_in[:] = x[:n]
-        v_in[:] = x[n:]
-        t = k * config.dt
-        # A NaN fails both comparisons.
-        if not (x.min() >= FIELD_LO and x.max() <= FIELD_HI):
-            _check_fields(u, v, t)
-        yield k, t
-
-
 def front_position(xs: np.ndarray, u: np.ndarray, level: float) -> float:
     """Position of the first upward crossing of ``level``, by linear interpolation.
 
@@ -276,15 +224,6 @@ def front_position(xs: np.ndarray, u: np.ndarray, level: float) -> float:
     x0, x1 = xs[j - 1:j + 1].tolist()
     u0, u1 = u[j - 1:j + 1].tolist()  # u0 < level <= u1, or u0 is nan: never equal
     return x0 + (x1 - x0) * (level - u0) / (u1 - u0)
-
-
-def _balance_speeds(params: CompetitionParams, u: np.ndarray, v: np.ndarray,
-                    dx: float) -> tuple[float, float]:
-    """(c_u, c_v): the front speed from the mass balance of u and of v."""
-    c_u = dx * reaction_f(u[1:-1], v[1:-1], params).sum() + (u[-1] - u[-2] - u[1] + u[0]) / dx
-    c_v = (params.r * dx * reaction_g(u[1:-1], v[1:-1], params).sum()
-           + params.d * (v[-1] - v[-2] - v[1] + v[0]) / dx)
-    return float(c_u), float(c_v)
 
 
 def _recentre(arr: np.ndarray, s: int) -> None:
@@ -320,10 +259,10 @@ def _tail_rates(params: CompetitionParams, c: float) -> tuple[float, float, floa
 
 class _Window:
     """The co-moving window of one run from the step profile: the fields,
-    their grid (``config``, replaced when the window grows) and the offset
-    of its centre from the lab frame, in cells.
+    their grid (``config``, replaced when the window grows), the offset of
+    its centre from the lab frame, in cells, and the time step on that grid.
 
-    ``estimate_speed`` and the regression reference of the tests march
+    ``estimate_speed`` and the regression reference of the tests step
     through the same window, so that both follow, and grow, alike.
     """
 
@@ -338,23 +277,65 @@ class _Window:
         self._regrid()
 
     def _regrid(self) -> None:
-        grid = self.config.grid
+        """Build what the window's size fixes: its nodes, the centre's views
+        and, once rather than at every step, the step's operands (interior
+        views, the stacked right-hand side [u; v], diffusion factors, constants)."""
+        config, params = self.config, self.params
+        grid = config.grid
         self.xs, self.dx = grid.xs(), grid.dx
         self.centre = m = (grid.n_points - 1) // 2
         self.xs_centre = self.xs[m - 1:m + 2].tolist()
+        self.u_centre = self.u[m - 1:m + 2]
+        dt, dx, n = config.dt, self.dx, grid.n_points - 2
+        rc_u, rc_v = dt / (dx * dx), params.d * dt / (dx * dx)
+        rhs = np.empty(2 * n)
+        self._operands = (self.u[1:-1], self.v[1:-1], rhs, rhs[:n], rhs[n:], n,
+                          _factor_diffusion(n, rc_u, rc_v), dt, dt * params.r, rc_u, rc_v)
 
-    def march(self):
-        """``_march`` the fields; after a growth, on from the same step in the new window."""
-        k = 0
-        while k < self.config.n_steps:
-            config = self.config
-            for k, t in _march(self.params, config, self.u, self.v, k):
-                yield k, t
-                if self.config is not config:
-                    break
+    def step(self, k: int) -> float:
+        """Advance the fields in place by the semi-implicit step k and return
+        its time k dt.  Only interior nodes are written, so the boundary
+        values stay clamped; the end terms are read from them at every step.
+
+        The reactions write straight into the right-hand side, which is
+        scaled by dt (dt r for v) and added to the fields: the bits of
+        ``u + dt f`` and ``v + (dt r) g``, with no temporaries but the
+        reactions' ``1 - u`` and ``1 - v``.  One ``solve_banded`` call
+        solves both species, and one pass checks the solution against the
+        box; the boundary nodes are in [0, 1], as ``step_profile`` makes
+        them, so only a failed pass needs ``_check_fields`` to name the
+        field and raise.
+        """
+        u, v, params = self.u, self.v, self.params
+        u_in, v_in, rhs, rhs_u, rhs_v, n, factors, dt, dt_r, rc_u, rc_v = self._operands
+        # The buffer goes positionally: tools that rebind the reactions
+        # (bench/spans.py) may forward only positional arguments.
+        reaction_f(u_in, v_in, params, rhs_u)
+        rhs_u *= dt
+        rhs_u += u_in
+        reaction_g(u_in, v_in, params, rhs_v)
+        rhs_v *= dt_r
+        rhs_v += v_in
+        rhs_u[0] += rc_u * u[0]
+        rhs_u[-1] += rc_u * u[-1]
+        rhs_v[0] += rc_v * v[0]
+        rhs_v[-1] += rc_v * v[-1]
+        x = solve_banded(factors, rhs)
+        u_in[:] = x[:n]
+        v_in[:] = x[n:]
+        t = k * dt
+        # A NaN fails both comparisons.
+        if not (x.min() >= FIELD_LO and x.max() <= FIELD_HI):
+            _check_fields(u, v, t)
+        return t
 
     def speeds(self) -> tuple[float, float]:
-        return _balance_speeds(self.params, self.u, self.v, self.dx)
+        """(c_u, c_v): the front speed from the mass balance of u and of v."""
+        params, u, v, dx = self.params, self.u, self.v, self.dx
+        c_u = dx * reaction_f(u[1:-1], v[1:-1], params).sum() + (u[-1] - u[-2] - u[1] + u[0]) / dx
+        c_v = (params.r * dx * reaction_g(u[1:-1], v[1:-1], params).sum()
+               + params.d * (v[-1] - v[-2] - v[1] + v[0]) / dx)
+        return float(c_u), float(c_v)
 
     def frame(self, t: float) -> tuple:
         """(t, x, u, v) of the window, x in the lab frame."""
@@ -367,8 +348,7 @@ class _Window:
         ``front_position``; otherwise ``front_position`` finds it and, once
         it is more than a cell from the centre node, u and v move back by
         whole cells to put it within half a cell of that node."""
-        m = self.centre
-        lo, mid, hi = self.u[m - 1:m + 2].tolist()
+        lo, mid, hi = self.u_centre.tolist()
         if lo < FRONT_LEVEL <= mid:
             (x0, x1, _), u0, u1 = self.xs_centre, lo, mid
         elif mid < FRONT_LEVEL <= hi:
@@ -409,8 +389,7 @@ class _Window:
             return False
         n_points = config.grid.n_points + 2 * pad
         self.config = replace(config, grid=Grid1D(self.dx * (n_points - 1) / 2.0, n_points))
-        self.u = np.pad(self.u, pad, mode="edge")
-        self.v = np.pad(self.v, pad, mode="edge")
+        self.u, self.v = (np.pad(field, pad, mode="edge") for field in (self.u, self.v))
         self._regrid()
         return True
 
@@ -450,7 +429,8 @@ def estimate_speed(
     if frames is not None:
         frame_every = max(1, n_steps // 200)
         frames.append(window.frame(0.0))
-    for k, t in window.march():
+    for k in range(1, n_steps + 1):
+        t = window.step(k)
         balance = k % balance_every == 0 or k == n_steps
         if balance:
             c_u, c_v = window.speeds()

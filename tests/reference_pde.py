@@ -1,19 +1,19 @@
-"""Reference time steps for ``pde._march``, and the regression speed estimate.
+"""Reference time steps for ``pde._Window.step``, and the regression speed estimate.
 
 The semi-implicit step as it was first written: the two species' backward
 Euler diffusion systems are solved separately, and the reaction is stepped
 by forward Euler.  ``march`` solves each symmetric positive definite system
 with ``scipy.linalg.solveh_banded`` (LAPACK ``ptsv``, which factors the
-matrix as L D L^T on every call).  ``pde._march`` factors the stacked
-system once with the same algorithm (``dpttrf``/``dpttrs``) and must stay
-bit-identical to this loop; the tests compare the two field by field.
-The reactions are written out here as plain expressions, independent of
-``model.reaction_f`` and ``reaction_g`` and of the buffers ``pde._march``
-computes them in.
+matrix as L D L^T on every call).  A window factors the stacked system
+once per size with the same algorithm (``dpttrf``/``dpttrs``), and its
+steps must stay bit-identical to this loop; the tests compare the two
+field by field, also after the window grows.  The reactions are written
+out here as plain expressions, independent of ``model.reaction_f`` and
+``reaction_g`` and of the buffer the window's step computes them in.
 
 ``march_gtsv`` is the same loop on ``scipy.linalg.solve_banded`` (LAPACK
-``gtsv``, a pivoting LU that assumes no symmetry); ``pde._march`` must stay
-within rounding of it.
+``gtsv``, a pivoting LU that assumes no symmetry); the window's steps must
+stay within rounding of it.
 
 ``regression_estimate`` is the speed estimate that the mass balance of
 ``pde.estimate_speed`` replaced: it marches to ``t_end`` and fits a line to
@@ -120,7 +120,8 @@ def regression_estimate(params: CompetitionParams, config: SimConfig,
     n_steps = config.n_steps
     balance_every = max(1, round(pde.SAMPLE_DT / config.dt))
     ts, fronts = [0.0], [pde.front_position(window.xs, window.u, pde.FRONT_LEVEL)]
-    for k, t in window.march():
+    for k in range(1, n_steps + 1):
+        t = window.step(k)
         balance = k % balance_every == 0 or k == n_steps
         if balance:
             c_u = window.speeds()[0]

@@ -14,7 +14,6 @@ from wavespeed import pde
 from wavespeed.model import ParameterError, validate
 from wavespeed.pde import (
     Grid1D,
-    _march,
     SimConfig,
     SimulationError,
     _recentre,
@@ -33,13 +32,16 @@ def coarse_config(L=40.0, dx=0.2, dt=0.05, t_end=60.0):
 
 
 def _march_states(params, config, init, every, shifts=()):
-    """(t, u, v) copies of the state that ``_march`` advances from ``init``:
-    at t = 0 and after every ``every``-th step, recentred where ``shifts``,
-    an estimate's (t, offset in cells) pairs, say."""
-    u, v = (np.array(field, dtype=float) for field in init)
+    """(t, u, v) copies of the state that ``_Window.step`` advances from
+    ``init``: at t = 0 and after every ``every``-th step, recentred where
+    ``shifts``, an estimate's (t, offset in cells) pairs, say."""
+    window = pde._Window(params, config)
+    u, v = window.u, window.v
+    u[:], v[:] = init
     states = [(0.0, u.copy(), v.copy())]
     offsets, offset = dict(shifts), 0
-    for k, t in _march(params, config, u, v):
+    for k in range(1, config.n_steps + 1):
+        t = window.step(k)
         if t in offsets:
             _recentre(u, offsets[t] - offset)
             _recentre(v, offsets[t] - offset)
@@ -604,19 +606,19 @@ def _outcome(run) -> str | None:
 
 
 class TestMarch:
-    """``_march`` against the two-solve reference loops of ``reference_pde``."""
+    """``_Window.step`` against the two-solve reference loops of ``reference_pde``."""
 
     @staticmethod
     def _both(point, reference):
         params = validate(*point)
         cfg = default_config(L=20.0, t_end=6.0)
         assert cfg.n_steps == 300
-        u, v = step_profile(cfg.grid)
-        u_ref, v_ref = u.copy(), v.copy()
+        window = pde._Window(params, cfg)
+        u_ref, v_ref = step_profile(cfg.grid)
         reference(params, cfg, u_ref, v_ref, cfg.n_steps)
-        steps = [k for k, _ in _march(params, cfg, u, v)]
-        assert steps == list(range(1, 301))
-        return u, v, u_ref, v_ref
+        times = [window.step(k) for k in range(1, 301)]
+        assert times == [k * cfg.dt for k in range(1, 301)]
+        return window.u, window.v, u_ref, v_ref
 
     @pytest.mark.parametrize("point", MARCH_POINTS + [ORACLE_TOP_ROW])
     def test_bit_identical_to_reference(self, point):
@@ -627,6 +629,23 @@ class TestMarch:
     def test_within_rounding_of_the_pivoting_lu(self, point):
         u, v, u_ref, v_ref = self._both(point, reference_pde.march_gtsv)
         assert np.abs(u - u_ref).max() <= 1e-12 and np.abs(v - v_ref).max() <= 1e-12
+
+    def test_bit_identical_to_reference_after_a_growth(self):
+        # The top row's slow tail grows the window at its first balance
+        # sample from t = SETTLE_LAG; the steps after it solve with the
+        # factors of the grown window.
+        params = validate(*ORACLE_TOP_ROW)
+        window = pde._Window(params, default_config(L=60.0, t_end=120.0))
+        grown_at = round(pde.SETTLE_LAG / window.config.dt)
+        for k in range(1, grown_at + 1):
+            window.track(window.step(k))
+        assert window.grow(grown_at, window.speeds()[0], pde._rest_gap(window.u, window.v))
+        assert window.config.grid.n_points == 4405
+        u_ref, v_ref = window.u.copy(), window.v.copy()
+        reference_pde.march(params, window.config, u_ref, v_ref, 10)
+        for k in range(grown_at + 1, grown_at + 11):
+            window.step(k)
+        assert np.array_equal(window.u, u_ref) and np.array_equal(window.v, v_ref)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(3, 12).flatmap(lambda n: st.tuples(
@@ -644,16 +663,17 @@ class TestMarch:
         if nan_at is not None:
             x[nan_at[0] * m + nan_at[1]] = np.nan
         cfg = default_config(L=1.0, dx=2.0 / (m + 1), dt=0.01, t_end=0.02)
-        u = np.array([ends[0], *np.full(m, 0.5), ends[1]])
-        v = np.array([ends[2], *np.full(m, 0.5), ends[3]])
-        expected_u = np.concatenate([u[:1], x[:m], u[-1:]])
-        expected_v = np.concatenate([v[:1], x[m:], v[-1:]])
+        window = pde._Window(validate(1, 1, 2, 2), cfg)
+        window.u[:] = [ends[0], *np.full(m, 0.5), ends[1]]
+        window.v[:] = [ends[2], *np.full(m, 0.5), ends[3]]
+        expected_u = np.concatenate([window.u[:1], x[:m], window.u[-1:]])
+        expected_v = np.concatenate([window.v[:1], x[m:], window.v[-1:]])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pde, "solve_banded", lambda factors, rhs: x.copy())
-            step = _outcome(lambda: next(_march(validate(1, 1, 2, 2), cfg, u, v)))
+            step = _outcome(lambda: window.step(1))
         assert step == _outcome(lambda: pde._check_fields(expected_u, expected_v, cfg.dt))
-        assert np.array_equal(u, expected_u, equal_nan=True)
-        assert np.array_equal(v, expected_v, equal_nan=True)
+        assert np.array_equal(window.u, expected_u, equal_nan=True)
+        assert np.array_equal(window.v, expected_v, equal_nan=True)
 
     def test_stiff_anchor_message(self):
         with pytest.raises(SimulationError) as info:
