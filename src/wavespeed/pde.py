@@ -142,10 +142,10 @@ class SpeedEstimate:
     ``c_hat`` is c_u at the last sample; ``stderr`` is the larger of
     |c_u - c_v| and the range of c_u over the last SETTLE_LAG (inf before
     t = SETTLE_LAG).  ``front_trace`` is an (n, 2) array of (t, front
-    position in the lab frame) up to the last step.  ``converged`` requires
-    ``stderr`` below 0.1 * max(|c_hat|, 0.01) and each field within
+    position in the lab frame) up to the last step.  A run converged when
+    ``stderr`` is below 0.1 * max(|c_hat|, 0.01) and each field is within
     ``REST_TOL`` of its clamped end value at both outermost interior nodes.
-    ``reason`` names why a run did not converge: ``truncation`` (the window
+    Otherwise ``reason`` names why it did not: ``truncation`` (the window
     cuts the front's profile), ``not_relaxed`` (the error bar is too wide),
     or ``stiff`` for a run that raised :class:`SimulationError`, recorded
     without a trace.  ``shifts`` holds one (t, offset in cells) per recentring
@@ -156,10 +156,14 @@ class SpeedEstimate:
     c_hat: float
     stderr: float
     front_trace: np.ndarray
-    converged: bool
     reason: str | None = None
     shifts: tuple[tuple[float, int], ...] = ()
     half_length: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the run converged: it names no ``reason`` it did not."""
+        return self.reason is None
 
 
 def step_profile(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -451,7 +455,7 @@ def estimate_speed(
         if stop:
             break
     trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
-    return SpeedEstimate(c_u, error, trace, reason is None, reason, tuple(window.shifts),
+    return SpeedEstimate(c_u, error, trace, reason, tuple(window.shifts),
                          window.config.grid.half_length)
 
 
@@ -461,7 +465,7 @@ def _estimate_one(job: tuple[CompetitionParams, SimConfig | None]) -> SpeedEstim
     try:
         return estimate_speed(*job)  # the global: a rebinding reaches forked workers
     except SimulationError:
-        return SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")
+        return SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), "stiff")
 
 
 def estimate_speeds(jobs: list) -> list[SpeedEstimate]:

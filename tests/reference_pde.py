@@ -133,7 +133,7 @@ def regression_estimate(params: CompetitionParams, config: SimConfig,
     fit = trace[trace[:, 0] >= (1.0 - fit_window) * config.t_end]
     tw, xw = fit[:, 0], fit[:, 1]
     if not (np.isfinite(xw).all() and len(tw) >= 3):
-        return SpeedEstimate(float("nan"), float("inf"), trace, False, "lost_crossing"), c_u
+        return SpeedEstimate(float("nan"), float("inf"), trace, "lost_crossing"), c_u
     slope, stderr = _ols_slope(tw, xw)
     if pde._rest_gap(window.u, window.v) > pde.REST_TOL:
         reason = "truncation"
@@ -141,4 +141,4 @@ def regression_estimate(params: CompetitionParams, config: SimConfig,
         reason = "noisy_fit"
     else:
         reason = None
-    return SpeedEstimate(-slope, stderr, trace, reason is None, reason), c_u
+    return SpeedEstimate(-slope, stderr, trace, reason), c_u

@@ -162,7 +162,7 @@ class TestSpeed:
 
         def fake_estimate(params, config):
             seen.append(config)
-            return cli.pde.SpeedEstimate(-0.1, 0.001, np.empty((0, 2)), True)
+            return cli.pde.SpeedEstimate(-0.1, 0.001, np.empty((0, 2)))
 
         monkeypatch.setattr(cli.pde, "estimate_speed", fake_estimate)
         cfg = tmp_path / "speed.cfg"
@@ -177,7 +177,7 @@ class TestSpeed:
 
     def test_sign_contradicting_the_verdict_is_a_disagreement(self, capsys, monkeypatch):
         def fake_estimate(params, config):
-            return cli.pde.SpeedEstimate(0.5, 0.001, np.empty((0, 2)), True)
+            return cli.pde.SpeedEstimate(0.5, 0.001, np.empty((0, 2)))
 
         monkeypatch.setattr(cli.pde, "estimate_speed", fake_estimate)
         code, out, _ = run(capsys, "speed", "11", "1", "3", "3")

@@ -404,11 +404,11 @@ def plane_specs(draw, max_cells=12):
 # Oracle estimates as the CSV sees them: converged, a speed still moving at
 # the cap, and a stiff run recorded as nan, inf.
 speed_estimates = st.one_of(
-    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), True),
+    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2))),
               st.floats(-3.0, 3.0), st.floats(0.0, 0.1)),
-    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), False, "not_relaxed"),
+    st.builds(lambda c, e: SpeedEstimate(c, e, np.empty((0, 2)), "not_relaxed"),
               st.floats(-3.0, 3.0), st.floats(0.0, 10.0)),
-    st.just(SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), False, "stiff")),
+    st.just(SpeedEstimate(math.nan, math.inf, np.empty((0, 2)), "stiff")),
 )
 
 
@@ -436,7 +436,7 @@ def emitted_planes(draw):
 
 
 class TestEmittersMatchReference:
-    """emit_csv and emit_svg write the bytes of the per-cell reference writers."""
+    """emit_csv and emit_svg write the bytes of the per-cell and per-row reference writers."""
 
     @settings(max_examples=150)
     @given(emitted_planes())
@@ -447,6 +447,53 @@ class TestEmittersMatchReference:
             emit(plane, out / "new")
             reference(plane, out / "reference")
             assert (out / "new").read_bytes() == (out / "reference").read_bytes()
+
+
+def _covered_cells(path, nx: int, ny: int) -> dict[str, np.ndarray]:
+    """How many ``<rect>``s of each criterion layer of an emitted SVG cover
+    each (y, x) cell, by layer key.  The plot area is the axes frame; a rect
+    must sit on the cell grid, up to the 2-decimal rounding of its numbers,
+    and covers the cells its x and width span on the row its y names."""
+    root = ET.parse(path).getroot()
+    frame = next(el for el in root.iter() if el.get("id") == "axes")[0]
+    left, top, pw, ph = (float(frame.get(a)) for a in ("x", "y", "width", "height"))
+    cw, ch = pw / nx, ph / ny
+    covered = {}
+    for group in root.iter():
+        if not group.get("id", "").startswith("criterion-"):
+            continue
+        counts = np.zeros((ny, nx), dtype=int)
+        for rect in group:
+            x, y, w, h = (float(rect.get(a)) for a in ("x", "y", "width", "height"))
+            ix, iy, n = round((x - left) / cw), ny - 1 - round((y - top) / ch), round(w / cw)
+            assert max(abs(x - left - ix * cw), abs(y - top - (ny - 1 - iy) * ch),
+                       abs(w - n * cw), abs(h - ch)) <= 0.0051
+            assert n >= 1 and 0 <= ix <= ix + n <= nx and 0 <= iy < ny
+            counts[iy, ix:ix + n] += 1
+        covered[group.get("id")[len("criterion-"):]] = counts
+    return covered
+
+
+class TestSvgRowRuns:
+    """Each layer of the SVG covers exactly its hit cells, each once."""
+
+    @staticmethod
+    def _check(plane, path):
+        emit_svg(plane, path)
+        covered = _covered_cells(path, plane.xs.size, plane.ys.size)
+        masks = dict(plane.masks())
+        assert covered.keys() == {key for key, hits in masks.items() if hits.any()}
+        for key, counts in covered.items():
+            np.testing.assert_array_equal(counts, masks[key].astype(int), err_msg=key)
+
+    @pytest.mark.parametrize("plane", ["sym", "k1d"])
+    def test_default_planes(self, tmp_path, plane):
+        self._check(scan_plane(plane_spec(plane)), tmp_path / "map.svg")
+
+    @settings(max_examples=60)
+    @given(emitted_planes())
+    def test_emitted_planes(self, tmp_path_factory, plane):
+        self._check(plane, tmp_path_factory.mktemp("runs") / "map.svg")
 
 
 class TestExchangeSymmetry:
@@ -462,25 +509,26 @@ class TestExchangeSymmetry:
 
 
 # sha256 of `wavespeed scan` output (numpy 2.4.6, x86-64), with an R_ column
-# for every criterion row.  The k1d-3-40 --with-pde plane holds a cell whose
-# oracle run fails, written as nan,inf,0; the k1d-2-1 one runs the oracle on
-# two cells that both converge, so it pins c_num, stderr and converged.
+# for every criterion row and one SVG <rect> per row run of a layer's hits.
+# The k1d-3-40 --with-pde plane holds a cell whose oracle run fails, written
+# as nan,inf,0; the k1d-2-1 one runs the oracle on two cells that both
+# converge, so it pins c_num, stderr and converged.
 GOLDEN = [
     ([], "818ce98a48a3af7b6ff270c19f9f3b697d7a19da31356793d4c12346fcb4cbfc",
-     "38c4d575254d44ce9db3691ec47ecc7ab80d86216e78cfe980286cf291da5e75"),
+     "010e4f7eaa172d4f9b3a6fd64319f8a839919a32572f33db9839e6071f057ebc"),
     (["--plane", "k1d", "--k2", "2", "--r", "1"],
      "ddbabdfb6c7d79f23aac2982e86d65485cc95751b88260e065f1343ef51c3812",
-     "1e147040549245ea89ba7b775ec78f0807d6213ad8cb0176c500391caf107b7a"),
+     "c78ad75c78e41e58a28c5aa006469826592bfea8c12a19ed7cfd8ffc55a39088"),
     (["--plane", "k1d", "--k2", "3", "--r", "40"],
      "085bc54afa023e1ce746bc83c4cc580ba1b980962ef2cfeef29622b774b7c043",
-     "669e569199361f5079a8cc9ba0eb9a8086e3eb5751a7c6711bd62fa76674a036"),
+     "15bce15dfaf484eabb5002437f8d9861330b4e151fe3ad894c654eea1b56a3aa"),
     (["--plane", "k1d", "--k2", "3", "--r", "40", "--nx", "4", "--ny", "3", "--with-pde"],
      "eadd23f422213e11c7d738571dd7a2e955a74f3abf92d93ffe81b6312482cecf",
-     "96005ade2d6cb18fd0d361a38819402e7afce73c2772a56c4faa56ebdb709390"),
+     "c5a999c63021d76c3fd3545c151da80f5d7f935f8b5800da64b602c067180647"),
     (["--plane", "k1d", "--k2", "2", "--r", "1", "--xrange", "3:10", "--yrange", "0.5:5",
       "--nx", "11", "--ny", "2", "--with-pde"],
      "0b53774f84e40539830bcb41507f1e622fe6913f3e5bb055dad99f1c8f4776e0",
-     "aebc8e8db55eb748e57c3425b04303f7dd1902399aa7a65b9bca2d5ac844d05e"),
+     "5b2af8b81e15ad9b1cc65cdc09d1112d3bf0a076e41c62ad381b22f1f7f5cec4"),
 ]
 
 
