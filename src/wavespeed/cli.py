@@ -7,7 +7,7 @@ Exit codes
               (also with --export when the profile fails its quadrature,
               as for p above about 5e143)
     scan:     0 on success
-    64 invalid parameters or usage, 74 output I/O failure
+    64 invalid parameters or usage, 74 config read or output write failure
 
 All floating output uses 12 significant digits so reruns are reproducible
 byte for byte.  Configuration precedence: flags > config file > defaults;

@@ -429,7 +429,7 @@ def estimate_speed(
     balance_every = max(1, round(SAMPLE_DT / config.dt))
     lag = max(1, round(SETTLE_LAG / (balance_every * config.dt)))  # in balance samples
     history = [window.speeds()[0]]  # c_u at steps 0, balance_every, ...
-    ts, fronts = [0.0], [front_position(window.xs, window.u, FRONT_LEVEL)]
+    fronts = [front_position(window.xs, window.u, FRONT_LEVEL)]
     if frames is not None:
         frame_every = max(1, n_steps // 200)
         frames.append(window.frame(0.0))
@@ -442,7 +442,6 @@ def estimate_speed(
             j = k // balance_every - lag  # the sample at or before t - SETTLE_LAG
             drift = max(history[j:]) - min(history[j:]) if j >= 0 else math.inf
             error = max(drift, abs(c_u - c_v))
-        ts.append(t)
         fronts.append(window.track(t))
         if balance:  # the rest gap is judged after the recentre, the speeds before it
             gap = _rest_gap(window.u, window.v)
@@ -454,7 +453,7 @@ def estimate_speed(
             frames.append(window.frame(t))
         if stop:
             break
-    trace = np.column_stack([np.asarray(ts), np.asarray(fronts)])
+    trace = np.column_stack([np.arange(len(fronts)) * config.dt, np.asarray(fronts)])
     return SpeedEstimate(c_u, error, trace, reason, tuple(window.shifts),
                          window.config.grid.half_length)
 

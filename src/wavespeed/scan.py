@@ -20,7 +20,6 @@ the verdict at its parameters.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +119,10 @@ def _axis(rng: tuple[float, float], n: int, scale: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionSample:
-    """One grid cell: criterion verdicts, combined sign, optional speed."""
+    """One grid cell: its coordinates, combined sign and optional speed."""
 
     x: float
     y: float
-    verdicts: dict[CriterionId, bool]
-    reflected_verdicts: dict[CriterionId, bool]
     combined: SignVerdict
     c_num: "pde.SpeedEstimate | None" = None
 
@@ -143,16 +140,17 @@ _COLUMNS = {plane: _plane_columns(plane) for plane in PLANE_DEFAULTS}
 
 
 @dataclass(frozen=True, eq=False)
-class Plane(Sequence):
+class Plane:
     """A swept plane, held by column.
 
     ``hits`` has one (ny, nx) bool array per criterion row, read directly
-    and at the reflection, and ``hits.signs()`` folds them into a code of
-    ``theory.SIGN_OF_CODE`` per cell; ``c_num`` the oracle estimates by
-    row-major cell index.  On the k1d plane ``hits`` keeps the symmetric-only
-    rows too, since they count in the verdict on the diagonal, though they
-    are no CSV column.  As a sequence the plane holds one
-    :class:`RegionSample` per cell, row-major over (y, x), built on access.
+    and at the reflection; ``hits.signs()`` folds them into a code of
+    ``theory.SIGN_OF_CODE`` per cell and ``hits.verdict((iy, ix))`` gives
+    the verdict of one cell.  ``c_num`` holds the oracle estimates by
+    row-major cell index.  On the k1d plane ``hits`` keeps the
+    symmetric-only rows too, since they count in the verdict on the
+    diagonal, though they are no CSV column.  Iterating the plane yields
+    one :class:`RegionSample` per cell, row-major over (y, x).
     """
 
     spec: ScanSpec
@@ -164,22 +162,10 @@ class Plane(Sequence):
     def __len__(self) -> int:
         return self.xs.size * self.ys.size
 
-    def __getitem__(self, index: int) -> RegionSample:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("plane cell index out of range")
-        iy, ix = divmod(index, self.xs.size)
-        columns = _COLUMNS[self.spec.plane]
-        return RegionSample(
-            float(self.xs[ix]), float(self.ys[iy]),
-            verdicts={cid: bool(self.hits.direct[cid][iy, ix])
-                      for _, cid, mirrored in columns if not mirrored},
-            reflected_verdicts={cid: bool(self.hits.reflected[cid][iy, ix])
-                                for _, cid, mirrored in columns if mirrored},
-            combined=self.hits.verdict((iy, ix)),
-            c_num=self.c_num.get(index),
-        )
+    def __iter__(self):
+        for index, (iy, ix) in enumerate(np.ndindex(self.ys.size, self.xs.size)):
+            yield RegionSample(float(self.xs[ix]), float(self.ys[iy]),
+                               self.hits.verdict((iy, ix)), self.c_num.get(index))
 
     def masks(self) -> list[tuple[str, np.ndarray]]:
         """(CSV key, (ny, nx) hits) of each criterion column, in column order."""

@@ -250,21 +250,26 @@ class ResidualReport:
 
     The maxima, at ``at_max_I``/``at_max_J`` in ``coordinate`` ("s" or "x"),
     are scale-free margins for the smooth family and I, J for the piecewise
-    one.  ``certified``: max_I <= tol, max_J <= tol and every applicable
-    jump >= -tol.  Jump fields are None for smooth profiles, ``from_one``
-    (1 - s at both maxima, s unrounded) for piecewise ones.
+    one.  Jump fields are None for smooth profiles, ``from_one`` (1 - s at
+    both maxima, s unrounded) for piecewise ones.
     """
 
     max_I: float
     at_max_I: float
     max_J: float
     at_max_J: float
-    certified: bool
     tol: float
     coordinate: str
     jump_phi: float | None = None
     jump_psi: float | None = None
     from_one: tuple[float, float] | None = None
+
+    @property
+    def certified(self) -> bool:
+        """max_I <= tol, max_J <= tol and every jump that applies >= -tol."""
+        jumps = (jump for jump in (self.jump_phi, self.jump_psi) if jump is not None)
+        return (self.max_I <= self.tol and self.max_J <= self.tol
+                and all(jump >= -self.tol for jump in jumps))
 
 
 def _q_peaks(coeffs: tuple[float, float, float, float], cand: SupersolCandidate,
@@ -337,8 +342,8 @@ def residuals_IJ(cand: SupersolCandidate, params: CompetitionParams,
     L0 = ratio_a2 * alpha_p(p) - 1.0  # L(0), from its terms L0 + 1 and 1
     max_J, at_J = max((L0 / max(L0 + 1.0, 1.0), 0.0),
                       ((params.k2 - ratio_a2 + L0) / max(params.k2, ratio_a2), 1.0))
-    return ResidualReport(max_I, math.exp(-u / p), max_J, at_J, max_I <= tol and max_J <= tol,
-                          tol, "s", from_one=(-math.expm1(-u / p), 1.0 - at_J))
+    return ResidualReport(max_I, math.exp(-u / p), max_J, at_J, tol, "s",
+                          from_one=(-math.expm1(-u / p), 1.0 - at_J))
 
 
 def choose_p_a(params: CompetitionParams) -> SupersolCandidate | None:
@@ -506,6 +511,4 @@ def degenerate_residuals(ds: DegenerateSupersol, params: CompetitionParams,
     max_J = J if J > 0.0 else 0.0
     mu = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * w))
     at_J = ds.xi + (math.log(mu) - math.log1p(-mu)) / ds.gamma_ if J > 0.0 and w < ds.m0 else 0.0
-    jumps = _degenerate_jumps(ds)
-    certified = max_J <= tol and all(jump >= -tol for jump in jumps)
-    return ResidualReport(0.0, 0.0, max_J, at_J, certified, tol, "x", *jumps)
+    return ResidualReport(0.0, 0.0, max_J, at_J, tol, "x", *_degenerate_jumps(ds))

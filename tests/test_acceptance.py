@@ -169,20 +169,18 @@ def test_09_region_figure_reproduction():
         nx=91,
         ny=31,
     )
-    samples = scan.scan_plane(spec)
-    new_cells = sum(
-        1 for s in samples
-        if s.verdicts[CriterionId.S1] or s.verdicts[CriterionId.S2]
-    )
+    plane = scan.scan_plane(spec)
+    direct = plane.hits.direct
+    new_cells = int(np.count_nonzero(direct[CriterionId.S1] | direct[CriterionId.S2]))
     priors = (
         CriterionId.PRIOR_I, CriterionId.PRIOR_II, CriterionId.PRIOR_III,
         CriterionId.PRIOR_VII, CriterionId.PRIOR_VIII,
     )
-    prior_cells = sum(1 for s in samples if any(s.verdicts[c] for c in priors))
+    prior = np.logical_or.reduce([direct[c] for c in priors])
+    prior_cells = int(np.count_nonzero(prior))
     ok = new_cells > prior_cells
-    for s in samples:
-        if any(s.verdicts[c] for c in priors):
-            ok &= s.combined.sign is Sign.NEGATIVE
+    for cell in zip(*np.nonzero(prior)):
+        ok &= plane.hits.verdict(cell).sign is Sign.NEGATIVE
     elapsed = time.perf_counter() - t0
     print(f"  (S1|S2 cells: {new_cells}, prior cells: {prior_cells})")
     _report(9, "region-figure reproduction", ok and elapsed < 5.0)

@@ -62,6 +62,17 @@ class TestClassify:
         assert out == ""
         assert err == f"error: config file {str(cfg)!r} is not valid UTF-8\n"
 
+    @pytest.mark.parametrize("content, code, message", [
+        ("nx 5\n", 64, "bad config line: 'nx 5'"),
+        (None, 74, "[Errno 2] No such file or directory: {path!r}"),
+    ], ids=["line-without-equals", "missing-file"])
+    def test_config_file_faults(self, capsys, tmp_path, content, code, message):
+        cfg = tmp_path / "scan.cfg"
+        if content is not None:
+            cfg.write_text(content)
+        assert run(capsys, "--config", str(cfg), "classify", "11", "1", "3", "3") == (
+            code, "", f"error: {message.format(path=str(cfg))}\n")
+
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "11", "1", "3", "3", "--seed", "1"])
@@ -474,6 +485,14 @@ class TestScan:
         assert exc.value.code == 64
         assert f"wavespeed: error: unknown config key '{key}'" in err
         assert not (tmp_path / "scan.csv").exists()
+
+    def test_unwritable_output_exit_74(self, capsys, tmp_path):
+        # The prefix names a directory that does not exist under the output directory.
+        code, out, err = run(capsys, "scan", "--nx", "3", "--ny", "2",
+                             "--output-dir", str(tmp_path), "--out-prefix", "sub/x")
+        assert (code, out) == (74, "")
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_reference_line_off_the_plane(self, capsys, tmp_path):
         # k2^2 overflows to inf; it falls off the plane, so no dashed line is drawn.

@@ -23,6 +23,7 @@ from wavespeed.theory import (
 )
 from wavespeed.scan import (
     _SVG_STYLE,
+    PLANE_DEFAULTS,
     Plane,
     ScanSpec,
     emit_csv,
@@ -43,33 +44,40 @@ def sym_spec():
 
 
 @pytest.fixture(scope="module")
-def sym_samples(sym_spec):
+def sym_plane(sym_spec):
     return scan_plane(sym_spec)
 
 
 class TestScanPlane:
-    def test_row_major_ordering_and_shape(self, sym_spec, sym_samples):
-        assert len(sym_samples) == sym_spec.nx * sym_spec.ny
+    def test_row_major_ordering_and_shape(self, sym_spec, sym_plane):
+        assert len(sym_plane) == sym_spec.nx * sym_spec.ny
         xs = sym_spec.x_values()
         ys = sym_spec.y_values()
-        assert sym_samples[0].x == xs[0] and sym_samples[0].y == ys[0]
-        assert sym_samples[sym_spec.nx - 1].x == xs[-1]
-        assert sym_samples[sym_spec.nx].y == ys[1]
+        assert sym_plane.xs.tolist() == xs.tolist()
+        assert sym_plane.ys.tolist() == ys.tolist()
+        for hits in (sym_plane.hits.direct, sym_plane.hits.reflected):
+            assert all(mask.shape == (sym_spec.ny, sym_spec.nx) for mask in hits.values())
+        cells = list(sym_plane)
+        assert cells[0].x == xs[0] and cells[0].y == ys[0]
+        assert cells[sym_spec.nx - 1].x == xs[-1]
+        assert cells[sym_spec.nx].y == ys[1]
 
-    def test_determinism(self, sym_spec, sym_samples):
+    def test_determinism(self, sym_spec, sym_plane):
         again = scan_plane(sym_spec)
-        for a, b in zip(sym_samples, again):
-            assert a.x == b.x and a.y == b.y
-            assert a.verdicts == b.verdicts
-            assert a.combined.sign == b.combined.sign
+        assert np.array_equal(sym_plane.xs, again.xs)
+        assert np.array_equal(sym_plane.ys, again.ys)
+        for row in CRITERIA:
+            assert np.array_equal(sym_plane.hits.direct[row.id], again.hits.direct[row.id])
+        assert np.array_equal(sym_plane.hits.signs(), again.hits.signs())
 
-    def test_no_cell_in_both_polarity_masks(self, sym_samples):
-        for s in sym_samples:
-            votes = {-1: False, +1: False}
-            for row in CRITERIA:
-                votes[row.polarity] |= s.verdicts[row.id]
-                votes[-row.polarity] |= s.reflected_verdicts[row.id]
-            assert not (votes[-1] and votes[+1])
+    def test_no_cell_in_both_polarity_masks(self, sym_plane):
+        hits = sym_plane.hits
+        shape = (sym_plane.ys.size, sym_plane.xs.size)
+        votes = {-1: np.zeros(shape, bool), +1: np.zeros(shape, bool)}
+        for row in CRITERIA:
+            votes[row.polarity] |= hits.direct[row.id]
+            votes[-row.polarity] |= hits.reflected[row.id]
+        assert not (votes[-1] & votes[+1]).any()
 
     def test_polarity_conflict_raises_from_the_sweep(self, monkeypatch):
         # pos1 forced on votes both ways at every cell, directly and reflected.
@@ -83,35 +91,31 @@ class TestScanPlane:
                 "at CompetitionParams(d=1.0, r=1.0, k1=1.000000001, k2=1.000000001)")):
             scan_plane(plane_spec("sym", nx=3, ny=3))
 
-    def test_combined_consistent_with_masks(self, sym_samples):
-        for s in sym_samples:
-            if s.combined.sign is Sign.INCONCLUSIVE:
-                assert not any(s.verdicts.values())
-                assert not any(s.reflected_verdicts.values())
+    def test_combined_consistent_with_masks(self, sym_plane):
+        hits = sym_plane.hits
+        for cell in np.ndindex(sym_plane.ys.size, sym_plane.xs.size):
+            if hits.verdict(cell).sign is Sign.INCONCLUSIVE:
+                assert not any(mask[cell] for mask in hits.direct.values())
+                assert not any(mask[cell] for mask in hits.reflected.values())
 
-    def test_prior_cells_classified_negative(self, sym_samples):
+    def test_prior_cells_classified_negative(self, sym_plane):
         priors = [
             CriterionId.PRIOR_I, CriterionId.PRIOR_II, CriterionId.PRIOR_III,
             CriterionId.PRIOR_VII, CriterionId.PRIOR_VIII,
         ]
-        hit = 0
-        for s in sym_samples:
-            if any(s.verdicts[c] for c in priors):
-                hit += 1
-                assert s.combined.sign is Sign.NEGATIVE
-        assert hit > 0
+        prior = np.logical_or.reduce([sym_plane.hits.direct[c] for c in priors])
+        for cell in zip(*np.nonzero(prior)):
+            assert sym_plane.hits.verdict(cell).sign is Sign.NEGATIVE
+        assert prior.any()
 
     def test_neg3_mask_is_upset_in_k1(self):
         spec = ScanSpec(
             plane="k1d", x_range=(1.1, 40.0), y_range=(0.5, 2.0),
             nx=25, ny=3, x_scale="log", k2=2.0,
         )
-        samples = scan_plane(spec)
-        ys = sorted({s.y for s in samples})
-        for y in ys:
-            row = [s for s in samples if s.y == y]
-            row.sort(key=lambda s: s.x)
-            fired = [s.verdicts[CriterionId.NEG3] for s in row]
+        plane = scan_plane(spec)
+        assert (np.diff(plane.xs) > 0).all()  # each row of a mask runs up in k1
+        for fired in plane.hits.direct[CriterionId.NEG3]:
             seen = False
             for f in fired:
                 if seen:
@@ -204,22 +208,19 @@ class TestFigure2:
                                tmp_path / "sym.svg") == {}
 
     def test_degenerate_mask_needs_k1_above_k2_squared(self, fig2_plane):
-        fired = [s for s in fig2_plane if s.verdicts[CriterionId.DEG_NEG]]
-        assert fired
-        assert all(s.x > 4.0 for s in fired)
+        _, ix = np.nonzero(fig2_plane.hits.direct[CriterionId.DEG_NEG])
+        assert ix.size
+        assert (fig2_plane.xs[ix] > 4.0).all()
 
     def test_degenerate_envelope_matches_bound(self, fig2_plane):
-        xs = sorted({s.x for s in fig2_plane})
-        col = min((x for x in xs if x > 7.5), key=lambda x: abs(x - 8.0))
-        fired_y = [
-            s.y for s in fig2_plane
-            if s.x == col and s.verdicts[CriterionId.DEG_NEG]
-        ]
+        xs, ys = fig2_plane.xs.tolist(), fig2_plane.ys.tolist()
+        ix = min((i for i, x in enumerate(xs) if x > 7.5), key=lambda i: abs(xs[i] - 8.0))
+        col = xs[ix]
+        fired_y = fig2_plane.ys[fig2_plane.hits.direct[CriterionId.DEG_NEG][:, ix]].tolist()
         assert fired_y
         bound = degenerate_ratio_bound(col, 2.0)
         assert max(fired_y) <= bound
         # the grid resolves the envelope to within one log step
-        ys = sorted({s.y for s in fig2_plane})
         step = ys[1] / ys[0]
         assert max(fired_y) * step * step > bound
 
@@ -234,19 +235,22 @@ class TestFigure2:
 
 
 class TestEmission:
-    def test_csv_structure_and_roundtrip(self, tmp_path, sym_spec, sym_samples):
+    def test_csv_structure_and_roundtrip(self, tmp_path, sym_spec, sym_plane):
         path = tmp_path / "scan.csv"
-        emit_csv(sym_samples, path)
+        emit_csv(sym_plane, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + sym_spec.nx * sym_spec.ny
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        for row, sample in zip(rows, sym_samples):
-            assert float(row["x"]) == pytest.approx(sample.x, rel=1e-11)
-            assert float(row["y"]) == pytest.approx(sample.y, rel=1e-11)
-            assert row["combined"] == sample.combined.sign.value
-            for cid, hit in sample.verdicts.items():
-                assert row[cid.value] == str(int(hit))
+        hits = sym_plane.hits
+        for row, (iy, ix) in zip(rows, np.ndindex(sym_spec.ny, sym_spec.nx), strict=True):
+            assert float(row["x"]) == pytest.approx(sym_plane.xs[ix], rel=1e-11)
+            assert float(row["y"]) == pytest.approx(sym_plane.ys[iy], rel=1e-11)
+            assert row["combined"] == hits.verdict((iy, ix)).sign.value
+            for cid, mask in hits.direct.items():
+                assert row[cid.value] == str(int(mask[iy, ix]))
+            for cid, mask in hits.reflected.items():
+                assert row[f"R_{cid.value}"] == str(int(mask[iy, ix]))
             assert row["c_num"] == ""
 
     def test_csv_requires_samples(self, tmp_path):
@@ -262,9 +266,9 @@ class TestEmission:
         emit_csv(scan_plane(sym_spec), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_svg_wellformed_with_groups(self, tmp_path, sym_samples):
+    def test_svg_wellformed_with_groups(self, tmp_path, sym_plane):
         path = tmp_path / "scan.svg"
-        emit_svg(sym_samples, path)
+        emit_svg(sym_plane, path)
         tree = ET.parse(path)  # raises on malformed XML
         root = tree.getroot()
         assert root.tag.endswith("svg")
@@ -272,7 +276,7 @@ class TestEmission:
             el for el in root.iter()
             if el.tag.endswith("g") and el.get("id", "").startswith("criterion-")
         ]
-        fired = {k for k, v in mask_counts(sym_samples).items() if v > 0}
+        fired = {k for k, v in mask_counts(sym_plane).items() if v > 0}
         assert {g.get("id")[len("criterion-"):] for g in groups} == fired
 
     def test_every_criterion_column_is_styled(self):
@@ -342,11 +346,6 @@ class TestCriterionColumns:
 
 
 class TestPlaneSequence:
-    def test_negative_index_and_bounds(self, sym_samples):
-        assert sym_samples[-1] == sym_samples[len(sym_samples) - 1]
-        with pytest.raises(IndexError):
-            sym_samples[len(sym_samples)]
-
     def test_pde_stride_must_be_positive(self):
         with pytest.raises(ParameterError, match="pde_stride >= 1"):
             plane_spec("k1d", with_pde=True, pde_stride=0)
@@ -358,6 +357,20 @@ class TestPlaneSequence:
         with pytest.raises(ParameterError, match="exceeds 10000000 cells"):
             plane_spec("k1d", nx=10**7 // 2, ny=3)
         assert plane_spec("k1d", nx=10**7 // 2, ny=2).nx == 5 * 10**6
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"plane": "polar"}, "unknown plane 'polar'"),
+        ({"nx": 1}, "nx and ny must be at least 2"),
+        ({"ny": 1}, "nx and ny must be at least 2"),
+        ({"y_scale": "ln"}, "unknown scale 'ln'"),
+    ], ids=["plane", "nx", "ny", "scale"])
+    def test_spec_fields_are_checked(self, fields, message):
+        # By ScanSpec itself, and by plane_spec, which refuses an unknown plane first.
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            ScanSpec(**{"plane": "sym", **PLANE_DEFAULTS["sym"], **fields})
+        plane = fields.get("plane", "sym")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            plane_spec(plane, **{key: value for key, value in fields.items() if key != "plane"})
 
     @pytest.mark.parametrize("plane, fields, message", [
         ("sym", {"x_range": (1e-320, 1.0)}, "d and its reciprocal must be positive"),
