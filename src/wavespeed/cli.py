@@ -142,8 +142,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                         help="log scale on both axes (default: the plane's)")
     p_scan.add_argument("--with-pde", action="store_true",
                         help="run the speed oracle on a strided subsample, one forked worker per "
-                             "CPU of the affinity mask, each given the next point as it finishes "
-                             "one (same output; taskset -c 0: no fork)")
+                             "CPU of the affinity mask (on macOS, of the machine), each given the "
+                             "next point as it finishes one (same output; taskset -c 0: no fork)")
     p_scan.add_argument("--k2", type=float)
     p_scan.add_argument("--r", type=float)
     p_scan.add_argument("--out-prefix", help="stem of the CSV and SVG names (default: scan)")

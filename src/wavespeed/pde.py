@@ -469,10 +469,11 @@ def _estimate_one(job: tuple[CompetitionParams, SimConfig | None]) -> SpeedEstim
 
 def estimate_speeds(jobs: list) -> list[SpeedEstimate]:
     """:func:`estimate_speed` of each (params, config) job, in order, stiff runs
-    as the ``stiff`` record, on n = min(jobs, CPUs in the affinity mask)
-    forked workers: the executor hands each worker the next job as it
-    finishes one, and all are joined before the call returns or raises."""
-    n = min(len(jobs), len(os.sched_getaffinity(0)))
+    as the ``stiff`` record, on n = min(jobs, CPUs in the affinity mask, or on
+    macOS in the machine) forked workers: the executor hands each worker the
+    next job as it finishes one, and all are joined before it returns or raises."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS
+    n = min(len(jobs), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if n <= 1:
         return [_estimate_one(job) for job in jobs]
     import multiprocessing  # about 8 ms, paid only by a call that forks

@@ -12,9 +12,9 @@ A sweep is columnar.  :func:`scan_plane` hands the whole grid to
 ``theory.evaluate_criteria`` once, as arrays that broadcast over (y, x),
 and returns a :class:`Plane`: one bool array per criterion row, a sign code
 per cell and the oracle estimates.  :func:`emit_csv`, :func:`emit_svg` and
-:func:`mask_counts` write from those arrays.  ``theory.classify`` reads the
-same table through the same evaluator at one point, so a cell's verdict is
-the verdict at its parameters.
+:func:`mask_counts` write from those arrays, the files one row run at a
+time.  ``theory.classify`` reads the same table through the same evaluator
+at one point, so a cell's verdict is the verdict at its parameters.
 """
 
 from __future__ import annotations
@@ -208,35 +208,38 @@ _SIGN_TEXT = {code: sign.value for code, sign in theory.SIGN_OF_CODE.items()}
 def emit_csv(plane: Plane, path) -> None:
     """Write the plane as CSV: x, y, one 0/1 column per criterion, verdict, speed.
 
-    Every repeated piece is formatted once: the x label of each column, the
-    y label of each row, and the "flags,verdict," text of each distinct
-    combination of criterion hits and sign; the speed columns only for the
-    cells that hold an estimate.  The pieces are laid out per cell in an
-    object array, and the file is one join of it.
+    One row run at a time: a run is a stretch of adjacent cells in a row with
+    the same hits, the same sign and no estimate, so its lines differ only
+    in the x label and the run is one join of those labels.  A cell that
+    holds an estimate is a run of its own.  The x and y labels and the
+    "flags,verdict," text of each distinct hits and sign pair are formatted once.
     """
     if not plane:
         raise ParameterError("emit_csv requires a nonempty plane")
     keys, hits = zip(*plane.masks())
     header = ["x", "y", *keys, "combined", "c_num", "stderr", "converged"]
-    flags = np.stack(hits, axis=-1).reshape(len(plane), -1)
-    # Key each cell by its hits, one bit per column above two bits of
-    # sign + 1 (a code of -1, 0 or +1): the 24 columns of the sym plane fit an int64.
-    weights = np.left_shift(1, np.arange(2, flags.shape[1] + 2, dtype=np.int64))
-    signs = plane.hits.signs().ravel()
-    _, first, kind = np.unique(flags @ weights + (signs + 1),
-                               return_index=True, return_inverse=True)
-    suffixes = [",".join(map(str, row)) + f",{_SIGN_TEXT[code]},"
-                for row, code in zip(flags[first].view(np.uint8).tolist(), signs[first].tolist())]
-    ends = np.array([suffix + ",,\n" for suffix in suffixes], dtype=object)[kind]
-    for index, est in plane.c_num.items():
-        ends[index] = (f"{suffixes[kind[index]]}{est.c_hat:.12g},{est.stderr:.12g},"
-                       f"{int(est.converged)}\n")
-    cells = np.empty((plane.ys.size, plane.xs.size, 3), dtype=object)
-    cells[..., 0] = np.array([f"{x:.12g}," for x in plane.xs.tolist()], dtype=object)
-    cells[..., 1] = np.array([f"{y:.12g}," for y in plane.ys.tolist()], dtype=object)[:, None]
-    cells[..., 2] = ends.reshape(cells.shape[:2])
+    nx, size = plane.xs.size, len(plane)
+    cells = np.stack([*hits, plane.hits.signs()])  # (column, y, x); signs last
+    # A run starts at each row's first cell, where the hits or sign change
+    # along x, and at and after each estimate; index `size` closes the last.
+    starts = np.ones(size + 1, dtype=bool)
+    starts[:-1].reshape(-1, nx)[:, 1:] = (cells[..., 1:] != cells[..., :-1]).any(axis=0)
+    estimates = np.fromiter(plane.c_num, dtype=np.intp, count=len(plane.c_num))
+    starts[estimates] = starts[estimates + 1] = True
+    starts = np.flatnonzero(starts).tolist()
+    xs = [f"{x:.12g}" for x in plane.xs.tolist()]
+    ys = [f",{y:.12g}," for y in plane.ys.tolist()]
+    kinds = list(map(tuple, cells.reshape(len(cells), size)[:, starts[:-1]].T.tolist()))
+    texts = {key: ",".join(map(str, key[:-1])) + f",{_SIGN_TEXT[key[-1]]}," for key in set(kinds)}
+    parts = [",".join(header) + "\n"]
+    for start, end, key in zip(starts, starts[1:], kinds):
+        iy, ix = divmod(start, nx)
+        est = plane.c_num.get(start)
+        speed = ",," if est is None else f"{est.c_hat:.12g},{est.stderr:.12g},{int(est.converged)}"
+        tail = f"{ys[iy]}{texts[key]}{speed}\n"
+        parts += (tail.join(xs[ix:end - iy * nx]), tail)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n" + "".join(cells.ravel().tolist()))
+        fh.write("".join(parts))
 
 
 # Layer rank (lower draws first) and colour of each criterion's mask, then of

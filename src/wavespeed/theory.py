@@ -106,7 +106,7 @@ def m_of_k(k: float) -> float:
     """
     if not k >= 1.0:
         raise ValueError(f"m(k) requires k >= 1, got {k!r}")
-    return float(_m(k))
+    return (math.sqrt(24.0 * k + 1.0) - 3.0) / 2.0  # _m's operations, without numpy scalars
 
 
 def _m(k):

@@ -236,13 +236,25 @@ class TestEstimateSpeeds:
         self._check(estimate_speeds(self._jobs()))
         assert multiprocessing.active_children() == []
 
-    def test_one_cpu_forks_nothing(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("forked a worker on one CPU")
+    @staticmethod
+    def _no_pool(*args, **kwargs):
+        raise AssertionError("forked a worker")
 
+    def test_one_cpu_forks_nothing(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self._no_pool)
         self._check(estimate_speeds(self._jobs()))
+
+    @pytest.mark.parametrize("cpus", [2, None])
+    def test_platform_without_affinity_mask(self, monkeypatch, cpus):
+        # macOS has no os.sched_getaffinity: the CPU count stands in, and an
+        # unknown count runs the jobs in this process.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self._no_pool)
+        self._check(estimate_speeds(self._jobs()))
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_propagates_and_leaves_no_process(self, monkeypatch):
         # Every job runs in a forked worker; one of them raises there, and the

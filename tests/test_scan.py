@@ -462,6 +462,54 @@ class TestEmittersMatchReference:
             assert (out / "new").read_bytes() == (out / "reference").read_bytes()
 
 
+def _coded_plane(codes, estimated=()) -> Plane:
+    """A k1d plane of ``codes``' shape with every criterion cleared, but for
+    N1 on the cells coded 1 and pos1 on those coded 2, so a cell's hits and
+    sign follow its code; an estimate sits at each row-major cell index of
+    ``estimated``."""
+    codes = np.asarray(codes)
+    swept = scan_plane(plane_spec("k1d", nx=codes.shape[1], ny=codes.shape[0]))
+    direct = {cid: np.zeros_like(hits) for cid, hits in swept.hits.direct.items()}
+    reflected = {cid: np.zeros_like(hits) for cid, hits in swept.hits.reflected.items()}
+    direct[CriterionId.N1], direct[CriterionId.POS1] = codes == 1, codes == 2
+    c_num = {index: SpeedEstimate(0.25 * index - 1.0, 0.01, np.empty((0, 2)))
+             for index in estimated}
+    return Plane(swept.spec, swept.xs, swept.ys,
+                 theory.CriterionHits(swept.hits.params, direct, reflected), c_num)
+
+
+# Three rows of seven cells: the middle row is one run of N1 hits.
+_MIXED = [[0, 0, 1, 1, 1, 0, 2], [1, 1, 1, 1, 1, 1, 1], [2, 2, 0, 0, 1, 1, 0]]
+
+
+class TestCsvRunBoundaries:
+    """emit_csv splits each row into runs of alike cells; where runs and
+    estimates meet, it writes the reference's bytes."""
+
+    @pytest.mark.parametrize("codes, estimated", [
+        (_MIXED, [0]),
+        (_MIXED, [20]),
+        (_MIXED, [6, 7]),
+        (_MIXED, [2, 3]),
+        (_MIXED, [10]),
+        (_MIXED, []),
+        (np.zeros((2, 5), dtype=int), [3]),
+        (np.arange(21).reshape(3, 7) % 3, []),
+        (np.arange(21).reshape(3, 7) % 3, [4, 5]),
+    ], ids=["estimate-first-cell", "estimate-last-cell", "estimates-across-row-end",
+            "adjacent-estimates", "estimate-inside-long-run", "row-one-run",
+            "every-row-one-run", "every-cell-differs", "every-cell-differs-estimates"])
+    def test_same_bytes_as_reference(self, tmp_path, codes, estimated):
+        plane = _coded_plane(codes, estimated)
+        emit_csv(plane, tmp_path / "new.csv")
+        reference_scan.emit_csv(plane, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        rows = list(csv.DictReader((tmp_path / "new.csv").read_text().splitlines()))
+        assert [row["N1"] for row in rows] == ["1" if code == 1 else "0"
+                                               for code in np.ravel(codes).tolist()]
+        assert [i for i, row in enumerate(rows) if row["c_num"]] == sorted(estimated)
+
+
 def _covered_cells(path, nx: int, ny: int) -> dict[str, np.ndarray]:
     """How many ``<rect>``s of each criterion layer of an emitted SVG cover
     each (y, x) cell, by layer key.  The plot area is the axes frame; a rect

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wavespeed.model import validate
 from wavespeed import supersol, theory
@@ -67,6 +67,18 @@ class TestMOfK:
     def test_domain(self):
         with pytest.raises(ValueError):
             m_of_k(0.5)
+        with pytest.raises(ValueError):
+            m_of_k(math.nan)
+
+    @settings(derandomize=True)
+    @given(st.floats(1.0, 1e300))
+    @example(1.0).via("m(1) = 1")
+    @example(2.0).via("m(2) = 2")
+    @example(1.0 + 1e-9).via("the sym plane's lowest k")
+    def test_same_bits_as_the_array_form(self, k):
+        # The criteria read m through the array form _m; a scalar caller
+        # must see the very same float.
+        assert m_of_k(k).hex() == float(theory._m(np.float64(k))).hex()
 
 
 class TestN1:
