@@ -223,10 +223,12 @@ def cmd_speed(args) -> int:
         **{key: getattr(args, key) for key in _PDE_SETTINGS if key in args}
     )
     # Without a dump the call keeps its two-argument form, the one that
-    # wrappers of estimate_speed (bench/workloads.py) accept.
+    # wrappers of estimate_speed (bench/workloads.py) accept.  The dump is
+    # written before anything is printed, so a failed write prints no result.
     if args.dump_trajectory:
         frames = []
         estimate = pde.estimate_speed(params, sim_config, frames=frames)
+        pde.dump_trajectory(frames, args.dump_trajectory)
     else:
         estimate = pde.estimate_speed(params, sim_config)
     verdict = theory.classify(params)
@@ -245,7 +247,6 @@ def cmd_speed(args) -> int:
         else:
             print("agreement: measured speed is consistent with the verdict")
     if args.dump_trajectory:
-        pde.dump_trajectory(frames, args.dump_trajectory)
         print(f"trajectory written to {args.dump_trajectory}")
     if not estimate.converged:
         return EXIT_NOT_CONVERGED
@@ -306,13 +307,14 @@ def cmd_certify(args) -> int:
     except supersol.ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
+    if profile is not None:  # before the report, so a failed write prints none
+        supersol.save_tables(cand, profile, args.export)
     conds = supersol.admissibility_conditions(cand, params)
     print(f"candidate: p = {_fmt(cand.p)}, a = {_fmt(cand.a)} "
           f"(a^2 = {_fmt(cand.a * cand.a)})")
     print("conditions (a)(b)(c)(d): " + " ".join(str(c) for c in conds))
     _print_report(report)
     if profile is not None:
-        supersol.save_tables(cand, profile, args.export)
         print(f"profile tables written to {args.export}_phi.txt / _psi.txt")
     return 0 if report.certified else EXIT_NOT_CERTIFIED
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import CompetitionParams, ParameterError, check_positive
 from . import theory
-from .theory import CriterionId, SignVerdict
+from .theory import SignVerdict
 from . import pde
 
 
@@ -127,18 +127,6 @@ class RegionSample:
     c_num: "pde.SpeedEstimate | None" = None
 
 
-def _plane_columns(plane: str) -> tuple[tuple[str, CriterionId, bool], ...]:
-    """(CSV key, row, read at the reflection) of each criterion column: the
-    table rows, minus the symmetric-only rows on the k1d plane, then the
-    same rows read at the reflection."""
-    rows = [row for row in theory.CRITERIA if plane == "sym" or not row.symmetric_only]
-    return (tuple((row.id.value, row.id, False) for row in rows)
-            + tuple((f"R_{row.id.value}", row.id, True) for row in rows))
-
-
-_COLUMNS = {plane: _plane_columns(plane) for plane in PLANE_DEFAULTS}
-
-
 @dataclass(frozen=True, eq=False)
 class Plane:
     """A swept plane, held by column.
@@ -168,11 +156,13 @@ class Plane:
                                self.hits.verdict((iy, ix)), self.c_num.get(index))
 
     def masks(self) -> list[tuple[str, np.ndarray]]:
-        """(CSV key, (ny, nx) hits) of each criterion column, in column order."""
-        return [
-            (key, (self.hits.reflected if mirrored else self.hits.direct)[cid])
-            for key, cid, mirrored in _COLUMNS[self.spec.plane]
-        ]
+        """(CSV key, (ny, nx) hits) of each criterion column, in column order:
+        the table rows, minus the symmetric-only rows on the k1d plane, then
+        the same rows read at the reflection, keyed ``R_<row>``."""
+        ids = [row.id for row in theory.CRITERIA
+               if self.spec.plane == "sym" or not row.symmetric_only]
+        return ([(cid.value, self.hits.direct[cid]) for cid in ids]
+                + [(f"R_{cid.value}", self.hits.reflected[cid]) for cid in ids])
 
 
 def scan_plane(spec: ScanSpec) -> Plane:
@@ -242,21 +232,18 @@ def emit_csv(plane: Plane, path) -> None:
         fh.write("".join(parts))
 
 
-# Layer rank (lower draws first) and colour of each criterion's mask, then of
-# its reflected mask.  Priors render below the new criteria.
-_SVG_STYLE = {
-    CriterionId.PRIOR_I: ((0, "#b0b0b0"), (5, "#d9c2a8")),
-    CriterionId.PRIOR_II: ((1, "#999999"), (6, "#d9c2a8")),
-    CriterionId.PRIOR_III: ((2, "#8a8a8a"), (7, "#d9c2a8")),
-    CriterionId.PRIOR_VII: ((3, "#7b7b7b"), (8, "#d9c2a8")),
-    CriterionId.PRIOR_VIII: ((4, "#6c6c6c"), (9, "#d9c2a8")),
-    CriterionId.DEG_NEG: ((10, "#4477cc"), (11, "#dd8855")),
-    CriterionId.NEG3: ((12, "#5599dd"), (14, "#e0bb88")),
-    CriterionId.POS1: ((13, "#dd6644"), (23, "#66aadd")),
-    CriterionId.N1: ((15, "#9955cc"), (19, "#e09966")),
-    CriterionId.N2: ((16, "#cc55aa"), (20, "#e0aa77")),
-    CriterionId.S1: ((17, "#7744bb"), (21, "#eab388")),
-    CriterionId.S2: ((18, "#bb4499"), (22, "#eac499")),
+# The colour of each criterion column's layer, by CSV key, in drawing
+# order: the priors and their reflections below the new criteria.
+_PALETTE = {
+    "PRIOR_I": "#b0b0b0", "PRIOR_II": "#999999", "PRIOR_III": "#8a8a8a",
+    "PRIOR_VII": "#7b7b7b", "PRIOR_VIII": "#6c6c6c",
+    "R_PRIOR_I": "#d9c2a8", "R_PRIOR_II": "#d9c2a8", "R_PRIOR_III": "#d9c2a8",
+    "R_PRIOR_VII": "#d9c2a8", "R_PRIOR_VIII": "#d9c2a8",
+    "DEG_NEG": "#4477cc", "R_DEG_NEG": "#dd8855",
+    "NEG3": "#5599dd", "POS1": "#dd6644", "R_NEG3": "#e0bb88",
+    "N1": "#9955cc", "N2": "#cc55aa", "S1": "#7744bb", "S2": "#bb4499",
+    "R_N1": "#e09966", "R_N2": "#e0aa77", "R_S1": "#eab388", "R_S2": "#eac499",
+    "R_POS1": "#66aadd",
 }
 
 
@@ -298,15 +285,12 @@ def emit_svg(plane: Plane, path) -> None:
     pw, ph = width - ml - mr, height - mt - mb
     cw, ch = pw / nx, ph / ny
 
-    layers = []
-    for (key, hits), (_, cid, mirrored) in zip(plane.masks(), _COLUMNS[plane.spec.plane]):
-        rank, colour = _SVG_STYLE[cid][mirrored]
-        layers.append((rank, key, colour, hits))
-    layers.sort(key=lambda layer: layer[0])
+    masks = dict(plane.masks())
+    layers = [(key, colour) for key, colour in _PALETTE.items() if key in masks]
     # The runs of every layer at once: along the zero-padded rows of the
     # stacked masks the changes alternate start, end, in row-major order.
     padded = np.zeros((len(layers), ny, nx + 2), dtype=bool)
-    padded[:, :, 1:-1] = np.stack([hits for *_, hits in layers])
+    padded[:, :, 1:-1] = np.stack([masks[key] for key, _ in layers])
     start, end = np.flatnonzero(np.diff(padded)).reshape(-1, 2).T
     layer, row = np.divmod(start // (nx + 1), ny)
     # Each run's <rect> from a head per column, a top per row and a tail per
@@ -325,7 +309,7 @@ def emit_svg(plane: Plane, path) -> None:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white" />',
     ]
     drawn = []
-    for (_, key, colour, _), lo, hi in zip(layers, bounds, bounds[1:]):
+    for (key, colour), lo, hi in zip(layers, bounds, bounds[1:]):
         if lo == hi:
             continue
         parts.append(_group(f'fill-opacity="0.55" id="criterion-{key}" fill="{colour}"',

@@ -250,8 +250,9 @@ class ResidualReport:
 
     The maxima, at ``at_max_I``/``at_max_J`` in ``coordinate`` ("s" or "x"),
     are scale-free margins for the smooth family and I, J for the piecewise
-    one.  Jump fields are None for smooth profiles, ``from_one`` (1 - s at
-    both maxima, s unrounded) for piecewise ones.
+    one.  A smooth report sets ``from_one`` (1 - s at both maxima, s
+    unrounded) and leaves the jump fields None; a piecewise one sets the
+    jumps and leaves ``from_one`` None.
     """
 
     max_I: float

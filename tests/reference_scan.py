@@ -16,8 +16,8 @@ import itertools
 import numpy as np
 
 from wavespeed.model import ParameterError
-from wavespeed.scan import (_COLUMNS, _SIGN_TEXT, _SVG_STYLE, Plane, _axis_fraction,
-                            _axis_value, _group, _reference_k1)
+from wavespeed.scan import (_PALETTE, _SIGN_TEXT, Plane, _axis_fraction, _axis_value,
+                            _group, _reference_k1)
 
 
 def emit_csv(plane: Plane, path) -> None:
@@ -69,11 +69,8 @@ def emit_svg(plane: Plane, path) -> None:
     pw, ph = width - ml - mr, height - mt - mb
     cw, ch = pw / nx, ph / ny
 
-    layers = []
-    for (key, hits), (_, cid, mirrored) in zip(plane.masks(), _COLUMNS[plane.spec.plane]):
-        rank, colour = _SVG_STYLE[cid][mirrored]
-        layers.append((rank, key, colour, hits))
-    layers.sort(key=lambda layer: layer[0])
+    masks = dict(plane.masks())
+    layers = [(key, colour, masks[key]) for key, colour in _PALETTE.items() if key in masks]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -81,7 +78,7 @@ def emit_svg(plane: Plane, path) -> None:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white" />',
     ]
     drawn = []
-    for _, key, colour, hits in layers:
+    for key, colour, hits in layers:
         rects = []
         for iy, row in enumerate(hits.tolist()):
             ix = 0

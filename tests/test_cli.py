@@ -494,6 +494,18 @@ class TestScan:
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["speed", "7", "1", "1.8", "2", "--L", "20", "--dx", "0.2", "--dt", "0.05",
+         "--dump-trajectory"],
+        ["certify", "11", "1", "3", "3", "--export"],
+    ], ids=["speed-dump", "certify-export"])
+    def test_unwritable_file_prints_no_result_exit_74(self, capsys, tmp_path, argv):
+        # The file is written before the result is printed, so a failed write prints none.
+        code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "out"))
+        assert (code, out) == (74, "")
+        assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_reference_line_off_the_plane(self, capsys, tmp_path):
         # k2^2 overflows to inf; it falls off the plane, so no dashed line is drawn.
         code, _, err = run(capsys, "scan", "--plane", "k1d", "--k2", "1e300",

@@ -22,7 +22,7 @@ from wavespeed.theory import (
     degenerate_ratio_bound,
 )
 from wavespeed.scan import (
-    _SVG_STYLE,
+    _PALETTE,
     PLANE_DEFAULTS,
     Plane,
     ScanSpec,
@@ -279,11 +279,13 @@ class TestEmission:
         fired = {k for k, v in mask_counts(sym_plane).items() if v > 0}
         assert {g.get("id")[len("criterion-"):] for g in groups} == fired
 
-    def test_every_criterion_column_is_styled(self):
-        # One (direct, reflected) pair of layers per row.
-        assert set(_SVG_STYLE) == {row.id for row in CRITERIA}
-        ranks = [layer[0] for style in _SVG_STYLE.values() for layer in style]
-        assert sorted(ranks) == list(range(len(ranks)))
+    def test_every_criterion_column_is_styled(self, sym_plane, fig2_plane):
+        # One layer per sym column, read directly and at the reflection; the
+        # palette's order is the drawing order, so no rank can repeat.
+        sym_keys = [key for key, _ in sym_plane.masks()]
+        assert len(sym_keys) == 2 * len(CRITERIA)
+        assert set(_PALETTE) == set(sym_keys)
+        assert {key for key, _ in fig2_plane.masks()} < set(_PALETTE)
 
     def test_svg_reference_lines(self, tmp_path):
         spec = ScanSpec(
