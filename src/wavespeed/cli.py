@@ -133,7 +133,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                            help="write profile tables next to PREFIX")
 
     p_scan = add_parser("scan", help="sweep a parameter plane, emit CSV and SVG")
-    p_scan.add_argument("--plane", choices=("sym", "k1d"), help="plane to sweep (default: sym)")
+    p_scan.add_argument("--plane", choices=tuple(scan_mod.PLANE_DEFAULTS),
+                        help="plane to sweep (default: sym)")
     p_scan.add_argument("--xrange", type=_parse_range, metavar="LO:HI")
     p_scan.add_argument("--yrange", type=_parse_range, metavar="LO:HI")
     p_scan.add_argument("--nx", type=int)
@@ -321,7 +322,7 @@ def cmd_certify(args) -> int:
 
 def cmd_scan(args) -> int:
     scale = None if args.log is None else ("log" if args.log else "linear")
-    spec = scan_mod.plane_spec(
+    spec = scan_mod.ScanSpec(
         args.plane or "sym",
         x_range=args.xrange,
         y_range=args.yrange,

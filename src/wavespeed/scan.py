@@ -35,29 +35,34 @@ _MAX_CELLS = 10_000_000  # a 1000 x 1000 sweep takes about 100 MB
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Grid specification for a plane sweep.
-
-    ``plane`` is "sym" (x = d, y = k) or "k1d" (x = k1, y = d/r at fixed k2
-    and r).  Scales are "linear" or "log".  When ``with_pde`` is set, the
-    oracle runs on cells whose indices are multiples of ``pde_stride``.
+    """Grid of a plane sweep: "sym" (x = d, y = k1 = k2, r = 1) or "k1d" (x = k1,
+    y = d/r at fixed k2 and r), on "linear" or "log" scales.  Fields left None
+    take the plane's ``PLANE_DEFAULTS``; the sym plane refuses k2 and r.  With
+    ``with_pde``, the oracle runs on cells whose indices are multiples of
+    ``pde_stride``.
     """
 
     plane: str
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    nx: int
-    ny: int
-    x_scale: str = "linear"
-    y_scale: str = "linear"
+    x_range: tuple[float, float] | None = None
+    y_range: tuple[float, float] | None = None
+    nx: int | None = None
+    ny: int | None = None
+    x_scale: str | None = None
+    y_scale: str | None = None
     with_pde: bool = False
     pde_stride: int = 10
-    k2: float = 2.0
-    r: float = 1.0
+    k2: float | None = None
+    r: float | None = None
     pde_config: "pde.SimConfig | None" = None
 
     def __post_init__(self):
-        if self.plane not in ("sym", "k1d"):
+        if self.plane not in PLANE_DEFAULTS:
             raise ParameterError(f"unknown plane {self.plane!r}")
+        if self.plane == "sym" and (self.k2, self.r) != (None, None):
+            raise ParameterError("k2 and r apply only to the k1d plane")
+        for key, value in PLANE_DEFAULTS[self.plane].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         if self.nx < 2 or self.ny < 2:
             raise ParameterError("nx and ny must be at least 2")
         if self.nx * self.ny > _MAX_CELLS:
@@ -68,8 +73,9 @@ class ScanSpec:
         (xlo, xhi), (ylo, yhi) = self.x_range, self.y_range
         if not (0.0 < xlo < xhi < math.inf and 0.0 < ylo < yhi < math.inf):
             raise ParameterError("ranges must be finite, positive and increasing")
-        check_positive(r=self.r)
-        if not (1.0 < self.k2 < math.inf and self.pde_stride >= 1):
+        if self.plane == "k1d":
+            check_positive(r=self.r)
+        if not ((self.k2 is None or 1.0 < self.k2 < math.inf) and self.pde_stride >= 1):
             raise ParameterError("need finite k2 > 1 and pde_stride >= 1")
         # Two corners hold the extreme d, d/r and k; once both pass, y r is finite.
         for x, y in zip(self.x_range, self.y_range):
@@ -82,25 +88,13 @@ class ScanSpec:
         return _axis(self.y_range, self.ny, self.y_scale)
 
 
-# The default grid of each plane, as ScanSpec fields.
+# The default grid of each plane, and k2 and r of the k1d plane, as ScanSpec fields.
 PLANE_DEFAULTS = {
     "sym": {"x_range": (1.0, 10.0), "y_range": (1.0 + 1e-9, 4.0), "nx": 91, "ny": 31,
             "x_scale": "linear", "y_scale": "linear"},
     "k1d": {"x_range": (1.02, 100.0), "y_range": (1e-3, 1e3), "nx": 121, "ny": 61,
-            "x_scale": "log", "y_scale": "log"},
+            "x_scale": "log", "y_scale": "log", "k2": 2.0, "r": 1.0},
 }
-
-
-def plane_spec(plane: str, **fields) -> ScanSpec:
-    """A ScanSpec on ``plane``: fields not given, or given as None, take the
-    plane's default grid from ``PLANE_DEFAULTS`` and then ScanSpec's defaults.
-    The sym plane fixes k1 = k2 and r = 1, so it takes neither ``k2`` nor ``r``."""
-    if plane not in PLANE_DEFAULTS:
-        raise ParameterError(f"unknown plane {plane!r}")
-    given = {key: value for key, value in fields.items() if value is not None}
-    if plane == "sym" and given.keys() & {"k2", "r"}:
-        raise ParameterError("k2 and r apply only to the k1d plane")
-    return ScanSpec(plane=plane, **{**PLANE_DEFAULTS[plane], **given})
 
 
 def _cell(spec: ScanSpec, x, y) -> tuple:

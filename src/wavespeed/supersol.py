@@ -433,20 +433,17 @@ def degenerate_build(
 ) -> DegenerateSupersol:
     """Construct the piecewise profile; delta defaults to the maximal jump-safe offset.
 
-    Requires k1 > k2^2 and k1 > 3 - 2/k2, and 0 < delta < delta2 so that the
-    matching level m0 = (1-delta)(k1 k2 - 1)/(6 k2 (k1 (1-delta) - 1)) lies
-    in (1/6, 1/4].  The left shift solves mu(0)(1 - mu(0)) = m0 on the
-    branch mu(0) < 1/2, equivalently xi > 0, so phi rises through the
-    matching point; the right shift eta < 0 follows from the continuity
-    condition phi(0) = (1 - delta)/k2.
+    Requires k1 > k2^2 and 0 < delta < delta2, so that the matching level
+    m0 = (1-delta)(k1 k2 - 1)/(6 k2 (k1 (1-delta) - 1)) lies in (1/6, 1/4].
+    The left shift solves mu(0)(1 - mu(0)) = m0 on the branch mu(0) < 1/2,
+    equivalently xi > 0, so phi rises through the matching point; the right
+    shift eta < 0 follows from the continuity condition phi(0) = (1 - delta)/k2.
     """
     k1, k2 = params.k1, params.k2
     if k1 <= k2 * k2:
         raise ParameterError(
             f"degenerate construction requires k1 > k2^2, got k1={k1!r}, k2={k2!r}"
         )
-    if k1 <= 3.0 - 2.0 / k2:
-        raise ParameterError("degenerate construction requires k1 > 3 - 2/k2")
     delta2, delta3 = delta_candidates(params)
     if delta is None:
         delta = delta3

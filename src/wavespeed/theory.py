@@ -259,8 +259,8 @@ def _in_s1(p: ParamArrays):
 
 
 def _in_degenerate(p: ParamArrays):
-    """c < 0 when k1 > k2^2 and d/r is below the blocking bound for small diffusion."""
-    return (p.k1 > p.k2 * p.k2) & (p.ratio < _degenerate_ratio_bounds(p.k1, p.k2))
+    """c < 0 when d/r is below the small-diffusion blocking bound (0 unless k1 > k2^2)."""
+    return p.ratio < _degenerate_ratio_bounds(p.k1, p.k2)
 
 
 def _in_prior_i(p: ParamArrays):

@@ -317,6 +317,13 @@ class TestCertify:
         assert code == 0
         assert out.endswith("(tolerance 0.001)\n")
 
+    def test_config_switch_runs_as_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "certify.cfg"
+        cfg.write_text("degenerate = yes\ntol = 1e-6\n")
+        flags = run(capsys, "certify", "--degenerate", "--tol", "1e-6", "0.05", "1", "8", "2")
+        assert "piecewise profile" in flags[1]
+        assert run(capsys, "--config", str(cfg), "certify", "0.05", "1", "8", "2") == flags
+
     def test_config_delta(self, capsys, tmp_path):
         cfg = tmp_path / "certify.cfg"
         cfg.write_text("delta = 0.01\n")
@@ -441,6 +448,19 @@ class TestScan:
         rows = [line.split(",") for line in (tmp_path / "scan.csv").read_text().splitlines()[1:]]
         xs = sorted({float(row[0]) for row in rows})
         assert np.allclose(np.diff(xs), xs[1] - xs[0])
+
+    def test_config_log_true_gives_geometric_axes(self, capsys, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("log = yes\n")
+        code, _, _ = run(
+            capsys, "--config", str(cfg), "scan", "--plane", "sym",
+            "--nx", "5", "--ny", "3", "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "scan.csv").read_text().splitlines()[1:]]
+        for axis, (lo, hi), n in ((0, (1.0, 10.0), 5), (1, (1.0 + 1e-9, 4.0), 3)):
+            values = sorted({float(row[axis]) for row in rows})
+            assert np.allclose(values, np.geomspace(lo, hi, n), rtol=1e-11)
 
     def test_output_dir_precedence(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "scan.cfg"
@@ -645,7 +665,7 @@ class TestRepeatedCalls:
         for config in (["--config", str(cfg)], []):
             assert run(capsys, *config, *argv)[0] == 0
             rows.append(len((tmp_path / "scan.csv").read_text().splitlines()))
-        assert rows == [1 + 5 * 3, 1 + scan.plane_spec("sym").nx * 3]
+        assert rows == [1 + 5 * 3, 1 + scan.ScanSpec("sym").nx * 3]
 
     def test_config_tol_does_not_reach_the_next_call(self, capsys, tmp_path):
         cfg = tmp_path / "certify.cfg"

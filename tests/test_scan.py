@@ -29,7 +29,6 @@ from wavespeed.scan import (
     emit_csv,
     emit_svg,
     mask_counts,
-    plane_spec,
     scan_plane,
 )
 
@@ -89,7 +88,7 @@ class TestScanPlane:
         monkeypatch.setattr(theory, "CRITERIA", rows)
         with pytest.raises(PolarityConflictError, match=re.escape(
                 "at CompetitionParams(d=1.0, r=1.0, k1=1.000000001, k2=1.000000001)")):
-            scan_plane(plane_spec("sym", nx=3, ny=3))
+            scan_plane(ScanSpec("sym", nx=3, ny=3))
 
     def test_combined_consistent_with_masks(self, sym_plane):
         hits = sym_plane.hits
@@ -197,14 +196,14 @@ class TestFigure2:
             assert lines[name] == pytest.approx(pixel_of(fig2_plane.spec, k1), abs=0.01)
 
     def test_reference_lines_follow_the_spec(self, tmp_path):
-        spec = plane_spec("k1d", k2=3.0, nx=3, ny=2)
+        spec = ScanSpec("k1d", k2=3.0, nx=3, ny=2)
         lines = reference_lines(scan_plane(spec), tmp_path / "k2-3.svg")
         assert lines["k2_squared"] == pytest.approx(pixel_of(spec, spec.k2 ** 2), abs=0.01)
         assert lines["sqrt_k2"] == pytest.approx(pixel_of(spec, math.sqrt(spec.k2)), abs=0.01)
 
     def test_requires_the_k1d_plane(self, tmp_path):
         # The verticals are levels of k1, so the sym plane draws none.
-        assert reference_lines(scan_plane(plane_spec("sym", nx=3, ny=2)),
+        assert reference_lines(scan_plane(ScanSpec("sym", nx=3, ny=2)),
                                tmp_path / "sym.svg") == {}
 
     def test_degenerate_mask_needs_k1_above_k2_squared(self, fig2_plane):
@@ -305,7 +304,7 @@ class TestEmission:
         # The default k1d plane is log-spaced: its middle column is
         # k1 = sqrt(1.02 * 100) = 10.1, where a linear axis would read 50.51.
         path = tmp_path / "log.svg"
-        emit_svg(scan_plane(plane_spec("k1d", nx=5, ny=3)), path)
+        emit_svg(scan_plane(ScanSpec("k1d", nx=5, ny=3)), path)
         root = ET.parse(path).getroot()
         labels = next(el for el in root.iter() if el.get("id") == "labels")
         x_labels = [el.text for el in labels if el.get("text-anchor") == "middle"]
@@ -331,7 +330,7 @@ class TestCriterionColumns:
                   nx=12, ny=9), SYM_HEADER),
         # The grid holds the symmetric cell k1 = k2 = 2, d/r = 1 at r = 1.
         (ScanSpec(plane="k1d", x_range=(1.5, 2.5), y_range=(0.5, 1.5),
-                  nx=3, ny=3, k2=2.0), K1D_HEADER),
+                  nx=3, ny=3, x_scale="linear", y_scale="linear", k2=2.0), K1D_HEADER),
     ], ids=["sym", "k1d"])
     def test_combined_is_classify_and_header_is_fixed(self, tmp_path, spec, header):
         samples = scan_plane(spec)
@@ -350,15 +349,17 @@ class TestCriterionColumns:
 class TestPlaneSequence:
     def test_pde_stride_must_be_positive(self):
         with pytest.raises(ParameterError, match="pde_stride >= 1"):
-            plane_spec("k1d", with_pde=True, pde_stride=0)
+            ScanSpec("k1d", with_pde=True, pde_stride=0)
+        with pytest.raises(ParameterError, match="pde_stride >= 1"):
+            ScanSpec("sym", pde_stride=0)
 
     def test_cell_count_capped(self):
         # The check runs before any axis is built.
         with pytest.raises(ParameterError, match="exceeds 10000000 cells"):
-            plane_spec("sym", nx=10**6, ny=10**6)
+            ScanSpec("sym", nx=10**6, ny=10**6)
         with pytest.raises(ParameterError, match="exceeds 10000000 cells"):
-            plane_spec("k1d", nx=10**7 // 2, ny=3)
-        assert plane_spec("k1d", nx=10**7 // 2, ny=2).nx == 5 * 10**6
+            ScanSpec("k1d", nx=10**7 // 2, ny=3)
+        assert ScanSpec("k1d", nx=10**7 // 2, ny=2).nx == 5 * 10**6
 
     @pytest.mark.parametrize("fields, message", [
         ({"plane": "polar"}, "unknown plane 'polar'"),
@@ -367,12 +368,30 @@ class TestPlaneSequence:
         ({"y_scale": "ln"}, "unknown scale 'ln'"),
     ], ids=["plane", "nx", "ny", "scale"])
     def test_spec_fields_are_checked(self, fields, message):
-        # By ScanSpec itself, and by plane_spec, which refuses an unknown plane first.
         with pytest.raises(ParameterError, match=re.escape(message)):
-            ScanSpec(**{"plane": "sym", **PLANE_DEFAULTS["sym"], **fields})
-        plane = fields.get("plane", "sym")
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            plane_spec(plane, **{key: value for key, value in fields.items() if key != "plane"})
+            ScanSpec(**{"plane": "sym", **fields})
+
+    @pytest.mark.parametrize("plane, fields", [
+        ("sym", {"x_range": (1.0, 10.0), "y_range": (1.0 + 1e-9, 4.0), "nx": 91, "ny": 31,
+                 "x_scale": "linear", "y_scale": "linear", "k2": None, "r": None}),
+        ("k1d", {"x_range": (1.02, 100.0), "y_range": (1e-3, 1e3), "nx": 121, "ny": 61,
+                 "x_scale": "log", "y_scale": "log", "k2": 2.0, "r": 1.0}),
+    ], ids=["sym", "k1d"])
+    def test_fields_left_none_take_the_plane_defaults(self, plane, fields):
+        spec = ScanSpec(plane)
+        assert vars(spec) == {"plane": plane, **fields, "with_pde": False, "pde_stride": 10,
+                              "pde_config": None}
+        assert PLANE_DEFAULTS[plane] == {key: value for key, value in fields.items()
+                                         if value is not None}
+        # A given field wins, as it does in a copy with that field changed.
+        assert vars(ScanSpec(plane, nx=7)) == {**vars(spec), "nx": 7}
+        assert vars(replace(spec, nx=5)) == {**vars(spec), "nx": 5}
+
+    @pytest.mark.parametrize("fields", [{"k2": 5.0}, {"r": 1.0}, {"k2": 2.0, "r": 1.0}],
+                             ids=["k2", "r", "both"])
+    def test_sym_plane_refuses_k2_and_r(self, fields):
+        with pytest.raises(ParameterError, match="^k2 and r apply only to the k1d plane$"):
+            ScanSpec("sym", **fields)
 
     @pytest.mark.parametrize("plane, fields, message", [
         ("sym", {"x_range": (1e-320, 1.0)}, "d and its reciprocal must be positive"),
@@ -384,7 +403,7 @@ class TestPlaneSequence:
     ], ids=["sym-d", "k1d-d", "k1d-ratio", "k1d-d-overflow", "sym-k", "k1d-k1"])
     def test_corner_cells_must_be_points(self, plane, fields, message):
         with pytest.raises(ParameterError, match=re.escape(message)):
-            plane_spec(plane, **fields)
+            ScanSpec(plane, **fields)
 
     def test_oracle_estimate_on_its_cell_only(self):
         spec = ScanSpec(
@@ -413,7 +432,7 @@ def plane_specs(draw, max_cells=12):
         fields["r"] = 10.0 ** draw(st.floats(-2.0, 2.0))
         if draw(st.booleans()):
             fields.update(x_range=(fields["k2"], 100.0), r=1.0)
-    return plane_spec(plane, **fields)
+    return ScanSpec(plane, **fields)
 
 
 # Oracle estimates as the CSV sees them: converged, a speed still moving at
@@ -470,7 +489,7 @@ def _coded_plane(codes, estimated=()) -> Plane:
     sign follow its code; an estimate sits at each row-major cell index of
     ``estimated``."""
     codes = np.asarray(codes)
-    swept = scan_plane(plane_spec("k1d", nx=codes.shape[1], ny=codes.shape[0]))
+    swept = scan_plane(ScanSpec("k1d", nx=codes.shape[1], ny=codes.shape[0]))
     direct = {cid: np.zeros_like(hits) for cid, hits in swept.hits.direct.items()}
     reflected = {cid: np.zeros_like(hits) for cid, hits in swept.hits.reflected.items()}
     direct[CriterionId.N1], direct[CriterionId.POS1] = codes == 1, codes == 2
@@ -551,7 +570,7 @@ class TestSvgRowRuns:
 
     @pytest.mark.parametrize("plane", ["sym", "k1d"])
     def test_default_planes(self, tmp_path, plane):
-        self._check(scan_plane(plane_spec(plane)), tmp_path / "map.svg")
+        self._check(scan_plane(ScanSpec(plane)), tmp_path / "map.svg")
 
     @settings(max_examples=60)
     @given(emitted_planes())

@@ -375,6 +375,15 @@ class TestDegenerateFamily:
         with pytest.raises(ParameterError):
             degenerate_build(params, 0.0)
 
+    def test_k1_above_k2_squared_implies_k1_above_3_minus_2_over_k2(self):
+        # k2^2 - (3 - 2/k2) = (k2 - 1)^2 (k2 + 2)/k2 > 0, so degenerate_build
+        # needs no check of k1 > 3 - 2/k2.  The gap is smallest as k2 -> 1;
+        # one ulp above k2^2 it still holds in floats.
+        rng = np.random.default_rng(20)
+        k2 = 1.0 + 10.0 ** rng.uniform(-12.0, -3.0, 200_000)
+        k1 = np.nextafter(k2 * k2, np.inf)
+        assert (k1 > 3.0 - 2.0 / k2).all()
+
     def test_h_star_forms_agree_random(self):
         rng = np.random.default_rng(9)
         for _ in range(1000):
