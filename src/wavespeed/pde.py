@@ -6,16 +6,17 @@ The cooperative system
     v_t = d v_xx + r g(u, v)
 
 is integrated on a truncated line with a semi-implicit scheme: backward
-Euler in the (linear) diffusion, forward Euler in the reaction.  The two
-species' diffusion systems are stacked as one tridiagonal matrix over the
-interior [u; v], a symmetric positive definite matrix: it is factored
-once per window size as L D L^T (LAPACK ``dpttrf``) and solved once per
-step (``dpttrs``).  The implicit diffusion removes the d-dependent
-stability restriction, which matters for both the small-d and large-d
-parameter sweeps; the explicit reaction only requires dt below the
-reaction's relaxation scale.  Boundaries are clamped to the initial
-condition's end values, which equal the resting states (0,0) and (1,1) for
-every speed measurement and suppress boundary-layer drift.
+Euler in the (linear) diffusion, forward Euler in the reaction.  Both
+species live in one field array [u; v] over all nodes.  Their diffusion
+systems form one symmetric positive definite tridiagonal matrix over it,
+with identity rows at the clamped end nodes, factored once per window
+size as L D L^T (LAPACK ``dpttrf``); each step solves it in place
+(``dpttrs``).  The implicit diffusion removes the d-dependent stability
+restriction, which matters for both the small-d and large-d parameter
+sweeps; the explicit reaction only requires dt below the reaction's
+relaxation scale.  Boundaries are clamped to the initial condition's end
+values, which equal the resting states (0,0) and (1,1) for every speed
+measurement and suppress boundary-layer drift.
 
 The speed comes from the mass balance: a front phi(x + c t) with u -> 0 at
 -L and 1 at +L gains u-mass at rate c = int f dx + [u_x], and v-mass at
@@ -173,24 +174,24 @@ def step_profile(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return u0, u0.copy()
 
 
-def _factor_diffusion(n_interior: int, rc_u: float, rc_v: float) -> tuple:
-    """L D L^T factors (``dpttrf``) of I - dt*D*Laplacian on the stacked interior [u; v].
+def _factor_diffusion(rc: np.ndarray) -> tuple:
+    """L D L^T factors (``dpttrf``) of I - dt*D*Laplacian on the stacked nodes [u; v].
 
-    The matrix is symmetric positive definite: diagonal 1 + 2*rc, off-diagonal
-    -rc.  The u rows use ``rc_u``, the v rows ``rc_v``; the two blocks are not
-    coupled, so the off-diagonal holds 0 at the junction.  Returns ``(d, e)``.
+    ``rc`` holds dt*D/dx^2 at each node and 0 at the four clamped end nodes.
+    The matrix is symmetric positive definite: diagonal 1 + 2*rc_i,
+    off-diagonal -min(rc_i, rc_i+1).  So the end rows are identity rows,
+    and the two species are not coupled.  Returns ``(d, e)``.
     """
-    rc = np.repeat([rc_u, rc_v], n_interior)
-    e = -rc[1:]
-    e[n_interior - 1] = 0.0
-    d, e, info = dpttrf(1.0 + 2.0 * rc, e, overwrite_d=True, overwrite_e=True)
+    d, e, info = dpttrf(1.0 + 2.0 * rc, -np.minimum(rc[:-1], rc[1:]),
+                        overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise SimulationError(f"diffusion matrix is not positive definite (dpttrf info={info})")
     return d, e
 
 
 def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Overwrite ``rhs`` (shape (m,)) with the solution for the ``dpttrs`` factors.
+    """Overwrite ``rhs`` (shape (m,)) with the solution for the ``dpttrs``
+    factors, and return it: the step relies on the solve being in place.
 
     The per-step solve keeps this module-level name so that tools which
     time it by rebinding ``pde.solve_banded`` (``bench/spans.py``) still see it.
@@ -262,7 +263,8 @@ def _tail_rates(params: CompetitionParams, c: float) -> tuple[float, float, floa
 
 
 class _Window:
-    """The co-moving window of one run from the step profile: the fields,
+    """The co-moving window of one run from the step profile: the field
+    array ``w`` = [u; v] over all nodes, whose halves are ``u`` and ``v``,
     their grid (``config``, replaced when the window grows), the offset of
     its centre from the lab frame, in cells, and the time step on that grid.
 
@@ -272,7 +274,7 @@ class _Window:
 
     def __init__(self, params: CompetitionParams, config: SimConfig):
         self.params, self.config = params, config
-        self.u, self.v = step_profile(config.grid)
+        self.w = np.concatenate(step_profile(config.grid))
         self.offset, self.shifts = 0, []
         # Cells on each side of the centre: GROW_LIMIT times the starting
         # number, within _MAX_GRID_POINTS.
@@ -281,55 +283,49 @@ class _Window:
         self._regrid()
 
     def _regrid(self) -> None:
-        """Build what the window's size fixes: its nodes, the centre's views
-        and, once rather than at every step, the step's operands (interior
-        views, the stacked right-hand side [u; v], diffusion factors, constants)."""
+        """Build what the window's size fixes, once rather than at every step:
+        its nodes, the halves u and v of ``w`` and the step's operands."""
         config, params = self.config, self.params
-        grid = config.grid
-        self.xs, self.dx = grid.xs(), grid.dx
-        self.centre = m = (grid.n_points - 1) // 2
-        self.xs_centre = self.xs[m - 1:m + 2].tolist()
-        self.u_centre = self.u[m - 1:m + 2]
-        dt, dx, n = config.dt, self.dx, grid.n_points - 2
+        n, dt, dx = config.grid.n_points, config.dt, config.grid.dx
+        self.xs, self.dx, self.centre = config.grid.xs(), dx, (n - 1) // 2
+        self.u, self.v = self.w[:n], self.w[n:]
         rc_u, rc_v = dt / (dx * dx), params.d * dt / (dx * dx)
-        rhs = np.empty(2 * n)
-        self._operands = (self.u[1:-1], self.v[1:-1], rhs, rhs[:n], rhs[n:], n,
-                          _factor_diffusion(n, rc_u, rc_v), dt, dt * params.r, rc_u, rc_v)
+        ends = [0, n - 1, n, 2 * n - 1]  # the clamped nodes
+        rc, scale = np.repeat([rc_u, rc_v], n), np.repeat([dt, dt * params.r], n)
+        rc[ends] = scale[ends] = 0.0
+        fg = np.empty(2 * n)
+        self._operands = (fg, fg[:n], fg[n:], scale, n, _factor_diffusion(rc), dt, rc_u, rc_v)
 
     def step(self, k: int) -> float:
-        """Advance the fields in place by the semi-implicit step k and return
-        its time k dt.  Only interior nodes are written, so the boundary
-        values stay clamped; the end terms are read from them at every step.
+        """Advance ``w`` in place by the semi-implicit step k and return its
+        time k dt.  The reactions are scaled by 0 at the clamped end nodes
+        and the matrix's end rows are identity rows, so the ends stay put;
+        the end terms are read from them at every step.
 
-        The reactions write straight into the right-hand side, which is
-        scaled by dt (dt r for v) and added to the fields: the bits of
+        The reactions write into the halves of one buffer [f; g], which is
+        scaled by dt (dt r for v) and added to ``w``: the bits of
         ``u + dt f`` and ``v + (dt r) g``, with no temporaries but the
-        reactions' ``1 - u`` and ``1 - v``.  One ``solve_banded`` call
-        solves both species, and one pass checks the solution against the
-        box; the boundary nodes are in [0, 1], as ``step_profile`` makes
+        reactions' ``1 - u`` and ``1 - v``.  ``solve_banded`` overwrites
+        ``w`` with both species' solution, and one pass checks it against
+        the box; the end nodes are in [0, 1], as ``step_profile`` makes
         them, so only a failed pass needs ``_check_fields`` to name the
         field and raise.
         """
-        u, v, params = self.u, self.v, self.params
-        u_in, v_in, rhs, rhs_u, rhs_v, n, factors, dt, dt_r, rc_u, rc_v = self._operands
-        # The buffer goes positionally: tools that rebind the reactions
-        # (bench/spans.py) may forward only positional arguments.
-        reaction_f(u_in, v_in, params, rhs_u)
-        rhs_u *= dt
-        rhs_u += u_in
-        reaction_g(u_in, v_in, params, rhs_v)
-        rhs_v *= dt_r
-        rhs_v += v_in
-        rhs_u[0] += rc_u * u[0]
-        rhs_u[-1] += rc_u * u[-1]
-        rhs_v[0] += rc_v * v[0]
-        rhs_v[-1] += rc_v * v[-1]
-        x = solve_banded(factors, rhs)
-        u_in[:] = x[:n]
-        v_in[:] = x[n:]
+        w, u, v, params = self.w, self.u, self.v, self.params
+        fg, f, g, scale, n, factors, dt, rc_u, rc_v = self._operands
+        # Buffers go positionally: rebound reactions (bench/spans.py) forward only those.
+        reaction_f(u, v, params, f)
+        reaction_g(u, v, params, g)
+        fg *= scale
+        w += fg
+        w[1] += rc_u * w[0]
+        w[n - 2] += rc_u * w[n - 1]
+        w[n + 1] += rc_v * w[n]
+        w[-2] += rc_v * w[-1]
+        solve_banded(factors, w)
         t = k * dt
         # A NaN fails both comparisons.
-        if not (x.min() >= FIELD_LO and x.max() <= FIELD_HI):
+        if not (w.min() >= FIELD_LO and w.max() <= FIELD_HI):
             _check_fields(u, v, t)
         return t
 
@@ -347,38 +343,29 @@ class _Window:
 
     def track(self, t: float) -> float:
         """The lab-frame position of the u = FRONT_LEVEL crossing after the
-        step at t.  While the crossing lies in one of the centre node's two
-        cells it is interpolated there, with the operations of
-        ``front_position``; otherwise ``front_position`` finds it and, once
-        it is more than a cell from the centre node, u and v move back by
-        whole cells to put it within half a cell of that node."""
-        lo, mid, hi = self.u_centre.tolist()
-        if lo < FRONT_LEVEL <= mid:
-            (x0, x1, _), u0, u1 = self.xs_centre, lo, mid
-        elif mid < FRONT_LEVEL <= hi:
-            (_, x0, x1), u0, u1 = self.xs_centre, mid, hi
-        else:
-            x = front_position(self.xs, self.u, FRONT_LEVEL)
-            lab = self.offset * self.dx + x
-            # The centre node is at 0 (up to rounding) on an odd number of
-            # nodes, and at -dx/2 on an even one.
-            away = x - self.xs_centre[1]
-            if abs(away) > self.dx:  # NaN, a lost crossing, moves nothing
-                s = round(away / self.dx)
-                _recentre(self.u, s)
-                _recentre(self.v, s)
-                self.offset += s
-                self.shifts.append((t, self.offset))
-            return lab
-        return self.offset * self.dx + (x0 + (x1 - x0) * (FRONT_LEVEL - u0) / (u1 - u0))
+        step at t, as ``front_position`` finds it.  Once it is more than a
+        cell from the centre node, u and v move back by whole cells to put
+        it within half a cell of that node."""
+        x = front_position(self.xs, self.u, FRONT_LEVEL)
+        lab = self.offset * self.dx + x
+        # The centre node is at 0 (up to rounding) on an odd number of
+        # nodes, and at -dx/2 on an even one.
+        away = x - self.xs[self.centre]
+        if abs(away) > self.dx:  # NaN, a lost crossing, moves nothing
+            s = round(away / self.dx)
+            _recentre(self.u, s)
+            _recentre(self.v, s)
+            self.offset += s
+            self.shifts.append((t, self.offset))
+        return lab
 
     def grow(self, k: int, c: float, gap: float) -> bool:
         """Widen the window at the balance sample of step k, from t =
         SETTLE_LAG on, when the rest gap exceeds GROW_GAP and the slowest
         linearised tail rate at the speed c asks for more than GROW_SLACK
         times the half-length.  Both fields are padded on each side with
-        their end values, to TAIL_SPAN decay lengths or to the limit.
-        Returns whether the window grew."""
+        their end values, to TAIL_SPAN decay lengths or to the limit, and
+        stacked again as ``w``.  Returns whether the window grew."""
         config = self.config
         if not (k * config.dt >= SETTLE_LAG and k < config.n_steps and gap > GROW_GAP):
             return False
@@ -393,7 +380,7 @@ class _Window:
             return False
         n_points = config.grid.n_points + 2 * pad
         self.config = replace(config, grid=Grid1D(self.dx * (n_points - 1) / 2.0, n_points))
-        self.u, self.v = (np.pad(field, pad, mode="edge") for field in (self.u, self.v))
+        self.w = np.concatenate([np.pad(field, pad, mode="edge") for field in (self.u, self.v)])
         self._regrid()
         return True
 

@@ -49,6 +49,8 @@ def _gtsv(n_interior: int, rc: float):
 
 
 def _ptsv(n_interior: int, rc: float):
+    if n_interior == 1:  # solveh_banded refuses a 1x1 system: solve its one equation
+        return lambda rhs: rhs / (1.0 + 2.0 * rc)
     # Upper storage: superdiagonal in row 0, diagonal in row 1.
     ab = _banded_matrix(n_interior, rc)[:2]
     return lambda rhs: solveh_banded(ab, rhs, overwrite_b=True, check_finite=False)

@@ -715,20 +715,30 @@ class TestRepeatedCalls:
         assert not any(tmp_path.glob("from_*"))
 
 
+def _python(*argv) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``argv``, the package importable from its source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
 def test_cli_import_loads_no_solvers_or_process_pools():
     # Each of scipy.optimize and scipy.integrate adds about 0.2 s and 20 MB
     # to every command's start-up, so the CLI's modules import neither at
     # module level.  The process pool of pde.estimate_speeds (about 8 ms) is
     # imported only by a call that forks, and the parser is built by the
     # first call of main, not by the import.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     heavy = ["scipy.optimize", "scipy.integrate", "multiprocessing", "concurrent.futures.process"]
     probe = (f"import sys, wavespeed.cli; print(sorted(set({heavy!r}) & set(sys.modules)), "
              "wavespeed.cli._shared_parser.cache_info().misses)")
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[] 0\n"
+    done = _python("-c", probe)
+    assert (done.returncode, done.stdout) == (0, "[] 0\n"), done.stderr
+
+
+def test_python_m_wavespeed_runs_the_command(capsys):
+    done = _python("-m", "wavespeed", "classify", "11", "1", "3", "3")
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, "classify", "11", "1", "3", "3")
 
 
 def test_speed_flags_are_the_library_settings():

@@ -339,18 +339,19 @@ class TestCoMovingWindow:
 
     @pytest.mark.parametrize("L", [40.0, 40.05], ids=["odd_nodes", "even_nodes"])
     def test_front_position_runs_only_to_recentre(self, monkeypatch, L):
-        # While the crossing stays in the centre node's two cells, the
-        # window reads it there; on 802 nodes that node sits at -dx/2.
+        # front_position is the one reader of the crossing, and the
+        # recentre reads nothing else: once for the step profile, then once
+        # per step.  On 802 nodes the centre node sits at -dx/2.
         calls = []
         find = pde.front_position
         monkeypatch.setattr(pde, "front_position", lambda *args: calls.append(1) or find(*args))
         est = estimate_speed(validate(11, 1, 3, 3), default_config(L=L))
         assert est.converged and len(est.shifts) > 50
-        assert len(calls) == 1 + len(est.shifts)  # the step profile, then one per recentre
+        assert len(calls) == len(est.front_trace)
 
     def test_trace_is_the_crossing_of_every_frame(self):
-        # 200 steps, each one a frame: the crossing read in the centre cells
-        # is the one front_position finds, in the lab frame.
+        # 200 steps, each one a frame: the traced crossing is the one
+        # front_position finds in the frame, in the lab frame.
         frames = []
         est = estimate_speed(validate(7, 1, 1.8, 2), coarse_config(L=10.0, t_end=10.0),
                              frames=frames)
@@ -666,7 +667,7 @@ class TestMarch:
         st.none() | st.tuples(st.integers(0, 1), st.integers(0, n - 3)),
     )))
     def test_one_check_per_step_raises_as_check_fields(self, case):
-        # The step checks the solved interior once and calls _check_fields
+        # The step checks the solved state once and calls _check_fields
         # only when that fails; with end values in [0, 1] it must raise
         # exactly when, and exactly what, _check_fields raises.
         ends, interior, nan_at = case
@@ -680,12 +681,57 @@ class TestMarch:
         window.v[:] = [ends[2], *np.full(m, 0.5), ends[3]]
         expected_u = np.concatenate([window.u[:1], x[:m], window.u[-1:]])
         expected_v = np.concatenate([window.v[:1], x[m:], window.v[-1:]])
+        state = np.concatenate([expected_u, expected_v])
+
+        def solve(factors, rhs):  # the solve writes the stacked state, ends included
+            rhs[:] = state
+            return rhs
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pde, "solve_banded", lambda factors, rhs: x.copy())
+            mp.setattr(pde, "solve_banded", solve)
             step = _outcome(lambda: window.step(1))
         assert step == _outcome(lambda: pde._check_fields(expected_u, expected_v, cfg.dt))
         assert np.array_equal(window.u, expected_u, equal_nan=True)
         assert np.array_equal(window.v, expected_v, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        st.lists(st.floats(0.0, 1.0), min_size=2 * (n - 2), max_size=2 * (n - 2)),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),  # log10 d, log10 r
+                  st.floats(1.001, 50.0), st.floats(1.001, 50.0), st.floats(1e-3, 0.1)),
+        st.integers(1, 3),
+    )))
+    def test_bit_identical_to_reference_under_any_end_values(self, case):
+        # The march tests start from ends at exactly (0, 0) and (1, 1),
+        # where the reactions vanish: drawn ends show that the step's
+        # end rows hold them clamped, and that the end terms read them.
+        ends, interior, (log_d, log_r, k1, k2, dt), steps = case
+        m = len(interior) // 2
+        params = validate(10.0**log_d, 10.0**log_r, k1, k2)
+        cfg = default_config(L=1.0, dx=2.0 / (m + 1), dt=dt, t_end=3.0 * dt)
+        window = pde._Window(params, cfg)
+        window.u[:] = [ends[0], *interior[:m], ends[1]]
+        window.v[:] = [ends[2], *interior[m:], ends[3]]
+        u_ref, v_ref = window.u.copy(), window.v.copy()
+        expected = _outcome(lambda: reference_pde.march(params, cfg, u_ref, v_ref, steps))
+        assert _outcome(lambda: [window.step(k) for k in range(1, steps + 1)]) == expected
+        assert np.array_equal(window.u, u_ref) and np.array_equal(window.v, v_ref)
+
+    def test_the_solve_overwrites_its_argument(self):
+        # The step keeps no copy of the solution: a solve that returned a
+        # new array would leave the fields where they were.
+        rc = np.repeat([0.5, 2.0], 5)
+        ends = [0, 4, 5, 9]
+        rc[ends] = 0.0
+        rhs = np.linspace(0.0, 1.0, 10)
+        b = rhs.copy()
+        x = pde.solve_banded(pde._factor_diffusion(rc), rhs)
+        assert x is rhs
+        off = np.minimum(rc[:-1], rc[1:])
+        matrix = np.diag(1.0 + 2.0 * rc) - np.diag(off, 1) - np.diag(off, -1)
+        assert np.allclose(matrix @ x, b, rtol=0.0, atol=1e-14)
+        assert np.array_equal(x[ends], b[ends])  # identity rows
 
     def test_stiff_anchor_message(self):
         with pytest.raises(SimulationError) as info:
